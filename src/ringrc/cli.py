@@ -32,7 +32,7 @@ from .reporting import (
     waveform_csv,
     waveform_svg,
 )
-from .simulator import build_network, crossing_time, simulate_step, victim_delay
+from .simulator import build_network, crossing_time, simulate_step
 
 _MODE_NAMES = tuple(sorted(m.value for m in CrosstalkMode))
 
@@ -167,21 +167,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError(f"segments must be >= 1, got {segments}")
     net = build_network(line, segments)
     drive = DrivePattern.for_mode(mode, config.v_dd)
-    if args.t_end_ps is not None:
-        t_end = args.t_end_ps * 1e-12
-        dt = None
-    elif segments == 1:
-        t_end = None
-        dt = None
-    else:
-        # A distributed run at the default span would take forever; span
-        # it off the single-lump crossing instead, which bounds the
-        # distributed crossing from above.
-        t_ref = victim_delay(line, mode, 1, config.threshold_fraction)
-        t_end = 3.0 * max(t_ref, line.tau_ground)
-        tau_fast, _ = net.time_constants()
-        dt = tau_fast / 20.0
-    result = simulate_step(net, drive, dt=dt, t_end=t_end)
+    t_end = None if args.t_end_ps is None else args.t_end_ps * 1e-12
+    result = simulate_step(net, drive, t_end=t_end)
 
     threshold = config.threshold_fraction * config.v_dd
     print(
@@ -189,7 +176,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"{len(result.victim.values)} samples, dt {result.victim.dt:.4e} s"
     )
     try:
-        t_cross = crossing_time(result.victim, threshold)
+        t_cross = crossing_time(result, threshold)
         print(
             f"victim crossing of {threshold:.3f} V at {t_cross * 1e12:.4f} ps"
         )

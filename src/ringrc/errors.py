@@ -51,9 +51,5 @@ class PoleProximityError(NumericError):
     """Transfer-function evaluation requested too close to a pole."""
 
 
-class InstabilityError(NumericError):
-    """Transient integration diverged (step size too large)."""
-
-
 class ExtractionDomainError(NumericError):
     """Measured periods violate an ordering required by an extraction formula."""

@@ -22,7 +22,6 @@ per-geometry sections:
     rsw_mode = in_phase
     threshold_fraction = 0.5
     segments = 50
-    noise_sigma = 0.0
     line.1W1S.r_ohm = 504        # per-stage line model
     line.1W1S.c_ff = 6.6
     line.1W1S.cc_ff = 8.0
@@ -33,6 +32,7 @@ per-geometry sections:
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -56,7 +56,6 @@ _SCALAR_KEYS = (
     "rsw_mode",
     "threshold_fraction",
     "segments",
-    "noise_sigma",
 )
 _LINE_KEYS = ("r_ohm", "c_ff", "cc_ff")
 _CAP_KEYS = ("c_ta_ff", "c_ba_ff", "c_ft_ff", "c_fb_ff", "c_c_ff")
@@ -67,9 +66,12 @@ REPORT_FORMAT_TAG = "ringrc-report/1"
 
 def _float(token: str, what: str, lineno: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"{what}: not a number: {token!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what}: not a finite number: {token!r}", lineno)
+    return value
 
 
 def _int(token: str, what: str, lineno: int) -> int:
@@ -227,7 +229,6 @@ class ConfigFile:
     rsw_mode: CrosstalkMode
     threshold_fraction: float
     segments: int
-    noise_sigma: float
     lines: dict[str, LineRC]
     spec: SpecTable
     warnings: tuple[str, ...]
@@ -310,10 +311,6 @@ def parse_config(text: str) -> ConfigFile:
     segments = 50 if entry is None else _int(entry[0], "segments", entry[1])
     if segments < 1:
         raise ValidationError(f"segments must be >= 1, got {segments}")
-    entry = take("noise_sigma")
-    noise_sigma = 0.0 if entry is None else _float(entry[0], "noise_sigma", entry[1])
-    if noise_sigma < 0.0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
 
     line_raw: dict[str, dict[str, float]] = {}
     cap_raw: dict[str, dict[str, float]] = {}
@@ -403,7 +400,6 @@ def parse_config(text: str) -> ConfigFile:
         rsw_mode=rsw_mode,
         threshold_fraction=threshold,
         segments=segments,
-        noise_sigma=noise_sigma,
         lines=lines,
         spec=SpecTable(values=spec_values),
         warnings=tuple(warnings),
@@ -441,8 +437,13 @@ def write_text_atomic(path: str, text: str) -> None:
 
 def emit_report_json(payload: dict) -> str:
     """Serialize a report payload canonically (stable key order, full
-    float precision) so emit -> parse -> emit is byte-identical."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    float precision) so emit -> parse -> emit is byte-identical.
+
+    Raises:
+        ValueError: if the payload holds a NaN or infinite value, which
+            strict JSON cannot represent.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_report(text: str) -> dict:

@@ -43,8 +43,8 @@ class RoConfig:
     """Ring-oscillator and counter parameters.
 
     n is the stage count, m the counter division ratio, v_dd the supply
-    (volts). geometry / fanout / wire_length_um describe one concrete
-    instance and are informational for the pure algebra.
+    (volts). geometry / fanout describe one concrete instance and are
+    informational for the pure algebra.
     """
 
     n: int
@@ -52,7 +52,6 @@ class RoConfig:
     v_dd: float
     fanout: Fanout = Fanout.FO1
     geometry: str = ""
-    wire_length_um: float | None = None
 
     def __post_init__(self):
         if self.n < 3:

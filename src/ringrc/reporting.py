@@ -410,9 +410,7 @@ def validate_geometry(
     deviations = {}
     for mode in CrosstalkMode:
         result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
-        delays[mode] = crossing_time(
-            result.victim, threshold_fraction * line.v_dd
-        )
+        delays[mode] = crossing_time(result, threshold_fraction * line.v_dd)
         if mode in (CrosstalkMode.IN_PHASE, CrosstalkMode.QUIET):
             deviations[mode] = _max_waveform_deviation(line, mode, result)
     ordering_ok = (

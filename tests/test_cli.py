@@ -205,6 +205,28 @@ class TestExtract:
         assert code == 4
         assert "FO2 period must exceed" in err
 
+    def test_non_finite_input_rejected(self, workspace, capsys, tmp_path):
+        """An infinite period is a parse error and writes no report."""
+        bad = tmp_path / "inf.csv"
+        bad.write_text(
+            bundled_text("measurements_28nm.csv").replace(
+                "1W1S,FO1,out_of_phase,88.39,", "1W1S,FO1,out_of_phase,inf,"
+            )
+        )
+        out_path = tmp_path / "report.json"
+        code = main(
+            [
+                "extract",
+                "--config", workspace["config"],
+                "--measurements", str(bad),
+                "--format", "json",
+                "--out", str(out_path),
+            ]
+        )
+        assert code == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestReport:
     def test_text_with_targets(self, workspace, capsys):

@@ -192,6 +192,16 @@ class TestParseMeasurements:
         with pytest.raises(ParseError, match="tosc: not a number"):
             parse_measurements(text)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_field(self, token):
+        text = (
+            "units: tosc=ns current=uA\n"
+            "columns: geometry fanout mode tosc ieff\n"
+            f"1W1S,FO1,quiet,81.66,{token}\n"
+        )
+        with pytest.raises(ParseError, match="ieff: not a finite number"):
+            parse_measurements(text)
+
     def test_nonpositive_value_reports_line(self):
         text = (
             "units: tosc=ns current=uA\n"
@@ -233,7 +243,6 @@ class TestParseConfig:
         assert config.rsw_mode is CrosstalkMode.IN_PHASE
         assert config.threshold_fraction == 0.5
         assert config.segments == 50
-        assert config.noise_sigma == 0.0
         assert config.lines == {}
         assert config.spec.values == {}
 
@@ -323,7 +332,6 @@ class TestParseConfig:
             "threshold_fraction = 0.0",
             "threshold_fraction = 1.0",
             "segments = 0",
-            "noise_sigma = -0.5",
         ],
     )
     def test_scalar_range_checks(self, extra):
@@ -383,6 +391,11 @@ class TestReportJson:
         assert parse_report(text) == payload
         assert emit_report_json(parse_report(text)) == text
         assert text.endswith("\n")
+
+    def test_non_finite_value_rejected(self):
+        payload = {"format": REPORT_FORMAT_TAG, "geometries": {"c_c": float("nan")}}
+        with pytest.raises(ValueError):
+            emit_report_json(payload)
 
     def test_bad_json(self):
         with pytest.raises(ParseError, match="not valid JSON"):

@@ -219,9 +219,7 @@ class TestWaveformOutputs:
     def setup_method(self):
         net = build_network(W1S, 1)
         self.result = simulate_step(
-            net,
-            DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd),
-            max_samples=64,
+            net, DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd)
         )
 
     def test_csv(self):

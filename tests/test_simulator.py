@@ -6,11 +6,9 @@ import pytest
 from ringrc import (
     CrosstalkMode,
     DrivePattern,
-    InstabilityError,
     LineRC,
     NetworkStateSpace,
     NoCrossingError,
-    Waveform,
     build_network,
     crossing_time,
     frequency_response,
@@ -18,9 +16,11 @@ from ringrc import (
     quiet_delay_ratio,
     simulate_step,
     step_response_victim,
+    threshold_delay,
     transfer_eval,
     victim_delay,
 )
+from ringrc.simulator import SAMPLES
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
 
@@ -146,38 +146,47 @@ class TestSimulateStep:
             < delays[CrosstalkMode.OUT_OF_PHASE]
         )
 
-    def test_step_halving_converges(self):
-        """Crossing times from dt and dt/2 agree to better than 0.1 %."""
-        net = build_network(W1S, 1)
-        drive = DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd)
-        fast, _ = net.time_constants()
-        threshold = 0.45
-        t_a = crossing_time(
-            simulate_step(net, drive, dt=fast / 50.0).victim, threshold
-        )
-        t_b = crossing_time(
-            simulate_step(net, drive, dt=fast / 100.0).victim, threshold
-        )
-        assert abs(t_a - t_b) / t_b < 1e-3
+    @pytest.mark.parametrize("trial", range(5))
+    def test_lump_matches_exact_responses(self, trial):
+        """Every mode of the lump victim matches its exact response to
+        1e-12 of the rail; out-of-phase projects the drive onto the modes
+        with capacitances C and C + 3 C_c."""
+        line = random_line(np.random.default_rng(5000 + trial))
+        net = build_network(line, 1)
+        for mode in CrosstalkMode:
+            victim = simulate_step(
+                net, DrivePattern.for_mode(mode, line.v_dd)
+            ).victim
+            t = victim.times
+            if mode is CrosstalkMode.OUT_OF_PHASE:
+                want = line.v_dd * (
+                    1.0
+                    + np.exp(-t / line.tau_ground) / 3.0
+                    - 4.0 / 3.0 * np.exp(-t / line.tau_coupled)
+                )
+            else:
+                want = step_response_victim(mode, line, t)
+            dev = np.max(np.abs(victim.values - want))
+            assert dev <= 1e-12 * line.v_dd, mode
 
-    def test_oversized_step_rejected(self):
-        net = build_network(W1S, 1)
-        fast, _ = net.time_constants()
-        with pytest.raises(ValueError, match="exceeds"):
-            simulate_step(
-                net, DrivePattern(0.9, 0.9, 0.9), dt=fast / 10.0
-            )
+    def test_quiet_delay_matches_closed_form(self):
+        got = victim_delay(W1S, CrosstalkMode.QUIET)
+        want = threshold_delay(CrosstalkMode.QUIET, W1S)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
-    def test_decimation_cap(self):
-        net = build_network(W1S, 1)
-        result = simulate_step(
-            net, DrivePattern(0.9, 0.9, 0.9), max_samples=100
-        )
-        assert len(result.victim.values) <= 100
+    def test_constant_sample_count(self):
+        net = build_network(W1S, 3)
+        drive = DrivePattern(0.9, 0.9, 0.9)
+        _, slow = net.time_constants()
+        for t_end, span in ((None, 30.0 * slow), (2e-12, 2e-12)):
+            victim = simulate_step(net, drive, t_end=t_end).victim
+            assert len(victim.values) == SAMPLES
+            assert victim.times[0] == 0.0
+            assert victim.times[-1] == pytest.approx(span, rel=1e-12, abs=0.0)
 
-    def test_instability_guard(self):
-        """A hand-built network with net negative conductance diverges and
-        must be reported, not returned."""
+    def test_non_passive_network_rejected(self):
+        """A hand-built network with net negative conductance has no
+        settled response; it must be rejected, not returned."""
         net = NetworkStateSpace(
             segments=1,
             capacitance=np.array([[1.0]]),
@@ -185,9 +194,8 @@ class TestSimulateStep:
             source_conductance=np.array([1.0]),
             source_line=np.array([0]),
             observed=(0, 0, 0),
-            v_ref=1.0,
         )
-        with pytest.raises(InstabilityError):
+        with pytest.raises(ValueError, match="not passive"):
             simulate_step(net, DrivePattern(1.0, 0.0, 0.0))
 
     def test_asymmetric_network_rejected(self):
@@ -199,7 +207,6 @@ class TestSimulateStep:
                 source_conductance=np.zeros(2),
                 source_line=np.array([-1, -1]),
                 observed=(0, 1, 1),
-                v_ref=1.0,
             )
 
 
@@ -236,24 +243,34 @@ class TestFrequencyResponse:
 
 
 class TestCrossingTime:
-    def test_linear_interpolation(self):
-        wf = Waveform(dt=1.0, values=np.array([0.0, 1.0, 2.0, 3.0]), label="x")
-        assert crossing_time(wf, 1.5) == pytest.approx(1.5, rel=1e-12)
+    # with zero coupling the victim is a single-pole RC charging curve
+    UNCOUPLED = LineRC(r=1e3, c=5e-15, c_c=0.0, v_dd=1.0)
+
+    def result(self, t_end=None):
+        net = build_network(self.UNCOUPLED, 1)
+        return simulate_step(net, DrivePattern(1.0, 1.0, 1.0), t_end=t_end)
+
+    def test_bisection_reaches_exact_root(self):
+        for fraction in (0.1, 0.5, 0.9):
+            want = -self.UNCOUPLED.tau_ground * np.log(1.0 - fraction)
+            got = crossing_time(self.result(), fraction)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_first_sample_already_above(self):
-        wf = Waveform(dt=1.0, values=np.array([2.0, 3.0]), label="x")
-        assert crossing_time(wf, 1.0) == 0.0
+        assert crossing_time(self.result(), -0.1) == 0.0
 
     def test_no_crossing_raises(self):
-        wf = Waveform(dt=1.0, values=np.array([0.0, 0.1, 0.2]), label="x")
         with pytest.raises(NoCrossingError):
-            crossing_time(wf, 0.5)
+            crossing_time(self.result(), 1.1)
+        # reachable, but not within the simulated span
+        with pytest.raises(NoCrossingError):
+            crossing_time(self.result(t_end=1e-13), 0.5)
 
 
 class TestDistributedScaling:
     def test_quiet_ratio_near_half(self):
-        """Splitting the line into many segments roughly halves the
-        threshold delay relative to the single lump."""
+        """Splitting the line into many segments cuts the threshold delay
+        to about 0.6 of the single lump's."""
         ratio = quiet_delay_ratio(W1S, 50)
         assert 0.35 <= ratio <= 0.65
 
