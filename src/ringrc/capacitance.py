@@ -10,6 +10,7 @@ All values are in farads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,8 +42,8 @@ class CapacitanceSet:
     def __post_init__(self):
         for name in ("c_ta", "c_ba", "c_ft", "c_fb", "c_c"):
             value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def c_top(self) -> float:

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parse/input errors, 3 validation errors,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -141,15 +142,28 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _group(
+    records: list[MeasurementRecord], field: str
+) -> dict[str, list[MeasurementRecord]]:
+    """Split records by one attribute in a single pass.
+
+    Each group keeps its records in file order.
+    """
+    groups: dict[str, list[MeasurementRecord]] = {}
+    for r in records:
+        groups.setdefault(getattr(r, field), []).append(r)
+    return groups
+
+
 def _select_die(
     records: list[MeasurementRecord], die: str | None
 ) -> list[MeasurementRecord]:
+    by_die = _group(records, "die")
     if die is not None:
-        selected = [r for r in records if r.die == die]
-        if not selected:
+        if die not in by_die:
             raise ValidationError(f"no records for die {die!r}")
-        return selected
-    dies = sorted({r.die for r in records})
+        return by_die[die]
+    dies = sorted(by_die)
     if len(dies) > 1:
         raise ValidationError(
             f"measurements span multiple dies ({', '.join(d or '<blank>' for d in dies)}); "
@@ -165,9 +179,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     segments = config.segments if args.segments is None else args.segments
     if segments < 1:
         raise ValidationError(f"segments must be >= 1, got {segments}")
+    t_end = None if args.t_end_ps is None else args.t_end_ps * 1e-12
+    if t_end is not None and not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValidationError(
+            f"--t-end-ps must be finite and > 0, got {args.t_end_ps!r}"
+        )
     net = build_network(line, segments)
     drive = DrivePattern.for_mode(mode, config.v_dd)
-    t_end = None if args.t_end_ps is None else args.t_end_ps * 1e-12
     result = simulate_step(net, drive, t_end=t_end)
 
     threshold = config.threshold_fraction * config.v_dd
@@ -195,16 +213,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     records = _select_die(read_measurements(args.measurements), args.die)
-    geometries = args.geometry or sorted({r.geometry for r in records})
+    by_geometry = _group(records, "geometry")
+    geometries = args.geometry or sorted(by_geometry)
     results = {}
     comparisons = {}
     targets = {}
     for geometry in geometries:
-        subset = [r for r in records if r.geometry == geometry]
-        if not subset:
+        if geometry not in by_geometry:
             raise ValidationError(f"no measurements for geometry {geometry!r}")
         result = extract_all(
-            subset, config.ro_config(geometry), rsw_mode=config.rsw_mode
+            by_geometry[geometry],
+            config.ro_config(geometry),
+            rsw_mode=config.rsw_mode,
         )
         results[geometry] = result
         if args.with_comparison:
@@ -229,18 +249,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_binning(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    records = [
-        r
-        for r in read_measurements(args.measurements)
-        if r.geometry == args.geometry
-    ]
-    if not records:
+    by_geometry = _group(read_measurements(args.measurements), "geometry")
+    if args.geometry not in by_geometry:
         raise ValidationError(f"no measurements for geometry {args.geometry!r}")
+    by_die = _group(by_geometry[args.geometry], "die")
+    ro_config = config.ro_config(args.geometry)
     per_die = {}
-    for die in sorted({r.die for r in records}):
-        subset = [r for r in records if r.die == die]
+    for die in sorted(by_die):
         per_die[die or "<blank>"] = extract_all(
-            subset, config.ro_config(args.geometry), rsw_mode=config.rsw_mode
+            by_die[die], ro_config, rsw_mode=config.rsw_mode
         )
     _emit(emit_binning(monitor_binning(per_die), fmt=args.format), args.out)
     return 0

@@ -192,7 +192,14 @@ def _index_records(
         )
     index = {}
     for rec in records:
-        index[(rec.fanout, rec.mode)] = rec
+        key = (rec.fanout, rec.mode)
+        if key in index:
+            raise ValidationError(
+                f"duplicate ({rec.fanout.value}, {rec.mode.value}) records "
+                f"{index[key].label()!r} and {rec.label()!r}; "
+                f"extract one die at a time"
+            )
+        index[key] = rec
     return index
 
 
@@ -223,7 +230,8 @@ def extract_all(
     balance behind the formula.
 
     Returns an ExtractionResult whose provenance maps each extracted
-    value to the records it came from.
+    value to the records it came from. Raises ValidationError when two
+    records share a (fanout, mode), as happens when dies are mixed.
     """
     if not records:
         raise ValidationError("no records given")

@@ -28,6 +28,7 @@ when an absolute out-of-phase waveform or delay is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +55,14 @@ class LineRC:
     v_dd: float
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise ValueError(f"r must be > 0, got {self.r!r}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be > 0, got {self.c!r}")
-        if not self.c_c >= 0.0:
-            raise ValueError(f"c_c must be >= 0, got {self.c_c!r}")
-        if not self.v_dd > 0.0:
-            raise ValueError(f"v_dd must be > 0, got {self.v_dd!r}")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"r must be finite and > 0, got {self.r!r}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        if not (math.isfinite(self.c_c) and self.c_c >= 0.0):
+            raise ValueError(f"c_c must be finite and >= 0, got {self.c_c!r}")
+        if not (math.isfinite(self.v_dd) and self.v_dd > 0.0):
+            raise ValueError(f"v_dd must be finite and > 0, got {self.v_dd!r}")
 
     @property
     def tau_ground(self) -> float:

@@ -13,6 +13,7 @@ distinct pull-up / pull-down currents t_s = C V (1/I_dp + 1/I_dn).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,8 +59,8 @@ class RoConfig:
             raise ValueError(f"n must be >= 3, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not self.v_dd > 0.0:
-            raise ValueError(f"v_dd must be > 0, got {self.v_dd!r}")
+        if not (math.isfinite(self.v_dd) and self.v_dd > 0.0):
+            raise ValueError(f"v_dd must be finite and > 0, got {self.v_dd!r}")
 
     @property
     def period_scale(self) -> int:
@@ -102,13 +103,18 @@ class MeasurementRecord:
     die: str = ""
 
     def __post_init__(self):
-        if not self.t_osc > 0.0:
-            raise ValueError(f"t_osc must be > 0, got {self.t_osc!r}")
-        if not self.i_eff > 0.0:
-            raise ValueError(f"i_eff must be > 0, got {self.i_eff!r}")
+        if not (math.isfinite(self.t_osc) and self.t_osc > 0.0):
+            raise ValueError(f"t_osc must be finite and > 0, got {self.t_osc!r}")
+        if not (math.isfinite(self.i_eff) and self.i_eff > 0.0):
+            raise ValueError(f"i_eff must be finite and > 0, got {self.i_eff!r}")
         if (self.i_dda is None) != (self.i_ddq is None):
             raise ValueError("i_dda and i_ddq must be given together")
         if self.i_dda is not None:
+            if not (math.isfinite(self.i_dda) and math.isfinite(self.i_ddq)):
+                raise ValueError(
+                    f"i_dda and i_ddq must be finite, got "
+                    f"{self.i_dda!r} and {self.i_ddq!r}"
+                )
             derived = self.i_dda - self.i_ddq
             if abs(derived - self.i_eff) > 1e-12 * max(self.i_eff, 1e-30):
                 raise ValueError("i_eff must equal i_dda - i_ddq")

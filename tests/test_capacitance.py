@@ -1,5 +1,7 @@
 """Tests for the capacitance decomposition and crosstalk-mode algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ class TestCapacitanceSet:
         cs = CapacitanceSet(
             c_ta=2.0 * FF, c_ba=3.0 * FF, c_ft=0.8 * FF, c_fb=0.5 * FF, c_c=7.91 * FF
         )
-        assert cs.c_top == pytest.approx(3.6 * FF, rel=1e-12)
-        assert cs.c_bottom == pytest.approx(4.0 * FF, rel=1e-12)
-        assert cs.c_ground == pytest.approx(7.6 * FF, rel=1e-12)
-        assert cs.c_total == pytest.approx(23.42 * FF, rel=1e-12)
+        assert cs.c_top == pytest.approx(3.6 * FF, rel=1e-12, abs=0.0)
+        assert cs.c_bottom == pytest.approx(4.0 * FF, rel=1e-12, abs=0.0)
+        assert cs.c_ground == pytest.approx(7.6 * FF, rel=1e-12, abs=0.0)
+        assert cs.c_total == pytest.approx(23.42 * FF, rel=1e-12, abs=0.0)
 
     def test_ground_is_top_plus_bottom(self):
         cs = CapacitanceSet(c_ta=1.0, c_ba=2.0, c_ft=0.25, c_fb=0.75, c_c=0.0)
@@ -32,6 +34,14 @@ class TestCapacitanceSet:
         values = dict(c_ta=1.0, c_ba=1.0, c_ft=1.0, c_fb=1.0, c_c=1.0)
         values[field] = -1e-18
         with pytest.raises(ValueError, match=field):
+            CapacitanceSet(**values)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["c_ta", "c_ba", "c_ft", "c_fb", "c_c"])
+    def test_non_finite_component_rejected(self, field, value):
+        values = dict(c_ta=1.0, c_ba=1.0, c_ft=1.0, c_fb=1.0, c_c=1.0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             CapacitanceSet(**values)
 
     def test_frozen(self):
@@ -79,8 +89,8 @@ class TestEffectiveCapacitance:
         assert loads[CrosstalkMode.IN_PHASE] <= loads[CrosstalkMode.QUIET]
         assert loads[CrosstalkMode.QUIET] <= loads[CrosstalkMode.OUT_OF_PHASE]
         assert loads[CrosstalkMode.QUIET] - loads[CrosstalkMode.IN_PHASE] == (
-            pytest.approx(2.0 * c_c, rel=1e-12)
+            pytest.approx(2.0 * c_c, rel=1e-12, abs=0.0)
         )
         assert loads[CrosstalkMode.OUT_OF_PHASE] - loads[
             CrosstalkMode.QUIET
-        ] == pytest.approx(2.0 * c_c, rel=1e-12)
+        ] == pytest.approx(2.0 * c_c, rel=1e-12, abs=0.0)

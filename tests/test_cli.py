@@ -10,14 +10,43 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ringrc import parse_report
+from ringrc import cli, parse_report
 from ringrc.cli import main
+from ringrc.files import read_measurements
 
 
 def bundled_text(name):
     return (
         importlib.resources.files("ringrc").joinpath("data", name).read_text()
     )
+
+
+# The four 1W1S records extraction needs (fanout, mode, tosc ns, ieff uA).
+BASE_1W1S = (
+    ("FO1", "in_phase", 81.66, 891.50),
+    ("FO1", "out_of_phase", 88.39, 990.63),
+    ("FO1", "quiet", 82.31, 503.47),
+    ("FO2", "in_phase", 101.35, 1388.00),
+)
+
+
+def lot_rows(dies, geometry="1W1S"):
+    """(die, geometry, fanout, mode, tosc, ieff) rows, die by die, with each
+    die's periods scaled by its factor."""
+    return [
+        (die, geometry, fanout, mode, f"{tosc * scale:.6f}", f"{ieff}")
+        for die, scale in dies
+        for fanout, mode, tosc, ieff in BASE_1W1S
+    ]
+
+
+def write_lot(path, rows):
+    path.write_text(
+        "units: tosc=ns current=uA\n"
+        "columns: die geometry fanout mode tosc ieff\n"
+        + "".join(",".join(row) + "\n" for row in rows)
+    )
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -31,27 +60,11 @@ def workspace(tmp_path_factory):
     measurements = root / "measurements.csv"
     measurements.write_text(bundled_text("measurements_28nm.csv"))
 
-    two_die = root / "two_die.csv"
-    lines = [
-        "units: tosc=ns current=uA",
-        "columns: die geometry fanout mode tosc ieff",
-    ]
-    base = [
-        ("FO1", "in_phase", 81.66, 891.50),
-        ("FO1", "out_of_phase", 88.39, 990.63),
-        ("FO1", "quiet", 82.31, 503.47),
-        ("FO2", "in_phase", 101.35, 1388.00),
-    ]
-    for die, period_scale in (("D1", 1.0), ("D2", 0.8)):
-        for fanout, mode, tosc, ieff in base:
-            lines.append(
-                f"{die},1W1S,{fanout},{mode},{tosc * period_scale:.6f},{ieff}"
-            )
-    two_die.write_text("\n".join(lines) + "\n")
+    two_die = write_lot(root / "two_die.csv", lot_rows([("D1", 1.0), ("D2", 0.8)]))
     return {
         "config": str(config),
         "measurements": str(measurements),
-        "two_die": str(two_die),
+        "two_die": two_die,
         "root": root,
     }
 
@@ -228,6 +241,35 @@ class TestExtract:
         assert not out_path.exists()
 
 
+    def test_overflowing_supply_currents_rejected(self, workspace, capsys, tmp_path):
+        """Finite idda/iddq whose difference overflows to an infinite
+        effective current are a parse error, not a crash in extraction."""
+        bad = tmp_path / "overflow.csv"
+        bad.write_text(
+            "units: tosc=ns current=A\n"
+            "columns: geometry fanout mode tosc idda iddq\n"
+            "1W1S,FO1,in_phase,81.66,1.7e308,-1.7e308\n"
+            "1W1S,FO1,out_of_phase,88.39,1.1e-3,1.0e-4\n"
+            "1W1S,FO1,quiet,82.31,6.0e-4,1.0e-4\n"
+            "1W1S,FO2,in_phase,101.35,1.5e-3,1.0e-4\n"
+        )
+        out_path = tmp_path / "report.json"
+        code = main(
+            [
+                "extract",
+                "--config", workspace["config"],
+                "--measurements", str(bad),
+                "--format", "json",
+                "--out", str(out_path),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 3: i_eff must be finite" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+
 class TestReport:
     def test_text_with_targets(self, workspace, capsys):
         code = main(
@@ -335,6 +377,23 @@ class TestSimulate:
         assert code == 0
         assert "never reaches" in out
 
+    @pytest.mark.parametrize("t_end_ps", ["0", "-1", "inf", "nan"])
+    def test_bad_span_rejected(self, workspace, capsys, t_end_ps):
+        code = main(
+            [
+                "simulate",
+                "--config", workspace["config"],
+                "--geometry", "1W1S",
+                "--mode", "quiet",
+                "--segments", "1",
+                "--t-end-ps", t_end_ps,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "--t-end-ps must be finite and > 0" in captured.err
+        assert "samples" not in captured.out
+
     def test_unknown_geometry(self, workspace, capsys):
         code = main(
             [
@@ -430,6 +489,81 @@ class TestBinning:
         bins = payload["binning"]["bins"]
         assert [b["die"] for b in bins] == ["D1", "D2"]
         assert bins[1]["improvement"] == pytest.approx(0.25, rel=1e-9)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_interleaved_lot_matches_sorted(self, workspace, capsys, tmp_path, fmt):
+        """Row order in the file does not change the report."""
+        rows = lot_rows([("D1", 1.0), ("D2", 0.8), ("D3", 1.1), ("D4", 0.9)])
+        rows += lot_rows([("D1", 1.0), ("D5", 0.7)], geometry="1W2S")
+        interleaved = sorted(rows, key=lambda r: (r[2], r[3], r[0]), reverse=True)
+        assert interleaved[0][0] == "D5" and interleaved[1][0] == "D4"
+        outputs = []
+        for name, lot in (("sorted", rows), ("interleaved", interleaved)):
+            code = main(
+                [
+                    "binning",
+                    "--config", workspace["config"],
+                    "--measurements", write_lot(tmp_path / f"{name}.csv", lot),
+                    "--geometry", "1W1S",
+                    "--format", fmt,
+                ]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert all(die in outputs[0] for die in ("D1", "D2", "D3", "D4"))
+        assert "D5" not in outputs[0]
+
+    def test_blank_die_label(self, workspace, capsys, tmp_path):
+        lot = write_lot(
+            tmp_path / "blank.csv", lot_rows([("", 1.0), ("D2", 0.8)])
+        )
+        code = main(
+            [
+                "binning",
+                "--config", workspace["config"],
+                "--measurements", lot,
+                "--geometry", "1W1S",
+                "--format", "json",
+            ]
+        )
+        assert code == 0
+        bins = json.loads(capsys.readouterr().out)["binning"]["bins"]
+        assert [b["die"] for b in bins] == ["<blank>", "D2"]
+        assert bins[1]["improvement"] == pytest.approx(0.25, rel=1e-9)
+
+    def test_one_extraction_per_die(self, workspace, capsys, tmp_path, monkeypatch):
+        """Each die is extracted once, in sorted die order, from exactly
+        its own records in file order."""
+        rows = lot_rows([("D2", 0.8), ("D1", 1.0), ("D3", 1.1)])
+        rows += lot_rows([("D1", 1.0)], geometry="1W2S")
+        rows = rows[1::2] + rows[::2]
+        lot = write_lot(tmp_path / "lot.csv", rows)
+        calls = []
+        real = cli.extract_all
+
+        def spy(records, config, **kwargs):
+            calls.append(list(records))
+            return real(records, config, **kwargs)
+
+        monkeypatch.setattr(cli, "extract_all", spy)
+        code = main(
+            [
+                "binning",
+                "--config", workspace["config"],
+                "--measurements", lot,
+                "--geometry", "1W1S",
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        records = read_measurements(lot)
+        assert [call[0].die for call in calls] == ["D1", "D2", "D3"]
+        for call in calls:
+            die = call[0].die
+            assert call == [
+                r for r in records if r.die == die and r.geometry == "1W1S"
+            ]
 
     def test_missing_geometry(self, workspace, capsys):
         code = main(

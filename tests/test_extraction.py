@@ -91,12 +91,12 @@ class TestScalarFormulas:
 
     def test_stage_capacitance(self):
         got = stage_capacitance(81.66e-9, 891.50e-6, CONFIG)
-        assert got == pytest.approx(6.319434895833333e-15, rel=1e-12)
+        assert got == pytest.approx(6.319434895833333e-15, rel=1e-12, abs=0.0)
 
     def test_gate_capacitance(self):
         r = 504.7672462142457
         got = gate_capacitance(81.66e-9, 101.35e-9, r, CONFIG)
-        assert got == pytest.approx(3.047506076388889e-15, rel=1e-12)
+        assert got == pytest.approx(3.047506076388889e-15, rel=1e-12, abs=0.0)
 
     def test_gate_capacitance_needs_period_increase(self):
         with pytest.raises(ExtractionDomainError, match="FO2"):
@@ -105,7 +105,7 @@ class TestScalarFormulas:
     def test_interconnect_capacitance(self):
         r = 504.7672462142457
         got = interconnect_capacitance(81.66e-9, 101.35e-9, r, CONFIG)
-        assert got == pytest.approx(9.591363715277778e-15, rel=1e-12)
+        assert got == pytest.approx(9.591363715277778e-15, rel=1e-12, abs=0.0)
 
     def test_interconnect_domain(self):
         # FO2 period more than double FO1: the gate load would exceed
@@ -118,10 +118,10 @@ class TestScalarFormulas:
         t_o = stage_delay_from_period(CONFIG, 88.39e-9)
         t_q = stage_delay_from_period(CONFIG, 82.31e-9)
         assert ground_capacitance(t_o, t_q, r) == pytest.approx(
-            6.596614097537509e-15, rel=1e-12
+            6.596614097537509e-15, rel=1e-12, abs=0.0
         )
         assert coupling_capacitance(t_o, t_q, r) == pytest.approx(
-            7.9463817539935295e-15, rel=1e-12
+            7.9463817539935295e-15, rel=1e-12, abs=0.0
         )
 
     def test_coupling_domain(self):
@@ -157,7 +157,7 @@ class TestScalarFormulas:
         want = EXPECTED["1W1S"]
         assert got.r_sw == pytest.approx(want["r_sw"] * k, rel=1e-9)
         for name in ("c_s", "c_gate", "c_int", "c_ground", "c_coupling"):
-            assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
+            assert getattr(got, name) == pytest.approx(want[name], rel=1e-9, abs=0.0)
 
     def test_wider_spacing_couples_less_at_common_resistance(self):
         """Evaluated at the same switching resistance, the double-spacing
@@ -166,7 +166,7 @@ class TestScalarFormulas:
         t_o = stage_delay_from_period(CONFIG, 66.87e-9)
         t_q = stage_delay_from_period(CONFIG, 66.22e-9)
         cc_wide = coupling_capacitance(t_o, t_q, r)
-        assert cc_wide == pytest.approx(6.766992124247137e-15, rel=1e-12)
+        assert cc_wide == pytest.approx(6.766992124247137e-15, rel=1e-12, abs=0.0)
         assert cc_wide < EXPECTED["1W1S"]["c_coupling"]
 
 
@@ -176,7 +176,7 @@ class TestExtractAll:
         result = extract_all(records_for(geometry), CONFIG)
         assert result.geometry == geometry
         for name, want in EXPECTED[geometry].items():
-            assert getattr(result, name) == pytest.approx(want, rel=1e-9), name
+            assert getattr(result, name) == pytest.approx(want, rel=1e-9, abs=0.0), name
 
     def test_parasitics_view(self):
         result = extract_all(records_for("1W1S"), CONFIG)
@@ -227,6 +227,25 @@ class TestExtractAll:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             extract_all([], CONFIG)
+
+    def test_duplicate_records_rejected(self):
+        """Two dies' records mixed in one call share every (fanout, mode);
+        the pair is named instead of the later record silently winning."""
+        d1, d2 = (
+            [
+                MeasurementRecord(
+                    geometry=r.geometry, fanout=r.fanout, mode=r.mode,
+                    t_osc=r.t_osc, i_eff=r.i_eff, die=die,
+                )
+                for r in records_for("1W1S")
+            ]
+            for die in ("D1", "D2")
+        )
+        match = r"duplicate \(FO1, in_phase\)"
+        with pytest.raises(ValidationError, match=match) as info:
+            extract_all(d1 + d2, CONFIG)
+        assert "D1/1W1S/FO1/in_phase" in str(info.value)
+        assert "D2/1W1S/FO1/in_phase" in str(info.value)
 
 
 # Published values for the same structures: this chain's results and an

@@ -43,8 +43,8 @@ class TestParseMeasurements:
         assert rec.geometry == "1W1S"
         assert rec.fanout is Fanout.FO1
         assert rec.mode is CrosstalkMode.IN_PHASE
-        assert rec.t_osc == pytest.approx(81.66e-9, rel=1e-12)
-        assert rec.i_eff == pytest.approx(891.50e-6, rel=1e-12)
+        assert rec.t_osc == pytest.approx(81.66e-9, rel=1e-12, abs=0.0)
+        assert rec.i_eff == pytest.approx(891.50e-6, rel=1e-12, abs=0.0)
         assert rec.die == ""
 
     def test_die_column_and_supply_pair(self):
@@ -55,10 +55,10 @@ class TestParseMeasurements:
         )
         (rec,) = parse_measurements(text)
         assert rec.die == "D1"
-        assert rec.t_osc == pytest.approx(113.22e-9, rel=1e-12)
-        assert rec.i_dda == pytest.approx(1.38487e-3, rel=1e-12)
-        assert rec.i_ddq == pytest.approx(0.1e-3, rel=1e-12)
-        assert rec.i_eff == pytest.approx(1.28487e-3, rel=1e-12)
+        assert rec.t_osc == pytest.approx(113.22e-9, rel=1e-12, abs=0.0)
+        assert rec.i_dda == pytest.approx(1.38487e-3, rel=1e-12, abs=0.0)
+        assert rec.i_ddq == pytest.approx(0.1e-3, rel=1e-12, abs=0.0)
+        assert rec.i_eff == pytest.approx(1.28487e-3, rel=1e-12, abs=0.0)
 
     def test_seconds_and_amps(self):
         text = (
@@ -77,8 +77,8 @@ class TestParseMeasurements:
         assert len(keys) == 12
         by_key = {(r.geometry, r.fanout.value, r.mode.value): r for r in records}
         rec = by_key[("1W2S", "FO2", "quiet")]
-        assert rec.t_osc == pytest.approx(85.32e-9, rel=1e-12)
-        assert rec.i_eff == pytest.approx(817.23e-6, rel=1e-12)
+        assert rec.t_osc == pytest.approx(85.32e-9, rel=1e-12, abs=0.0)
+        assert rec.i_eff == pytest.approx(817.23e-6, rel=1e-12, abs=0.0)
 
     def test_bundled_data_extracts(self):
         """End to end: bundled measurements + bundled config reproduce the
@@ -230,11 +230,11 @@ class TestParseConfig:
         assert sorted(config.lines) == ["1W1S", "1W2S"]
         line = config.line_for("1W1S")
         assert line.r == 504.0
-        assert line.c == pytest.approx(6.6e-15, rel=1e-12)
-        assert line.c_c == pytest.approx(8.0e-15, rel=1e-12)
+        assert line.c == pytest.approx(6.6e-15, rel=1e-12, abs=0.0)
+        assert line.c_c == pytest.approx(8.0e-15, rel=1e-12, abs=0.0)
         assert line.v_dd == 0.9
         spec = config.spec.for_geometry("1W2S")
-        assert spec.c_total == pytest.approx(10.68e-15, rel=1e-12)
+        assert spec.c_total == pytest.approx(10.68e-15, rel=1e-12, abs=0.0)
         assert spec.r_sw == 276.0
         assert config.warnings == ()
 
@@ -289,8 +289,8 @@ class TestParseConfig:
         )
         line = parse_config(text).line_for("G")
         # ground load: top + bottom plates plus both fringe pairs
-        assert line.c == pytest.approx(7.6e-15, rel=1e-12)
-        assert line.c_c == pytest.approx(4.0e-15, rel=1e-12)
+        assert line.c == pytest.approx(7.6e-15, rel=1e-12, abs=0.0)
+        assert line.c_c == pytest.approx(4.0e-15, rel=1e-12, abs=0.0)
 
     def test_cap_and_line_conflict(self):
         text = MINIMAL_CONFIG + (

@@ -37,8 +37,8 @@ def random_line(rng, cc_lo=0.05, cc_hi=2.0):
 
 class TestLineRC:
     def test_time_constants(self):
-        assert REF.tau_ground == pytest.approx(1e-12, rel=1e-12)
-        assert REF.tau_coupled == pytest.approx(7e-12, rel=1e-12)
+        assert REF.tau_ground == pytest.approx(1e-12, rel=1e-12, abs=0.0)
+        assert REF.tau_coupled == pytest.approx(7e-12, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,6 +47,10 @@ class TestLineRC:
             dict(r=1e3, c=0.0, c_c=0.0, v_dd=1.0),
             dict(r=1e3, c=1e-15, c_c=-1e-18, v_dd=1.0),
             dict(r=1e3, c=1e-15, c_c=0.0, v_dd=0.0),
+            dict(r=math.inf, c=1e-15, c_c=0.0, v_dd=1.0),
+            dict(r=1e3, c=math.nan, c_c=0.0, v_dd=1.0),
+            dict(r=1e3, c=1e-15, c_c=math.inf, v_dd=1.0),
+            dict(r=1e3, c=1e-15, c_c=0.0, v_dd=math.inf),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -58,25 +62,25 @@ class TestLumpCoefficients:
     def test_reference_values(self):
         """All thirteen coefficients for the hand-checkable line."""
         c = lump_coefficients(REF)
-        assert c.a1 == pytest.approx(8e-12, rel=1e-12)
-        assert c.a2 == pytest.approx(1.1e-23, rel=1e-12)
-        assert c.a3 == pytest.approx(2e-12, rel=1e-12)
-        assert c.a4 == pytest.approx(6e-24, rel=1e-12)
-        assert c.a5 == pytest.approx(4e-24, rel=1e-12)
-        assert c.a6 == pytest.approx(2e-12, rel=1e-12)
-        assert c.a7 == pytest.approx(3e-12, rel=1e-12)
-        assert c.a8 == pytest.approx(2e-12, rel=1e-12)
-        assert c.b1 == pytest.approx(1e-12, rel=1e-12)
-        assert c.b2 == pytest.approx(3e-12, rel=1e-12)
-        assert c.b3 == pytest.approx(7e-12, rel=1e-12)
+        assert c.a1 == pytest.approx(8e-12, rel=1e-12, abs=0.0)
+        assert c.a2 == pytest.approx(1.1e-23, rel=1e-12, abs=0.0)
+        assert c.a3 == pytest.approx(2e-12, rel=1e-12, abs=0.0)
+        assert c.a4 == pytest.approx(6e-24, rel=1e-12, abs=0.0)
+        assert c.a5 == pytest.approx(4e-24, rel=1e-12, abs=0.0)
+        assert c.a6 == pytest.approx(2e-12, rel=1e-12, abs=0.0)
+        assert c.a7 == pytest.approx(3e-12, rel=1e-12, abs=0.0)
+        assert c.a8 == pytest.approx(2e-12, rel=1e-12, abs=0.0)
+        assert c.b1 == pytest.approx(1e-12, rel=1e-12, abs=0.0)
+        assert c.b2 == pytest.approx(3e-12, rel=1e-12, abs=0.0)
+        assert c.b3 == pytest.approx(7e-12, rel=1e-12, abs=0.0)
         assert c.b4 == c.b1
         assert c.b5 == c.b3
 
     def test_bundled_1w1s_poles(self):
         c = lump_coefficients(W1S)
-        assert c.b1 == pytest.approx(3.3264e-12, rel=1e-9)
-        assert c.b2 == pytest.approx(7.3584e-12, rel=1e-9)
-        assert c.b3 == pytest.approx(15.4224e-12, rel=1e-9)
+        assert c.b1 == pytest.approx(3.3264e-12, rel=1e-9, abs=0.0)
+        assert c.b2 == pytest.approx(7.3584e-12, rel=1e-9, abs=0.0)
+        assert c.b3 == pytest.approx(15.4224e-12, rel=1e-9, abs=0.0)
         assert pole_time_constants(c) == (c.b1, c.b2, c.b3)
 
     @pytest.mark.parametrize("trial", range(10))
@@ -107,9 +111,9 @@ class TestTransferEval:
         s = 2e10 + 3e10j
         fwd = transfer_eval(coeffs, DrivePattern(0.2, 0.9, -0.5), s)
         rev = transfer_eval(coeffs, DrivePattern(-0.5, 0.9, 0.2), s)
-        assert fwd[1] == pytest.approx(rev[1], rel=1e-12)
-        assert fwd[0] == pytest.approx(rev[2], rel=1e-12)
-        assert fwd[2] == pytest.approx(rev[0], rel=1e-12)
+        assert fwd[1] == pytest.approx(rev[1], rel=1e-12, abs=0.0)
+        assert fwd[0] == pytest.approx(rev[2], rel=1e-12, abs=0.0)
+        assert fwd[2] == pytest.approx(rev[0], rel=1e-12, abs=0.0)
 
     def test_pole_evaluation_rejected(self):
         coeffs = lump_coefficients(REF)
@@ -199,16 +203,16 @@ class TestStepResponse:
 class TestThresholdDelay:
     def test_in_phase_is_rc_log2(self):
         got = threshold_delay(CrosstalkMode.IN_PHASE, W1S)
-        assert got == pytest.approx(W1S.tau_ground * math.log(2.0), rel=1e-5)
+        assert got == pytest.approx(W1S.tau_ground * math.log(2.0), rel=1e-5, abs=0.0)
 
     def test_in_phase_alternate_threshold(self):
         got = threshold_delay(CrosstalkMode.IN_PHASE, W1S, threshold_fraction=0.9)
-        assert got == pytest.approx(W1S.tau_ground * math.log(10.0), rel=1e-5)
+        assert got == pytest.approx(W1S.tau_ground * math.log(10.0), rel=1e-5, abs=0.0)
 
     def test_quiet_reference_value(self):
         """Frozen against an independent dense-grid scan of the quiet form."""
         got = threshold_delay(CrosstalkMode.QUIET, W1S)
-        assert got == pytest.approx(6.147827e-12, rel=3e-6)
+        assert got == pytest.approx(6.147827e-12, rel=3e-6, abs=0.0)
 
     def test_out_of_phase_form_starts_above_threshold(self):
         """The verbatim out-of-phase form begins at v_dd, so the smallest
@@ -237,22 +241,22 @@ class TestFirstOrderDelay:
     def test_quiet_reference_value(self):
         """(1/2) / (1/(3 R C) + 2/(9 R C_c)) for the reference line."""
         got = first_order_delay(CrosstalkMode.QUIET, REF)
-        assert got == pytest.approx(1.125e-12, rel=1e-12)
+        assert got == pytest.approx(1.125e-12, rel=1e-12, abs=0.0)
 
     def test_out_of_phase_reference_value(self):
         got = first_order_delay(CrosstalkMode.OUT_OF_PHASE, REF)
-        assert got == pytest.approx(0.9e-12, rel=1e-12)
+        assert got == pytest.approx(0.9e-12, rel=1e-12, abs=0.0)
 
     def test_large_coupling_limits(self):
         """C_c >> C: quiet -> 3 R C / 2 and out-of-phase -> 3 R C / 4."""
         line = LineRC(r=1e3, c=1e-15, c_c=1e-9, v_dd=1.0)
         rc = line.tau_ground
         assert first_order_delay(CrosstalkMode.QUIET, line) == pytest.approx(
-            1.5 * rc, rel=1e-5
+            1.5 * rc, rel=1e-5, abs=0.0
         )
         assert first_order_delay(
             CrosstalkMode.OUT_OF_PHASE, line
-        ) == pytest.approx(0.75 * rc, rel=1e-5)
+        ) == pytest.approx(0.75 * rc, rel=1e-5, abs=0.0)
 
     def test_out_of_phase_degenerate_region(self):
         """The linearized out-of-phase delay has no crossing at C_c <= C/3."""

@@ -1,5 +1,7 @@
 """Tests for the ring-oscillator forward model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,9 @@ class TestPeriodAlgebra:
             RoConfig(n=100, m=0, v_dd=0.9)
         with pytest.raises(ValueError):
             RoConfig(n=100, m=64, v_dd=0.0)
+        for v_dd in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="v_dd must be finite"):
+                RoConfig(n=100, m=64, v_dd=v_dd)
 
     def test_invalid_stage_delay(self):
         with pytest.raises(ValueError):
@@ -171,6 +176,29 @@ class TestMeasurementRecord:
                 t_osc=1e-9,
                 i_eff=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("t_osc", dict(t_osc=math.inf)),
+            ("t_osc", dict(t_osc=math.nan)),
+            ("i_eff", dict(i_eff=math.inf)),
+            ("i_eff", dict(i_eff=math.inf, i_dda=1.7e308, i_ddq=-1.7e308)),
+            ("i_dda", dict(i_dda=1e-6, i_ddq=-math.inf)),
+            ("i_dda", dict(i_dda=math.nan, i_ddq=0.0)),
+        ],
+    )
+    def test_non_finite_fields(self, field, kwargs):
+        values = dict(
+            geometry="g",
+            fanout=Fanout.FO1,
+            mode=CrosstalkMode.QUIET,
+            t_osc=1e-9,
+            i_eff=1e-6,
+        )
+        values.update(kwargs)
+        with pytest.raises(ValueError, match=f"{field} .*must be finite"):
+            MeasurementRecord(**values)
 
     def test_label_and_key(self):
         rec = MeasurementRecord(

@@ -65,10 +65,10 @@ class TestBuildNetwork:
         )
         assert list(net.source_line) == [0, -1, 1, -1, 2, -1]
         # chain conductance between the two nodes of line A
-        assert net.conductance[0, 1] == pytest.approx(-g_seg, rel=1e-12)
-        assert net.conductance[0, 0] == pytest.approx(g_seg, rel=1e-12)
+        assert net.conductance[0, 1] == pytest.approx(-g_seg, rel=1e-12, abs=0.0)
+        assert net.conductance[0, 0] == pytest.approx(g_seg, rel=1e-12, abs=0.0)
         # per-segment coupling between line A seg 0 and line B seg 0
-        assert net.capacitance[0, 2] == pytest.approx(-W1S.c_c / 2, rel=1e-12)
+        assert net.capacitance[0, 2] == pytest.approx(-W1S.c_c / 2, rel=1e-12, abs=0.0)
         # no direct coupling between the outer lines
         assert net.capacitance[0, 4] == 0.0
         assert net.capacitance[1, 5] == 0.0
@@ -83,7 +83,7 @@ class TestBuildNetwork:
                 + sum(net.capacitance[i, j] for j in range(net.node_count) if j != i)
                 for i in line_b_nodes
             )
-            assert total_c == pytest.approx(W1S.c, rel=1e-9)
+            assert total_c == pytest.approx(W1S.c, rel=1e-9, abs=0.0)
 
     def test_lump_time_constants_match_poles(self):
         """Eigenvalues of the lump network reproduce the three transfer
@@ -95,12 +95,12 @@ class TestBuildNetwork:
         )
         taus = np.sort(1.0 / np.abs(np.real(np.linalg.eigvals(a))))
         coeffs = lump_coefficients(W1S)
-        assert taus[0] == pytest.approx(coeffs.b1, rel=1e-9)
-        assert taus[1] == pytest.approx(coeffs.b2, rel=1e-9)
-        assert taus[2] == pytest.approx(coeffs.b3, rel=1e-9)
+        assert taus[0] == pytest.approx(coeffs.b1, rel=1e-9, abs=0.0)
+        assert taus[1] == pytest.approx(coeffs.b2, rel=1e-9, abs=0.0)
+        assert taus[2] == pytest.approx(coeffs.b3, rel=1e-9, abs=0.0)
         fast, slow = net.time_constants()
-        assert fast == pytest.approx(coeffs.b1, rel=1e-9)
-        assert slow == pytest.approx(coeffs.b3, rel=1e-9)
+        assert fast == pytest.approx(coeffs.b1, rel=1e-9, abs=0.0)
+        assert slow == pytest.approx(coeffs.b3, rel=1e-9, abs=0.0)
 
     def test_invalid_segments(self):
         with pytest.raises(ValueError):
