@@ -253,6 +253,10 @@ def _cmd_binning(args: argparse.Namespace) -> int:
     if args.geometry not in by_geometry:
         raise ValidationError(f"no measurements for geometry {args.geometry!r}")
     by_die = _group(by_geometry[args.geometry], "die")
+    if "" in by_die and "<blank>" in by_die:
+        raise ValidationError(
+            "die label '<blank>' clashes with the label given to unlabelled rows"
+        )
     ro_config = config.ro_config(args.geometry)
     per_die = {}
     for die in sorted(by_die):

@@ -486,15 +486,10 @@ def format_validation_text(outcome: ValidationOutcome) -> str:
 def waveform_csv(result: SimulationResult) -> str:
     """Render a simulation result as a four-column CSV (time plus the
     far-end voltage of each line)."""
-    out = io.StringIO()
-    out.write("time_s,line_a_v,line_b_v,line_c_v\n")
-    times = result.line_a.times
-    for i in range(len(times)):
-        out.write(
-            f"{times[i]:.9e},{result.line_a.values[i]:.9e},"
-            f"{result.line_b.values[i]:.9e},{result.line_c.values[i]:.9e}\n"
-        )
-    return out.getvalue()
+    waveforms = (result.line_a, result.line_b, result.line_c)
+    rows = np.column_stack([result.line_a.times] + [w.values for w in waveforms])
+    body = ("%.9e,%.9e,%.9e,%.9e\n" * len(rows)) % tuple(rows.ravel().tolist())
+    return "time_s,line_a_v,line_b_v,line_c_v\n" + body
 
 
 def waveform_svg(result: SimulationResult, title: str = "") -> str:
@@ -515,12 +510,10 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
         v_max = v_min + 1.0
     span = v_max - v_min
 
-    def x(t: float) -> float:
-        return left + plot_w * (t / t_max if t_max > 0 else 0.0)
-
-    def y(v: float) -> float:
+    def y(v):
         return top + plot_h * (1.0 - (v - v_min) / span)
 
+    xs = left + plot_w * (times / t_max)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}"'
         f' height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -544,10 +537,8 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     for idx, waveform in enumerate(
         (result.line_a, result.line_b, result.line_c)
     ):
-        points = " ".join(
-            f"{x(t):.2f},{y(v):.2f}"
-            for t, v in zip(waveform.times, waveform.values)
-        )
+        xy = np.column_stack([xs, y(waveform.values)]).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
         color = colors[waveform.label]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'

@@ -532,6 +532,28 @@ class TestBinning:
         assert [b["die"] for b in bins] == ["<blank>", "D2"]
         assert bins[1]["improvement"] == pytest.approx(0.25, rel=1e-9)
 
+    def test_blank_die_label_clash(self, workspace, capsys, tmp_path):
+        """Unlabelled rows and a die labelled '<blank>' would share one bin,
+        silently dropping a die, so the lot is rejected instead."""
+        lot = write_lot(
+            tmp_path / "clash.csv", lot_rows([("", 1.0), ("<blank>", 0.8)])
+        )
+        out = tmp_path / "clash.json"
+        code = main(
+            [
+                "binning",
+                "--config", workspace["config"],
+                "--measurements", lot,
+                "--geometry", "1W1S",
+                "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "'<blank>'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_one_extraction_per_die(self, workspace, capsys, tmp_path, monkeypatch):
         """Each die is extracted once, in sorted die order, from exactly
         its own records in file order."""

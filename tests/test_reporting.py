@@ -1,7 +1,9 @@
 """Tests for report rendering, clock binning and model validation."""
 
+import io
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from ringrc import (
@@ -239,3 +241,97 @@ class TestWaveformOutputs:
         ]
         assert len(polylines) == 3
         assert "quiet step" in svg
+
+    @pytest.mark.parametrize("t_end", [None, 2e-12])
+    @pytest.mark.parametrize("mode", list(CrosstalkMode))
+    def test_matches_per_row_renderers(self, mode, t_end):
+        """The vectorised emitters are byte-identical to rendering one row
+        and one point at a time."""
+        result = simulate_step(
+            build_network(W1S, 7),
+            DrivePattern.for_mode(mode, W1S.v_dd),
+            t_end=t_end,
+        )
+        # compared line by line: a failing diff of the whole text is slow
+        csv, want_csv = waveform_csv(result), reference_csv(result)
+        assert csv.split("\n") == want_csv.split("\n")
+        title = f"1W1S {mode.value}"
+        svg, want_svg = waveform_svg(result, title), reference_svg(result, title)
+        assert svg.split("\n") == want_svg.split("\n")
+
+
+# The per-row renderers the emitters replaced, kept as the byte-level reference.
+def reference_csv(result):
+    out = io.StringIO()
+    out.write("time_s,line_a_v,line_b_v,line_c_v\n")
+    times = result.line_a.times
+    for i in range(len(times)):
+        out.write(
+            f"{times[i]:.9e},{result.line_a.values[i]:.9e},"
+            f"{result.line_b.values[i]:.9e},{result.line_c.values[i]:.9e}\n"
+        )
+    return out.getvalue()
+
+
+def reference_svg(result, title=""):
+    width, height = 800.0, 420.0
+    left, right, top, bottom = 70.0, 20.0, 30.0, 40.0
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+
+    times = result.line_a.times
+    t_max = float(times[-1]) if len(times) > 1 else 1.0
+    all_values = np.concatenate(
+        [result.line_a.values, result.line_b.values, result.line_c.values]
+    )
+    v_min = min(0.0, float(np.min(all_values)))
+    v_max = float(np.max(all_values))
+    if v_max <= v_min:
+        v_max = v_min + 1.0
+    span = v_max - v_min
+
+    def x(t):
+        return left + plot_w * (t / t_max if t_max > 0 else 0.0)
+
+    def y(v):
+        return top + plot_h * (1.0 - (v - v_min) / span)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}"'
+        f' height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<text x="{left:.1f}" y="18" font-size="13" font-family="monospace">'
+        f"{title}</text>",
+        f'<line x1="{left:.1f}" y1="{top + plot_h:.1f}" x2="{left + plot_w:.1f}"'
+        f' y2="{top + plot_h:.1f}" stroke="black"/>',
+        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}"'
+        f' y2="{top + plot_h:.1f}" stroke="black"/>',
+        f'<text x="{left:.1f}" y="{height - 8:.1f}" font-size="11"'
+        f' font-family="monospace">0</text>',
+        f'<text x="{left + plot_w - 80:.1f}" y="{height - 8:.1f}" font-size="11"'
+        f' font-family="monospace">{t_max * 1e12:.3f} ps</text>',
+        f'<text x="4" y="{y(v_max) + 4:.1f}" font-size="11"'
+        f' font-family="monospace">{v_max:.2f} V</text>',
+        f'<text x="4" y="{y(v_min):.1f}" font-size="11"'
+        f' font-family="monospace">{v_min:.2f} V</text>',
+    ]
+    colors = {"line_a": "#6a6a6a", "line_b": "#c03030", "line_c": "#3060b0"}
+    for idx, waveform in enumerate(
+        (result.line_a, result.line_b, result.line_c)
+    ):
+        points = " ".join(
+            f"{x(t):.2f},{y(v):.2f}"
+            for t, v in zip(waveform.times, waveform.values)
+        )
+        color = colors[waveform.label]
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
+            f' points="{points}"/>'
+        )
+        parts.append(
+            f'<text x="{left + plot_w - 120:.1f}" y="{top + 14 + 14 * idx:.1f}"'
+            f' font-size="11" font-family="monospace" fill="{color}">'
+            f"{waveform.label}</text>"
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -169,6 +169,28 @@ class TestSimulateStep:
             dev = np.max(np.abs(victim.values - want))
             assert dev <= 1e-12 * line.v_dd, mode
 
+    @pytest.mark.parametrize("t_end", [None, 1e-9])
+    @pytest.mark.parametrize("segments", [1, 7, 50])
+    def test_underflow_skip_is_bit_identical(self, segments, t_end):
+        """Skipping the samples where a mode's exponential has underflowed
+        gives exactly the untruncated modal sum."""
+        net = build_network(W1S, segments)
+        for mode in CrosstalkMode:
+            result = simulate_step(
+                net, DrivePattern.for_mode(mode, W1S.v_dd), t_end=t_end
+            )
+            times = result.victim.times
+            want = np.tile(result.residues.sum(axis=1), (SAMPLES, 1))
+            for rate, residue in zip(result.rates, result.residues.T):
+                want -= np.outer(np.exp(-rate * times), residue)
+            got = np.column_stack(
+                [result.line_a.values, result.line_b.values, result.line_c.values]
+            )
+            assert np.array_equal(got, want), mode
+        # within these spans the fastest mode underflows on segmented
+        # networks only, so both the skipping and the full path are covered
+        assert (np.exp(-result.rates[-1] * times[-1]) == 0.0) == (segments > 1)
+
     def test_quiet_delay_matches_closed_form(self):
         got = victim_delay(W1S, CrosstalkMode.QUIET)
         want = threshold_delay(CrosstalkMode.QUIET, W1S)
