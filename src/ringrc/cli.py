@@ -201,12 +201,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except NumericError:
         print(f"victim never reaches {threshold:.3f} V within the simulated span")
     if args.out:
-        write_text_atomic(args.out, waveform_csv(result))
-        print(f"wrote {args.out}", file=sys.stderr)
+        _emit(waveform_csv(result), args.out)
     if args.svg:
         title = f"{args.geometry} {mode.value} ({segments} segments)"
-        write_text_atomic(args.svg, waveform_svg(result, title))
-        print(f"wrote {args.svg}", file=sys.stderr)
+        _emit(waveform_svg(result, title), args.svg)
     return 0
 
 

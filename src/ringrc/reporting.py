@@ -1,10 +1,12 @@
 """Report generation: extraction tables, clock binning, model validation.
 
-Three output styles are supported for the tabular reports. Text mirrors
-the two-decimal femtofarad/ohm tables used in design reviews, CSV is for
-spreadsheets, and JSON is canonical (sorted keys, full float precision)
-so that emitting, parsing and re-emitting a report reproduces the bytes
-exactly.
+Three output styles are supported for the tabular reports, and all three
+read one value table (`_VALUES` for extractions, the `DieBin` fields for
+binning). JSON is canonical (SI units, sorted keys, full float
+precision) so that emitting, parsing and re-emitting a report
+reproduces the bytes exactly. Text (the two-decimal femtofarad/ohm
+tables used in design reviews) and CSV (for spreadsheets) show the same
+values scaled to display units.
 """
 
 from __future__ import annotations
@@ -33,157 +35,22 @@ WAVEFORM_TOLERANCE = 1e-4
 #: Acceptable window for the distributed-over-lump quiet delay ratio.
 RATIO_WINDOW = (0.35, 0.65)
 
-_PARAM_ROWS = (
-    ("c_total", "c_total", "fF", 1e15),
-    ("c_gate", "c_gate", "fF", 1e15),
-    ("c_int", "c_int", "fF", 1e15),
-    ("c_c", "c_c", "fF", 1e15),
-    ("r_sw", "r_sw", "ohm", 1.0),
-)
-
-
-def _ff(value: float) -> float:
-    return value * 1e15
+#: Every extraction value a report shows, in text and CSV row order:
+#: report name -> (ExtractionResult attribute, display unit, SI-to-unit scale).
+#: Comparisons cover the ParasiticSet subset, in its as_dict order.
+_VALUES = {
+    "r_sw": ("r_sw", "ohm", 1.0),
+    "c_s": ("c_s", "fF", 1e15),
+    "c_gate": ("c_gate", "fF", 1e15),
+    "c_int": ("c_int", "fF", 1e15),
+    "c_total": ("c_total", "fF", 1e15),
+    "c_ground": ("c_ground", "fF", 1e15),
+    "c_c": ("c_coupling", "fF", 1e15),
+}
 
 
 # ---------------------------------------------------------------------------
 # extraction reports
-
-
-def build_report_payload(
-    results: Mapping[str, ExtractionResult],
-    comparisons: Mapping[str, ErrorReport] | None = None,
-    targets: Mapping[str, ParasiticSet] | None = None,
-) -> dict:
-    """Assemble the JSON-serializable payload for a set of extractions.
-
-    Values are stored in SI units. Comparison blocks are included for
-    geometries that have both an error report and a target set.
-    """
-    comparisons = comparisons or {}
-    targets = targets or {}
-    geometries = {}
-    for geometry, result in results.items():
-        block: dict = {
-            "extraction": {
-                "r_sw": result.r_sw,
-                "c_s": result.c_s,
-                "c_gate": result.c_gate,
-                "c_int": result.c_int,
-                "c_total": result.c_total,
-                "c_ground": result.c_ground,
-                "c_c": result.c_coupling,
-                "provenance": {
-                    name: list(labels)
-                    for name, labels in result.provenance.items()
-                },
-            }
-        }
-        report = comparisons.get(geometry)
-        if report is not None:
-            target = targets.get(geometry)
-            block["comparison"] = {
-                "errors": dict(report.param_errors),
-                "delay_product_error": report.delay_product_error,
-                "targets": {} if target is None else {
-                    name: getattr(target, name)
-                    for name, *_ in _PARAM_ROWS
-                    if getattr(target, name) is not None
-                },
-            }
-        geometries[geometry] = block
-    return {"format": REPORT_FORMAT_TAG, "geometries": geometries}
-
-
-def format_extraction_text(
-    results: Mapping[str, ExtractionResult],
-    comparisons: Mapping[str, ErrorReport] | None = None,
-    targets: Mapping[str, ParasiticSet] | None = None,
-) -> str:
-    comparisons = comparisons or {}
-    targets = targets or {}
-    out = io.StringIO()
-    out.write("extraction report\n")
-    for geometry in sorted(results):
-        result = results[geometry]
-        out.write(f"\ngeometry {geometry}\n")
-        rows = (
-            ("r_sw", result.r_sw, "ohm"),
-            ("c_s", _ff(result.c_s), "fF"),
-            ("c_gate", _ff(result.c_gate), "fF"),
-            ("c_int", _ff(result.c_int), "fF"),
-            ("c_total", _ff(result.c_total), "fF"),
-            ("c_ground", _ff(result.c_ground), "fF"),
-            ("c_c", _ff(result.c_coupling), "fF"),
-        )
-        for name, value, unit in rows:
-            out.write(f"  {name:<9} {value:>10.2f} {unit}\n")
-        report = comparisons.get(geometry)
-        if report is None:
-            continue
-        target = targets.get(geometry)
-        out.write(
-            f"  {'comparison':<12} {'extracted':>10} {'target':>10}"
-            f" {'error %':>8}\n"
-        )
-        for name, attr, unit, scale in _PARAM_ROWS:
-            if name not in report.param_errors or target is None:
-                continue
-            target_value = getattr(target, attr)
-            extracted = getattr(result.parasitics, attr)
-            out.write(
-                f"  {name + ' (' + unit + ')':<12} {extracted * scale:>10.2f}"
-                f" {target_value * scale:>10.2f}"
-                f" {report.param_errors[name] * 100.0:>8.2f}\n"
-            )
-        if report.delay_product_error is not None:
-            out.write(
-                f"  delay product (r_sw x c_total) error:"
-                f" {report.delay_product_error * 100.0:.2f} %\n"
-            )
-    return out.getvalue()
-
-
-def format_extraction_csv(
-    results: Mapping[str, ExtractionResult],
-    comparisons: Mapping[str, ErrorReport] | None = None,
-    targets: Mapping[str, ParasiticSet] | None = None,
-) -> str:
-    comparisons = comparisons or {}
-    targets = targets or {}
-    out = io.StringIO()
-    out.write("geometry,parameter,unit,extracted,target,error_pct\n")
-    for geometry in sorted(results):
-        result = results[geometry]
-        report = comparisons.get(geometry)
-        target = targets.get(geometry)
-        rows = (
-            ("r_sw", result.r_sw, "ohm", 1.0),
-            ("c_s", result.c_s, "fF", 1e15),
-            ("c_gate", result.c_gate, "fF", 1e15),
-            ("c_int", result.c_int, "fF", 1e15),
-            ("c_total", result.c_total, "fF", 1e15),
-            ("c_ground", result.c_ground, "fF", 1e15),
-            ("c_c", result.c_coupling, "fF", 1e15),
-        )
-        for name, value, unit, scale in rows:
-            target_field = ""
-            error_field = ""
-            if report is not None and name in report.param_errors:
-                error_field = f"{report.param_errors[name] * 100.0:.4f}"
-                target_value = getattr(target, name, None)
-                if target_value is not None:
-                    target_field = f"{target_value * scale:.6g}"
-            out.write(
-                f"{geometry},{name},{unit},{value * scale:.6g},"
-                f"{target_field},{error_field}\n"
-            )
-        if report is not None and report.delay_product_error is not None:
-            out.write(
-                f"{geometry},delay_product,,,"
-                f",{report.delay_product_error * 100.0:.4f}\n"
-            )
-    return out.getvalue()
 
 
 def emit_report(
@@ -192,14 +59,92 @@ def emit_report(
     targets: Mapping[str, ParasiticSet] | None = None,
     fmt: str = "text",
 ) -> str:
-    """Render extraction results in the requested format."""
-    if fmt == "text":
-        return format_extraction_text(results, comparisons, targets)
-    if fmt == "csv":
-        return format_extraction_csv(results, comparisons, targets)
+    """Render extraction results as text, CSV or canonical JSON.
+
+    JSON stores SI values; a comparison block appears for each geometry
+    with an error report, its targets empty when no target set is given.
+    Text and CSV show geometries in sorted order. Text lists a
+    comparison row only where both an error and a target exist; CSV
+    leaves the target field empty where no target is given.
+    """
+    comparisons = comparisons or {}
+    targets = targets or {}
     if fmt == "json":
-        return emit_report_json(build_report_payload(results, comparisons, targets))
-    raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
+        geometries = {}
+        for geometry, result in results.items():
+            extraction = {
+                name: getattr(result, attr) for name, (attr, _, _) in _VALUES.items()
+            }
+            extraction["provenance"] = {
+                name: list(labels) for name, labels in result.provenance.items()
+            }
+            geometries[geometry] = {"extraction": extraction}
+            report = comparisons.get(geometry)
+            if report is not None:
+                target = targets.get(geometry)
+                geometries[geometry]["comparison"] = {
+                    "errors": dict(report.param_errors),
+                    "delay_product_error": report.delay_product_error,
+                    "targets": {} if target is None else {
+                        name: value
+                        for name, value in target.as_dict().items()
+                        if value is not None
+                    },
+                }
+        return emit_report_json({"format": REPORT_FORMAT_TAG, "geometries": geometries})
+    if fmt == "text":
+        out = ["extraction report\n"]
+    elif fmt == "csv":
+        out = ["geometry,parameter,unit,extracted,target,error_pct\n"]
+    else:
+        raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
+    for geometry in sorted(results):
+        result = results[geometry]
+        report = comparisons.get(geometry)
+        target = targets.get(geometry)
+        errors = {} if report is None else report.param_errors
+        if fmt == "text":
+            out.append(f"\ngeometry {geometry}\n")
+            out += [
+                f"  {name:<9} {getattr(result, attr) * scale:>10.2f} {unit}\n"
+                for name, (attr, unit, scale) in _VALUES.items()
+            ]
+        else:
+            for name, (attr, unit, scale) in _VALUES.items():
+                target_field = error_field = ""
+                if name in errors:
+                    error_field = f"{errors[name] * 100.0:.4f}"
+                    target_value = getattr(target, name, None)
+                    if target_value is not None:
+                        target_field = f"{target_value * scale:.6g}"
+                out.append(
+                    f"{geometry},{name},{unit},{getattr(result, attr) * scale:.6g},"
+                    f"{target_field},{error_field}\n"
+                )
+        if report is None:
+            continue
+        if fmt == "text":
+            out.append(
+                f"  {'comparison':<12} {'extracted':>10} {'target':>10}"
+                f" {'error %':>8}\n"
+            )
+            for name, extracted in result.parasitics.as_dict().items():
+                if name not in errors or target is None:
+                    continue
+                _, unit, scale = _VALUES[name]
+                out.append(
+                    f"  {name + ' (' + unit + ')':<12} {extracted * scale:>10.2f}"
+                    f" {getattr(target, name) * scale:>10.2f}"
+                    f" {errors[name] * 100.0:>8.2f}\n"
+                )
+        if report.delay_product_error is not None:
+            error_pct = report.delay_product_error * 100.0
+            out.append(
+                f"  delay product (r_sw x c_total) error: {error_pct:.2f} %\n"
+                if fmt == "text"
+                else f"{geometry},delay_product,,,,{error_pct:.4f}\n"
+            )
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,71 +217,48 @@ def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
     return BinningReport(geometry=geometries.pop(), bins=tuple(bins))
 
 
-def format_binning_text(report: BinningReport) -> str:
-    out = io.StringIO()
-    out.write(
-        f"clock binning for geometry {report.geometry}"
-        f" ({len(report.bins)} dies, slowest first)\n"
-    )
-    out.write(
-        f"  {'die':<10} {'r_sw (ohm)':>11} {'c_total (fF)':>13}"
-        f" {'proxy (ps)':>11} {'scale':>7} {'runtime':>8} {'gain %':>7}\n"
-    )
-    for entry in report.bins:
-        out.write(
-            f"  {entry.die:<10} {entry.r_sw:>11.2f} {_ff(entry.c_total):>13.2f}"
-            f" {entry.delay_proxy * 1e12:>11.4f} {entry.scale:>7.3f}"
-            f" {entry.normalized_runtime:>8.3f}"
-            f" {entry.improvement * 100.0:>7.2f}\n"
-        )
-    return out.getvalue()
-
-
-def format_binning_csv(report: BinningReport) -> str:
-    out = io.StringIO()
-    out.write(
-        "die,geometry,r_sw_ohm,c_total_ff,delay_proxy_ps,"
-        "scale,normalized_runtime,improvement_pct\n"
-    )
-    for entry in report.bins:
-        out.write(
-            f"{entry.die},{report.geometry},{entry.r_sw:.6g},"
-            f"{_ff(entry.c_total):.6g},{entry.delay_proxy * 1e12:.6g},"
-            f"{entry.scale:.6g},{entry.normalized_runtime:.6g},"
-            f"{entry.improvement * 100.0:.6g}\n"
-        )
-    return out.getvalue()
-
-
-def binning_payload(report: BinningReport) -> dict:
-    return {
-        "format": REPORT_FORMAT_TAG,
-        "binning": {
-            "geometry": report.geometry,
-            "bins": [
-                {
-                    "die": entry.die,
-                    "r_sw": entry.r_sw,
-                    "c_total": entry.c_total,
-                    "delay_proxy": entry.delay_proxy,
-                    "scale": entry.scale,
-                    "normalized_runtime": entry.normalized_runtime,
-                    "improvement": entry.improvement,
-                }
-                for entry in report.bins
-            ],
-        },
-    }
-
-
 def emit_binning(report: BinningReport, fmt: str = "text") -> str:
-    if fmt == "text":
-        return format_binning_text(report)
-    if fmt == "csv":
-        return format_binning_csv(report)
+    """Render a binning report as text, CSV or canonical JSON.
+
+    JSON holds each DieBin's fields in SI units. Text and CSV format one
+    shared row per die: die, geometry, r_sw (ohm), c_total (fF), delay
+    proxy (ps), scale, runtime and gain (%).
+    """
     if fmt == "json":
-        return emit_report_json(binning_payload(report))
-    raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
+        bins = [vars(entry) for entry in report.bins]
+        return emit_report_json(
+            {
+                "format": REPORT_FORMAT_TAG,
+                "binning": {"geometry": report.geometry, "bins": bins},
+            }
+        )
+    if fmt == "text":
+        head = (
+            f"clock binning for geometry {report.geometry}"
+            f" ({len(report.bins)} dies, slowest first)\n"
+            f"  {'die':<10} {'r_sw (ohm)':>11} {'c_total (fF)':>13}"
+            f" {'proxy (ps)':>11} {'scale':>7} {'runtime':>8} {'gain %':>7}\n"
+        )
+        row = (
+            "  {0:<10} {2:>11.2f} {3:>13.2f} {4:>11.4f} {5:>7.3f} {6:>8.3f}"
+            " {7:>7.2f}\n"
+        )
+    elif fmt == "csv":
+        head = (
+            "die,geometry,r_sw_ohm,c_total_ff,delay_proxy_ps,"
+            "scale,normalized_runtime,improvement_pct\n"
+        )
+        row = "{0},{1},{2:.6g},{3:.6g},{4:.6g},{5:.6g},{6:.6g},{7:.6g}\n"
+    else:
+        raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
+    return head + "".join(
+        row.format(
+            entry.die, report.geometry, entry.r_sw, entry.c_total * 1e15,
+            entry.delay_proxy * 1e12, entry.scale, entry.normalized_runtime,
+            entry.improvement * 100.0,
+        )
+        for entry in report.bins
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +436,14 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
         return top + plot_h * (1.0 - (v - v_min) / span)
 
     xs = left + plot_w * (times / t_max)
+    # by hand: xml.sax.saxutils.escape would import urllib.request at startup
+    escaped_title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}"'
         f' height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{left:.1f}" y="18" font-size="13" font-family="monospace">'
-        f"{title}</text>",
+        f"{escaped_title}</text>",
         f'<line x1="{left:.1f}" y1="{top + plot_h:.1f}" x2="{left + plot_w:.1f}"'
         f' y2="{top + plot_h:.1f}" stroke="black"/>',
         f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}"'

@@ -6,6 +6,7 @@ return code plus captured stdout/stderr.
 
 import importlib.resources
 import json
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -47,6 +48,43 @@ def write_lot(path, rows):
         + "".join(",".join(row) + "\n" for row in rows)
     )
     return str(path)
+
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+# Golden file name -> argv; {placeholders} name the inputs from write_golden_inputs.
+GOLDEN_CASES = {
+    f"{name}.{ext}": [command, "--config", f"{{{config}}}", "--measurements",
+                      f"{{{measurements}}}", *extra, "--format", fmt]
+    for fmt, ext in (("text", "txt"), ("csv", "csv"), ("json", "json"))
+    for name, command, config, measurements, extra in (
+        ("report", "report", "config", "measurements", ()),
+        ("extract", "extract", "config", "measurements", ()),
+        ("report_partial_spec", "report", "partial", "measurements", ()),
+        ("binning_blank_die", "binning", "config", "lot", ("--geometry", "1W1S")),
+    )
+}
+
+
+def write_golden_inputs(root):
+    """Write the golden cases' inputs under root and return their paths:
+    the bundled config and data, the config with only c_total_ff as a 1W1S
+    target, and a lot of an unlabelled die plus D2."""
+    config = bundled_text("config_28nm.cfg")
+    partial = "".join(
+        line for line in config.splitlines(keepends=True)
+        if not line.startswith("spec.1W1S.") or line.startswith("spec.1W1S.c_total_ff")
+    )
+    paths = {}
+    for key, name, text in (
+        ("config", "golden.cfg", config),
+        ("partial", "partial.cfg", partial),
+        ("measurements", "golden.csv", bundled_text("measurements_28nm.csv")),
+    ):
+        (root / name).write_text(text)
+        paths[key] = str(root / name)
+    paths["lot"] = write_lot(root / "lot.csv", lot_rows([("", 1.0), ("D2", 0.8)]))
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +361,42 @@ class TestReport:
         assert "no design targets" in err
 
 
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    return write_golden_inputs(tmp_path_factory.mktemp("golden"))
+
+
+def render_golden(inputs, capsys, name):
+    """Run one golden case and return what it printed."""
+    assert main([arg.format(**inputs) for arg in GOLDEN_CASES[name]]) == 0
+    return capsys.readouterr().out
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_report_bytes_unchanged(self, golden_inputs, capsys, name):
+        """report, extract and binning print exactly the committed bytes."""
+        out = render_golden(golden_inputs, capsys, name)
+        want = (GOLDEN / name).read_bytes().decode()
+        assert out.split("\n") == want.split("\n")
+
+    def test_partial_targets_leave_gaps(self, golden_inputs, capsys):
+        """With only c_total as a 1W1S target, the text table compares one
+        value, the CSV leaves the other target and error fields empty and
+        no delay-product row appears."""
+        text = render_golden(golden_inputs, capsys, "report_partial_spec.txt")
+        block = text.split("geometry 1W2S")[0]
+        assert "c_total (fF)" in block and "c_gate (fF)" not in block
+        assert "delay product" not in block
+        csv = render_golden(golden_inputs, capsys, "report_partial_spec.csv")
+        rows = [row.split(",") for row in csv.splitlines() if row.startswith("1W1S,")]
+        names = ["r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_c"]
+        assert [row[1] for row in rows] == names
+        assert [(row[4] != "", row[5] != "") for row in rows] == [
+            (name == "c_total",) * 2 for name in names
+        ]
+
+
 class TestSimulate:
     def test_lump_quiet_crossing(self, workspace, capsys, tmp_path):
         csv_path = tmp_path / "wave.csv"
@@ -346,6 +420,27 @@ class TestSimulate:
         header = csv_path.read_text().splitlines()[0]
         assert header == "time_s,line_a_v,line_b_v,line_c_v"
         ET.fromstring(svg_path.read_text())  # well-formed SVG
+
+    def test_svg_title_is_escaped(self, capsys, tmp_path):
+        """Markup characters in a geometry label stay text in the plot."""
+        config = tmp_path / "amp.cfg"
+        config.write_text(bundled_text("config_28nm.cfg").replace("1W1S", "A&B"))
+        svg_path = tmp_path / "amp.svg"
+        code = main(
+            [
+                "simulate",
+                "--config", str(config),
+                "--geometry", "A&B",
+                "--mode", "quiet",
+                "--segments", "1",
+                "--svg", str(svg_path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        root = ET.fromstring(svg_path.read_text())
+        title = next(el for el in root.iter() if el.tag.endswith("text"))
+        assert title.text == "A&B quiet (1 segments)"
 
     def test_distributed_run(self, workspace, capsys):
         code = main(

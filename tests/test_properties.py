@@ -1,4 +1,5 @@
-"""Property-based tests: parser robustness and the lump oracle on random lines."""
+"""Property-based tests: parser robustness, the lump oracle on random lines
+and report emission."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,11 +8,19 @@ from hypothesis import strategies as st
 from ringrc import (
     CrosstalkMode,
     DrivePattern,
+    ExtractionResult,
     LineRC,
+    ParasiticSet,
     RingRcError,
     build_network,
+    compare_to_spec,
+    emit_binning,
+    emit_report,
+    emit_report_json,
+    monitor_binning,
     parse_config,
     parse_measurements,
+    parse_report,
     simulate_step,
     step_response_victim,
 )
@@ -133,3 +142,102 @@ def test_lump_victim_matches_exact_responses(r, c, cc_ratio, v_dd, mode):
     else:
         want = step_response_victim(mode, line, t)
     assert np.max(np.abs(victim.values - want)) <= 1e-12 * v_dd
+
+
+# Report values: any finite float small enough that relative errors and
+# delay products stay finite, so strict JSON can hold them.
+FINITE = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False)
+LABELS = st.text("ABDSW12_-<> ", max_size=6)
+PROVENANCE = st.dictionaries(
+    st.sampled_from(["r_sw", "c_s", "c_gate", "c_coupling", "x"]),
+    st.lists(st.text(max_size=8), max_size=3).map(tuple),
+    max_size=3,
+)
+#: CSV display unit -> scale from the SI value the JSON holds.
+UNIT_SCALE = {"ohm": 1.0, "fF": 1e15}
+#: ExtractionResult fields after the geometry: seven values, provenance.
+RESULT_FIELDS = st.tuples(*[FINITE] * 7, PROVENANCE)
+#: Per geometry: no comparison, or the ParasiticSet targets (full, partial
+#: or empty) and whether they are passed to the report as well.
+COMPARISON = st.none() | st.tuples(
+    st.tuples(*[st.none() | st.floats(1e-30, 1e30)] * 5), st.booleans()
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.dictionaries(
+        LABELS, st.tuples(RESULT_FIELDS, COMPARISON), min_size=1, max_size=4
+    )
+)
+def test_extraction_report_round_trips(drawn):
+    """JSON emit -> parse -> emit is byte-identical, and every CSV
+    extracted cell and text value row is the JSON value in display units."""
+    results, comparisons, targets = {}, {}, {}
+    for geometry, (fields, comparison) in drawn.items():
+        results[geometry] = ExtractionResult(geometry, *fields)
+        if comparison is not None:
+            target_values, with_targets = comparison
+            spec = ParasiticSet(*target_values)
+            comparisons[geometry] = compare_to_spec(results[geometry], spec)
+            if with_targets:
+                targets[geometry] = spec
+    text = emit_report(results, comparisons, targets, "json")
+    payload = parse_report(text)
+    assert emit_report_json(payload) == text
+    rows = emit_report(results, comparisons, targets, "csv").splitlines()[1:]
+    values = [row.split(",") for row in rows if ",delay_product," not in row]
+    assert len(values) == 7 * len(results)
+    # text value rows ("  name  value unit") come in the CSV's row order
+    table = [
+        line.split()
+        for line in emit_report(results, comparisons, targets, "text").splitlines()
+    ]
+    shown = [cells[1] for cells in table if len(cells) == 3 and cells[2] in UNIT_SCALE]
+    assert len(shown) == len(values)
+    for (geometry, name, unit, extracted, *_), text_value in zip(values, shown):
+        value = payload["geometries"][geometry]["extraction"][name] * UNIT_SCALE[unit]
+        assert extracted == f"{value:.6g}"
+        assert text_value == f"{value:.2f}"
+
+
+#: Binning CSV column -> (JSON field, scale from the SI value).
+BIN_COLUMNS = {
+    "r_sw_ohm": ("r_sw", 1.0),
+    "c_total_ff": ("c_total", 1e15),
+    "delay_proxy_ps": ("delay_proxy", 1e12),
+    "scale": ("scale", 1.0),
+    "normalized_runtime": ("normalized_runtime", 1.0),
+    "improvement_pct": ("improvement", 100.0),
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.dictionaries(
+        LABELS,
+        st.tuples(positive(1e-3, 1e6), positive(1e-18, 1e-12)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_binning_report_round_trips(dies):
+    """Binning JSON round-trips byte-identically and each CSV cell is the
+    matching JSON field in display units."""
+    lot = {
+        die: ExtractionResult("1W1S", r_sw, 0.0, 0.0, 0.0, c_total, 0.0, 0.0)
+        for die, (r_sw, c_total) in dies.items()
+    }
+    report = monitor_binning(lot)
+    text = emit_binning(report, "json")
+    payload = parse_report(text)
+    assert emit_report_json(payload) == text
+    header, *rows = emit_binning(report, "csv").splitlines()
+    columns = header.split(",")
+    assert len(rows) == len(dies)
+    for row, entry in zip(rows, payload["binning"]["bins"]):
+        cells = dict(zip(columns, row.split(",")))
+        assert cells["die"] == entry["die"]
+        assert cells["geometry"] == payload["binning"]["geometry"]
+        for column, (field, scale) in BIN_COLUMNS.items():
+            assert cells[column] == f"{entry[field] * scale:.6g}"
