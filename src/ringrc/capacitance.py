@@ -23,6 +23,16 @@ class CrosstalkMode(Enum):
     OUT_OF_PHASE = "out_of_phase"
 
 
+#: sigma, the aggressor step relative to the victim's, per mode: all a mode
+#: changes in the three-line network. Listed from the fastest victim
+#: response to the slowest.
+AGGRESSOR_STEP = {
+    CrosstalkMode.IN_PHASE: 1.0,
+    CrosstalkMode.QUIET: 0.0,
+    CrosstalkMode.OUT_OF_PHASE: -1.0,
+}
+
+
 @dataclass(frozen=True)
 class CapacitanceSet:
     """Elementary capacitance components of one victim wire.
@@ -69,10 +79,10 @@ class CapacitanceSet:
 def effective_capacitance(mode: CrosstalkMode, c_ground: float, c_c: float) -> float:
     """Switching-load capacitance seen by the victim driver in a given mode.
 
-    With both neighbours held static the victim charges c_ground plus the
-    two coupling capacitances. Neighbours switching with the victim remove
-    the coupling contribution entirely; neighbours switching against it
-    double the voltage swing across each coupling capacitor.
+    Each coupling capacitor swings by (1 - sigma) times the victim's
+    swing, so the load is c_ground + 2 (1 - sigma) c_c: neighbours held
+    static add both coupling capacitances, neighbours switching with the
+    victim remove them, and neighbours switching against it double them.
 
     Args:
         mode: aggressor activity pattern.
@@ -84,10 +94,4 @@ def effective_capacitance(mode: CrosstalkMode, c_ground: float, c_c: float) -> f
     """
     if c_ground < 0.0 or c_c < 0.0:
         raise ValueError("capacitances must be >= 0")
-    if mode is CrosstalkMode.QUIET:
-        return c_ground + 2.0 * c_c
-    if mode is CrosstalkMode.IN_PHASE:
-        return c_ground
-    if mode is CrosstalkMode.OUT_OF_PHASE:
-        return c_ground + 4.0 * c_c
-    raise ValueError(f"unknown mode {mode!r}")
+    return c_ground + 2.0 * (1.0 - AGGRESSOR_STEP[mode]) * c_c

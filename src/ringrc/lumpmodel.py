@@ -2,28 +2,30 @@
 
 Each line is driven through a resistance R onto a node with capacitance C
 to ground; adjacent nodes are tied by a coupling capacitance C_c. Line B
-is the victim (middle), lines A and C are the aggressors. Writing
-p = s*R*C and q = s*R*C_c, the node equations solve to
+is the victim (middle), lines A and C are the aggressors. The paper's
+coefficient table (lump_coefficients, transfer_eval) solves the node
+equations as
 
     V_A = [(1 + a1 s + a2 s^2) Vs1 + (a3 s + a4 s^2) Vs2 + a5 s^2 Vs3]
           / [(1 + b1 s)(1 + b2 s)(1 + b3 s)]
     V_B = [a6 s Vs1 + (1 + a7 s) Vs2 + a8 s Vs3]
           / [(1 + b4 s)(1 + b5 s)]
 
-with V_C mirroring V_A (Vs1 and Vs3 swapped). The victim poles are
-1/(R*C) and 1/(R*(C + 3*C_c)); the aggressor adds 1/(R*(C + C_c)).
+with V_C mirroring V_A (Vs1 and Vs3 swapped).
 
-For a rising victim step of amplitude V the victim waveform per
-aggressor mode is:
+Every line has the same series resistance, so the network splits into
+independent RC modes (1, 1, 1), (1, 0, -1) and (1, -2, 1) with
+capacitances C, C + C_c and C + 3*C_c. A crosstalk mode is one number,
+sigma = AGGRESSOR_STEP[mode]: the drive (sigma, 1, sigma) * V puts weight
+w = (1 + 2*sigma)/3 on the first mode and 1 - w on the last, so the
+victim's rising step response is exactly
 
-    in-phase:      V * (1 - exp(-t/(R*C)))
-    quiet:         V * (1 - (1/3) exp(-t/(R*C)) - (2/3) exp(-t/(R*(C+3*C_c))))
-    out-of-phase:  V * (1 + (2/3) exp(-t/(R*C)) - (2/3) exp(-t/(R*(C+3*C_c))))
+    V * (1 - w exp(-t/(R*C)) - (1 - w) exp(-t/(R*(C + 3*C_c))))
 
-The out-of-phase form is kept exactly as the model algebra produces it.
-Note that it evaluates to V at t = 0, so it does not describe the early
-part of a rising edge; use the transient simulator (simulator module)
-when an absolute out-of-phase waveform or delay is needed.
+with w = 1 (in-phase), 1/3 (quiet) and -1/3 (out-of-phase). The paper's
+linearized out-of-phase waveform (published_out_of_phase_response) starts
+at V at t = 0 instead; first_order_delay is the linearized delay that the
+extraction inverts.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitance import CrosstalkMode
-from .errors import DegenerateDelayError, NoCrossingError, PoleProximityError
+from .capacitance import AGGRESSOR_STEP, CrosstalkMode
+from .errors import DegenerateDelayError, PoleProximityError
 
 #: |1 + b*s| below this is treated as an evaluation at a pole.
 POLE_TOLERANCE = 1e-9
@@ -104,14 +106,9 @@ class DrivePattern:
 
     @classmethod
     def for_mode(cls, mode: CrosstalkMode, v_dd: float) -> "DrivePattern":
-        """Canonical rising-victim pattern for an aggressor mode."""
-        if mode is CrosstalkMode.QUIET:
-            return cls(0.0, v_dd, 0.0)
-        if mode is CrosstalkMode.IN_PHASE:
-            return cls(v_dd, v_dd, v_dd)
-        if mode is CrosstalkMode.OUT_OF_PHASE:
-            return cls(-v_dd, v_dd, -v_dd)
-        raise ValueError(f"unknown mode {mode!r}")
+        """Rising-victim pattern for an aggressor mode, (sigma, 1, sigma) * v_dd."""
+        sigma = AGGRESSOR_STEP[mode]
+        return cls(sigma * v_dd, v_dd, sigma * v_dd)
 
 
 def lump_coefficients(line: LineRC) -> LumpCoefficients:
@@ -194,67 +191,74 @@ def transfer_eval(
     return v_a, v_b, v_c
 
 
-def step_response_victim(mode: CrosstalkMode, line: LineRC, t):
-    """Victim node voltage at time t for a rising step in the given mode.
+def _fast_weight(mode: CrosstalkMode) -> float:
+    """w, the victim's weight on the R*C mode; 1 - w is on R*(C + 3*C_c)."""
+    return (1.0 + 2.0 * AGGRESSOR_STEP[mode]) / 3.0
 
-    Accepts a scalar or an ndarray of times (seconds, >= 0) and returns
-    volts with the same shape. See the module docstring for the three
-    closed forms and the caveat on the out-of-phase one.
-    """
+
+def _two_mode_response(line: LineRC, t, w_fast: float, w_slow: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
-    fast = np.exp(-t / line.tau_ground)
-    if mode is CrosstalkMode.IN_PHASE:
-        out = (1.0 - fast) * line.v_dd
-    elif mode is CrosstalkMode.QUIET:
-        slow = np.exp(-t / line.tau_coupled)
-        out = (1.0 - fast / 3.0 - 2.0 * slow / 3.0) * line.v_dd
-    elif mode is CrosstalkMode.OUT_OF_PHASE:
-        slow = np.exp(-t / line.tau_coupled)
-        out = (1.0 + 2.0 * fast / 3.0 - 2.0 * slow / 3.0) * line.v_dd
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    fast, slow = np.exp(-t / line.tau_ground), np.exp(-t / line.tau_coupled)
+    out = line.v_dd * (1.0 - w_fast * fast - w_slow * slow)
     return out if out.shape else float(out)
+
+
+def step_response_victim(mode: CrosstalkMode, line: LineRC, t):
+    """Exact victim node voltage at time t for a rising step in the given mode.
+
+    Accepts a scalar or an ndarray of times (seconds, >= 0) and returns
+    volts with the same shape. See the module docstring for the form.
+    """
+    w = _fast_weight(mode)
+    return _two_mode_response(line, t, w, 1.0 - w)
+
+
+def published_out_of_phase_response(line: LineRC, t):
+    """The paper's linearized out-of-phase victim waveform,
+    v_dd * (1 + (2/3) exp(-t/(R*C)) - (2/3) exp(-t/(R*(C + 3*C_c)))).
+
+    It equals v_dd at t = 0, an artifact of the linearization; the exact
+    response is step_response_victim(CrosstalkMode.OUT_OF_PHASE, ...).
+    """
+    return _two_mode_response(line, t, -2.0 / 3.0, 2.0 / 3.0)
+
+
+def bisect_crossing(
+    rates: np.ndarray, residues: np.ndarray, threshold: float, lo: float, hi: float
+) -> float:
+    """Bisect V(t) = residues.sum() - residues @ exp(-rates * t) on [lo, hi],
+    where V(lo) < threshold <= V(hi) and V crosses the threshold once, down
+    to adjacent floats; returns the upper end, the first time V >= threshold.
+    """
+    v_inf = residues.sum()
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if v_inf - residues @ np.exp(-rates * mid) >= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def threshold_delay(
     mode: CrosstalkMode, line: LineRC, threshold_fraction: float = 0.5
 ) -> float:
-    """First time the victim response reaches threshold_fraction * v_dd.
+    """Time at which the exact victim response reaches threshold_fraction * v_dd.
 
-    Brackets the crossing on [0, 100 * max time constant] with a linear
-    scan, then bisects to 1e-6 relative precision. For the out-of-phase
-    form, which starts at v_dd, the smallest such time is 0.
-
-    Raises:
-        NoCrossingError: if the response stays below the threshold over
-            the whole bracket.
+    The response starts at 0 and crosses once (out-of-phase first dips
+    below 0 when C_c > C). 1 - V/v_dd is at most (|w| + |1 - w|) e^(-t/
+    tau_coupled) <= (5/3) e^(-t/tau_coupled), so the crossing lies in
+    [0, tau_coupled * ln(5 / (3 (1 - f)))], bisected to float resolution.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")
-    target = threshold_fraction * line.v_dd
-    if step_response_victim(mode, line, 0.0) >= target:
-        return 0.0
-
-    t_max = 100.0 * max(line.tau_ground, line.tau_coupled)
-    grid = np.linspace(0.0, t_max, 4097)
-    values = step_response_victim(mode, line, grid)
-    above = np.nonzero(values >= target)[0]
-    if len(above) == 0:
-        raise NoCrossingError(
-            f"{mode.value} response stays below {threshold_fraction} * v_dd "
-            f"within 100 time constants"
-        )
-    hi = grid[above[0]]
-    lo = grid[above[0] - 1]
-    while (hi - lo) > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if step_response_victim(mode, line, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    w = _fast_weight(mode)
+    rates = np.array([1.0 / line.tau_ground, 1.0 / line.tau_coupled])
+    residues = line.v_dd * np.array([w, 1.0 - w])
+    hi = line.tau_coupled * math.log(5.0 / (3.0 * (1.0 - threshold_fraction)))
+    return bisect_crossing(rates, residues, threshold_fraction * line.v_dd, 0.0, hi)
 
 
 def first_order_delay(mode: CrosstalkMode, line: LineRC) -> float:
@@ -291,11 +295,6 @@ def first_order_delay(mode: CrosstalkMode, line: LineRC) -> float:
             )
         return 0.5 / denom
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def pole_time_constants(coeffs: LumpCoefficients) -> tuple[float, float, float]:
-    """The three distinct network time constants {R*C, R*(C+C_c), R*(C+3*C_c)}."""
-    return (coeffs.b1, coeffs.b2, coeffs.b3)
 
 
 def taylor_inversion_reference(mode: CrosstalkMode, line: LineRC) -> float:

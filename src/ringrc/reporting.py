@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitance import CrosstalkMode
+from .capacitance import AGGRESSOR_STEP, CrosstalkMode
 from .errors import ValidationError
 from .extraction import ErrorReport, ExtractionResult, ParasiticSet
 from .files import REPORT_FORMAT_TAG, emit_report_json
@@ -267,24 +267,28 @@ def emit_binning(report: BinningReport, fmt: str = "text") -> str:
 
 @dataclass(frozen=True)
 class GeometryValidation:
-    """Cross-check summary for one geometry's line model."""
+    """Cross-check summary for one geometry's line model.
+
+    max_dev and delays map each crosstalk mode, in AGGRESSOR_STEP order,
+    to the single-lump oracle's largest deviation from the closed form (a
+    fraction of v_dd) and to its simulated threshold delay (seconds).
+    """
 
     geometry: str
-    max_dev_in_phase: float
-    max_dev_quiet: float
-    delay_in_phase: float
-    delay_quiet: float
-    delay_out_of_phase: float
-    ordering_ok: bool
+    max_dev: Mapping[CrosstalkMode, float]
+    delays: Mapping[CrosstalkMode, float]
     segments: int
     distributed_ratio: float
 
     @property
     def waveforms_ok(self) -> bool:
-        return (
-            self.max_dev_in_phase <= WAVEFORM_TOLERANCE
-            and self.max_dev_quiet <= WAVEFORM_TOLERANCE
-        )
+        return all(dev <= WAVEFORM_TOLERANCE for dev in self.max_dev.values())
+
+    @property
+    def ordering_ok(self) -> bool:
+        """in-phase <= quiet <= out-of-phase."""
+        delays = [self.delays[mode] for mode in AGGRESSOR_STEP]
+        return delays == sorted(delays)
 
     @property
     def ratio_ok(self) -> bool:
@@ -321,37 +325,20 @@ def validate_geometry(
 ) -> GeometryValidation:
     """Run the oracle cross-checks for one line model.
 
-    Compares the single-lump oracle against the closed-form victim
-    responses (in-phase and quiet, where the closed forms are exact),
-    checks that the simulated threshold delays order as
-    in-phase <= quiet <= out-of-phase, and measures the distributed
-    over lump quiet delay ratio at the configured segment count.
+    Compares the single-lump oracle against the exact closed-form victim
+    response of every crosstalk mode, checks that the simulated threshold
+    delays order as in-phase <= quiet <= out-of-phase, and measures the
+    distributed over lump quiet delay ratio at the configured segment
+    count.
     """
     net = build_network(line, 1)
-    delays = {}
-    deviations = {}
-    for mode in CrosstalkMode:
+    max_dev, delays = {}, {}
+    for mode in AGGRESSOR_STEP:
         result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
+        max_dev[mode] = _max_waveform_deviation(line, mode, result)
         delays[mode] = crossing_time(result, threshold_fraction * line.v_dd)
-        if mode in (CrosstalkMode.IN_PHASE, CrosstalkMode.QUIET):
-            deviations[mode] = _max_waveform_deviation(line, mode, result)
-    ordering_ok = (
-        delays[CrosstalkMode.IN_PHASE]
-        <= delays[CrosstalkMode.QUIET]
-        <= delays[CrosstalkMode.OUT_OF_PHASE]
-    )
     ratio = quiet_delay_ratio(line, segments, threshold_fraction)
-    return GeometryValidation(
-        geometry=geometry,
-        max_dev_in_phase=deviations[CrosstalkMode.IN_PHASE],
-        max_dev_quiet=deviations[CrosstalkMode.QUIET],
-        delay_in_phase=delays[CrosstalkMode.IN_PHASE],
-        delay_quiet=delays[CrosstalkMode.QUIET],
-        delay_out_of_phase=delays[CrosstalkMode.OUT_OF_PHASE],
-        ordering_ok=ordering_ok,
-        segments=segments,
-        distributed_ratio=ratio,
-    )
+    return GeometryValidation(geometry, max_dev, delays, segments, ratio)
 
 
 def run_validation(
@@ -374,20 +361,18 @@ def format_validation_text(outcome: ValidationOutcome) -> str:
     out.write("model validation report\n")
     for entry in outcome.geometries:
         out.write(f"\ngeometry {entry.geometry}\n")
-        out.write(
-            f"  oracle vs closed form, in-phase: max deviation"
-            f" {entry.max_dev_in_phase:.2e} of v_dd"
-            f" [{'pass' if entry.max_dev_in_phase <= WAVEFORM_TOLERANCE else 'FAIL'}]\n"
+        for mode, dev in entry.max_dev.items():
+            label = f"{mode.value.replace('_', '-')}:"
+            out.write(
+                f"  oracle vs closed form, {label:<13} max deviation {dev:.2e}"
+                f" of v_dd [{'pass' if dev <= WAVEFORM_TOLERANCE else 'FAIL'}]\n"
+            )
+        delays = " <= ".join(
+            f"{mode.value.replace('_', '-')} {delay * 1e12:.4f} ps"
+            for mode, delay in entry.delays.items()
         )
         out.write(
-            f"  oracle vs closed form, quiet:    max deviation"
-            f" {entry.max_dev_quiet:.2e} of v_dd"
-            f" [{'pass' if entry.max_dev_quiet <= WAVEFORM_TOLERANCE else 'FAIL'}]\n"
-        )
-        out.write(
-            f"  simulated threshold delays: in-phase {entry.delay_in_phase * 1e12:.4f} ps"
-            f" <= quiet {entry.delay_quiet * 1e12:.4f} ps"
-            f" <= out-of-phase {entry.delay_out_of_phase * 1e12:.4f} ps"
+            f"  simulated threshold delays: {delays}"
             f" [{'pass' if entry.ordering_ok else 'FAIL'}]\n"
         )
         low, high = RATIO_WINDOW

@@ -22,7 +22,7 @@ import numpy as np
 
 from .capacitance import CrosstalkMode
 from .errors import NoCrossingError
-from .lumpmodel import DrivePattern, LineRC
+from .lumpmodel import DrivePattern, LineRC, bisect_crossing
 
 #: Default simulation span, in units of the slowest time constant.
 T_END_FACTOR = 30.0
@@ -50,7 +50,9 @@ class NetworkStateSpace:
 
     def __post_init__(self):
         c, g = self.capacitance, self.conductance
-        if not np.allclose(c, c.T) or not np.allclose(g, g.T):
+        # atol=0: the default absolute tolerance of 1e-8 would equate any
+        # two femtofarad entries
+        if not np.allclose(c, c.T, atol=0.0) or not np.allclose(g, g.T, atol=0.0):
             raise ValueError("network matrices must be symmetric")
         offdiag = np.abs(c).sum(axis=1) - np.abs(np.diag(c))
         if np.any(np.diag(c) < offdiag - 1e-30):
@@ -243,15 +245,10 @@ def crossing_time(result: SimulationResult, threshold: float) -> float:
     i = int(above[0])
     if i == 0:
         return 0.0
-    residues = result.residues[1]
-    lo, hi = (i - 1) * result.victim.dt, i * result.victim.dt
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if residues.sum() - residues @ np.exp(-result.rates * mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    dt = result.victim.dt
+    return bisect_crossing(
+        result.rates, result.residues[1], threshold, (i - 1) * dt, i * dt
+    )
 
 
 def victim_delay(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ringrc import (
+    AGGRESSOR_STEP,
     CrosstalkMode,
     DegenerateDelayError,
     DrivePattern,
@@ -14,7 +15,7 @@ from ringrc import (
     PoleProximityError,
     first_order_delay,
     lump_coefficients,
-    pole_time_constants,
+    published_out_of_phase_response,
     step_response_victim,
     taylor_inversion_reference,
     threshold_delay,
@@ -81,7 +82,6 @@ class TestLumpCoefficients:
         assert c.b1 == pytest.approx(3.3264e-12, rel=1e-9, abs=0.0)
         assert c.b2 == pytest.approx(7.3584e-12, rel=1e-9, abs=0.0)
         assert c.b3 == pytest.approx(15.4224e-12, rel=1e-9, abs=0.0)
-        assert pole_time_constants(c) == (c.b1, c.b2, c.b3)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_coefficient_structure_random(self, trial):
@@ -140,19 +140,40 @@ class TestTransferEval:
             assert v_b == pytest.approx(expected, rel=1e-9)
             assert v_c == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("trial", range(5))
+    def test_victim_matches_modal_form(self, trial):
+        """The coefficient table's victim equals the modal Laplace form
+        sum_m w_m v_dd / (s (1 + s tau_m)), with weights w = (1 + 2 sigma)/3
+        and 1 - w on tau = R C and R (C + 3 C_c), for every mode."""
+        rng = np.random.default_rng(2500 + trial)
+        line = random_line(rng, cc_lo=0.0)
+        coeffs = lump_coefficients(line)
+        scale = 1.0 / line.tau_ground
+        for mode, sigma in AGGRESSOR_STEP.items():
+            w = (1.0 + 2.0 * sigma) / 3.0
+            drive = DrivePattern.for_mode(mode, line.v_dd)
+            for s in (complex(0.1, 0.5), complex(1.0, 4.0), complex(7.3, 0.5)):
+                s *= scale
+                _, v_b, _ = transfer_eval(coeffs, drive, s)
+                modal = line.v_dd / s * (
+                    w / (1.0 + s * line.tau_ground)
+                    + (1.0 - w) / (1.0 + s * line.tau_coupled)
+                )
+                assert abs(v_b - modal) <= 1e-12 * abs(modal), mode
+
 
 class TestStepResponse:
     def test_starts_at_zero_except_out_of_phase(self):
+        """Every exact form starts at 0; the exception is the published
+        linearized out-of-phase form, which starts at the rail."""
         assert step_response_victim(CrosstalkMode.IN_PHASE, REF, 0.0) == 0.0
-        assert step_response_victim(CrosstalkMode.QUIET, REF, 0.0) == (
-            pytest.approx(0.0, abs=1e-15)
+        for mode in (CrosstalkMode.QUIET, CrosstalkMode.OUT_OF_PHASE):
+            assert step_response_victim(mode, REF, 0.0) == (
+                pytest.approx(0.0, abs=1e-15)
+            )
+        assert published_out_of_phase_response(REF, 0.0) == pytest.approx(
+            REF.v_dd, rel=1e-12
         )
-        # The out-of-phase closed form starts at the rail; its early-time
-        # shape is a known artifact and the transient oracle is the
-        # reference there.
-        assert step_response_victim(
-            CrosstalkMode.OUT_OF_PHASE, REF, 0.0
-        ) == pytest.approx(REF.v_dd, rel=1e-12)
 
     def test_settles_to_rail(self):
         t = 200.0 * REF.tau_coupled
@@ -174,18 +195,26 @@ class TestStepResponse:
         assert got == pytest.approx(0.2994549197760647, rel=1e-12)
 
     def test_out_of_phase_reference_value(self):
-        got = step_response_victim(CrosstalkMode.OUT_OF_PHASE, REF, 1e-12)
+        """The published linearized form at t = 1 ps for the reference line:
+        1 + 2 exp(-1)/3 - 2 exp(-1/7)/3."""
+        got = published_out_of_phase_response(REF, 1e-12)
         assert got == pytest.approx(0.6673343609475068, rel=1e-12)
 
+    def test_exact_out_of_phase_reference_value(self):
+        """1 + exp(-1)/3 - 4 exp(-1/7)/3 at t = 1 ps: with C_c > C the exact
+        out-of-phase victim first dips below zero."""
+        got = step_response_victim(CrosstalkMode.OUT_OF_PHASE, REF, 1e-12)
+        assert got == pytest.approx(-0.03321071927642806, rel=1e-12)
+
     def test_out_of_phase_minus_quiet_is_fast_exponential(self):
-        """The implemented out-of-phase form differs from the quiet form
+        """The published out-of-phase form differs from the quiet form
         by exactly v_dd * exp(-t / (R C)) at every time."""
         rng = np.random.default_rng(7)
         line = random_line(rng)
         t = np.sort(rng.uniform(0.0, 20.0 * line.tau_coupled, size=50))
-        diff = step_response_victim(
-            CrosstalkMode.OUT_OF_PHASE, line, t
-        ) - step_response_victim(CrosstalkMode.QUIET, line, t)
+        diff = published_out_of_phase_response(line, t) - step_response_victim(
+            CrosstalkMode.QUIET, line, t
+        )
         want = line.v_dd * np.exp(-t / line.tau_ground)
         assert np.max(np.abs(diff - want)) < 1e-12 * line.v_dd
 
@@ -203,21 +232,35 @@ class TestStepResponse:
 class TestThresholdDelay:
     def test_in_phase_is_rc_log2(self):
         got = threshold_delay(CrosstalkMode.IN_PHASE, W1S)
-        assert got == pytest.approx(W1S.tau_ground * math.log(2.0), rel=1e-5, abs=0.0)
+        assert got == pytest.approx(W1S.tau_ground * math.log(2.0), rel=1e-12, abs=0.0)
 
     def test_in_phase_alternate_threshold(self):
         got = threshold_delay(CrosstalkMode.IN_PHASE, W1S, threshold_fraction=0.9)
-        assert got == pytest.approx(W1S.tau_ground * math.log(10.0), rel=1e-5, abs=0.0)
+        assert got == pytest.approx(W1S.tau_ground * math.log(10.0), rel=1e-12, abs=0.0)
 
     def test_quiet_reference_value(self):
         """Frozen against an independent dense-grid scan of the quiet form."""
         got = threshold_delay(CrosstalkMode.QUIET, W1S)
         assert got == pytest.approx(6.147827e-12, rel=3e-6, abs=0.0)
 
-    def test_out_of_phase_form_starts_above_threshold(self):
-        """The verbatim out-of-phase form begins at v_dd, so the smallest
-        time at threshold is zero; use the oracle for real delays."""
-        assert threshold_delay(CrosstalkMode.OUT_OF_PHASE, W1S) == 0.0
+    def test_out_of_phase_reference_value(self):
+        """Frozen from the oracle's single-lump out-of-phase crossing."""
+        got = threshold_delay(CrosstalkMode.OUT_OF_PHASE, W1S)
+        assert got == pytest.approx(15.01449e-12, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("mode", list(CrosstalkMode))
+    def test_brackets_exact_crossing(self, mode, fraction):
+        """The exact response is below the threshold 1e-12 relative before
+        the returned delay and at or above it 1e-12 after, also for strong
+        coupling, where the out-of-phase victim first dips below zero."""
+        rng = np.random.default_rng(99)
+        for _ in range(10):
+            line = random_line(rng, cc_lo=0.0, cc_hi=5.0)
+            t = threshold_delay(mode, line, fraction)
+            target = fraction * line.v_dd
+            assert step_response_victim(mode, line, t * (1.0 - 1e-12)) < target
+            assert step_response_victim(mode, line, t * (1.0 + 1e-12)) >= target
 
     def test_quiet_slower_than_in_phase(self):
         rng = np.random.default_rng(42)

@@ -186,14 +186,15 @@ class TestValidation:
         assert outcome.passed
         assert outcome.waveforms_ok
         assert outcome.ordering_ok
-        assert outcome.max_dev_in_phase < 1e-6
-        assert outcome.max_dev_quiet < 1e-6
+        assert set(outcome.max_dev) == set(CrosstalkMode)
+        assert all(dev < 1e-6 for dev in outcome.max_dev.values())
         assert 0.35 <= outcome.distributed_ratio <= 0.65
         assert outcome.distributed_ratio == pytest.approx(0.6233, abs=0.002)
+        delays = outcome.delays
         assert (
-            outcome.delay_in_phase
-            <= outcome.delay_quiet
-            <= outcome.delay_out_of_phase
+            delays[CrosstalkMode.IN_PHASE]
+            <= delays[CrosstalkMode.QUIET]
+            <= delays[CrosstalkMode.OUT_OF_PHASE]
         )
 
     def test_run_validation_orders_geometries(self):
@@ -213,6 +214,8 @@ class TestValidation:
         entry = validate_geometry("1W1S", W1S, segments=20)
         text = format_validation_text(ValidationOutcome(geometries=(entry,)))
         assert "geometry 1W1S" in text
+        for label in ("in-phase:    ", "quiet:       ", "out-of-phase:"):
+            assert f"  oracle vs closed form, {label} max deviation" in text
         assert "distributed(20) / lump quiet delay" in text
         assert "overall: pass" in text
 

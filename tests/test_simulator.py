@@ -130,7 +130,10 @@ class TestSimulateStep:
         assert result.line_b.values[-1] == pytest.approx(0.9, abs=1e-9)
         assert result.line_c.values[-1] == pytest.approx(0.3, abs=1e-9)
 
-    @pytest.mark.parametrize("mode", [CrosstalkMode.IN_PHASE, CrosstalkMode.QUIET])
+    @pytest.mark.parametrize(
+        "mode",
+        [CrosstalkMode.IN_PHASE, CrosstalkMode.QUIET, CrosstalkMode.OUT_OF_PHASE],
+    )
     def test_lump_matches_closed_form(self, mode):
         net = build_network(W1S, 1)
         result = simulate_step(net, DrivePattern.for_mode(mode, W1S.v_dd))
@@ -191,10 +194,12 @@ class TestSimulateStep:
         # networks only, so both the skipping and the full path are covered
         assert (np.exp(-result.rates[-1] * times[-1]) == 0.0) == (segments > 1)
 
-    def test_quiet_delay_matches_closed_form(self):
-        got = victim_delay(W1S, CrosstalkMode.QUIET)
-        want = threshold_delay(CrosstalkMode.QUIET, W1S)
-        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("mode", list(CrosstalkMode))
+    def test_delay_matches_closed_form(self, mode, fraction):
+        got = victim_delay(W1S, mode, threshold_fraction=fraction)
+        want = threshold_delay(mode, W1S, fraction)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_constant_sample_count(self):
         net = build_network(W1S, 3)
@@ -230,6 +235,11 @@ class TestSimulateStep:
                 source_line=np.array([-1, -1]),
                 observed=(0, 1, 1),
             )
+        # the same defect at femtofarad scale: C[0, 1] = -4 fF, C[1, 0] = -8 fF
+        net = build_network(W1S, 1)
+        net.capacitance[0, 1] /= 2.0
+        with pytest.raises(ValueError, match="symmetric"):
+            NetworkStateSpace(**vars(net))
 
 
 class TestFrequencyResponse:
