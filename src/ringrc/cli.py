@@ -215,7 +215,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     geometries = args.geometry or sorted(by_geometry)
     results = {}
     comparisons = {}
-    targets = {}
     for geometry in geometries:
         if geometry not in by_geometry:
             raise ValidationError(f"no measurements for geometry {geometry!r}")
@@ -226,12 +225,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         )
         results[geometry] = result
         if args.with_comparison:
-            target = config.spec.for_geometry(geometry)
-            targets[geometry] = target
             comparisons[geometry] = compare_to_spec(
-                result, target, geometry=geometry
+                result, config.spec.for_geometry(geometry), geometry=geometry
             )
-    _emit(emit_report(results, comparisons, targets, fmt=args.format), args.out)
+    _emit(emit_report(results, comparisons, fmt=args.format), args.out)
     return 0
 
 

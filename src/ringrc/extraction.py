@@ -104,12 +104,13 @@ class ErrorReport:
     param_errors maps parameter name to |value - target| / target;
     delay_product_error compares r_sw * c_total the same way. Errors are
     fractions (0.12 means 12 percent). Parameters missing on either side
-    are omitted.
+    are omitted. targets is the set the errors were taken against.
     """
 
     geometry: str
     param_errors: dict[str, float]
     delay_product_error: float | None
+    targets: ParasiticSet
 
 
 def switching_resistance(i_eff: float, v_dd: float) -> float:
@@ -314,4 +315,5 @@ def compare_to_spec(
         geometry=geometry,
         param_errors=param_errors,
         delay_product_error=delay_error,
+        targets=spec,
     )

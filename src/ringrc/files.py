@@ -26,7 +26,7 @@ per-geometry sections:
     line.1W1S.c_ff = 6.6
     line.1W1S.cc_ff = 8.0
     cap.1W1S.c_ta_ff = 2.0       # alternative: elementary components
-    spec.1W1S.c_total_ff = 12.39 # design targets for comparison reports
+    spec.1W1S.c_total_ff = 12.39 # design targets (> 0) for comparison reports
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .capacitance import CapacitanceSet, CrosstalkMode
@@ -148,20 +147,22 @@ def parse_measurements(text: str) -> list[MeasurementRecord]:
         if "ieff" in row:
             kwargs["i_eff"] = _float(row["ieff"], "ieff", lineno) * units["current"]
         else:
-            i_dda = _float(row["idda"], "idda", lineno) * units["current"]
-            i_ddq = _float(row["iddq"], "iddq", lineno) * units["current"]
-            kwargs.update(i_eff=i_dda - i_ddq, i_dda=i_dda, i_ddq=i_ddq)
+            kwargs["i_eff"] = (
+                _float(row["idda"], "idda", lineno) * units["current"]
+                - _float(row["iddq"], "iddq", lineno) * units["current"]
+            )
         try:
             record = MeasurementRecord(**kwargs)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        if record.key in seen:
+        key = (record.die, record.geometry, record.fanout, record.mode)
+        if key in seen:
             raise ParseError(
                 f"duplicate record {record.label()!r} "
-                f"(first seen on line {seen[record.key]})",
+                f"(first seen on line {seen[key]})",
                 lineno,
             )
-        seen[record.key] = lineno
+        seen[key] = lineno
         records.append(record)
     if not records:
         raise ParseError("no data rows found", None)
@@ -233,10 +234,8 @@ class ConfigFile:
     spec: SpecTable
     warnings: tuple[str, ...]
 
-    def ro_config(self, geometry: str = "", fanout: Fanout = Fanout.FO1) -> RoConfig:
-        return RoConfig(
-            n=self.n, m=self.m, v_dd=self.v_dd, fanout=fanout, geometry=geometry
-        )
+    def ro_config(self, geometry: str = "") -> RoConfig:
+        return RoConfig(n=self.n, m=self.m, v_dd=self.v_dd, geometry=geometry)
 
     def line_for(self, geometry: str) -> LineRC:
         try:
@@ -328,8 +327,12 @@ def parse_config(text: str) -> ConfigFile:
                     f"{section} keys: {', '.join(allowed)}"
                 )
                 continue
+            number = _float(value, key, lineno)
+            if section == "spec" and not number > 0.0:
+                # relative errors against a target need a positive denominator
+                raise ValidationError(f"{key} must be > 0, got {value}")
             bucket = {"line": line_raw, "cap": cap_raw, "spec": spec_raw}[section]
-            bucket.setdefault(geometry, {})[leaf] = _float(value, key, lineno)
+            bucket.setdefault(geometry, {})[leaf] = number
         else:
             warnings.append(
                 f"line {lineno}: unknown key {key!r} ignored; known keys: "
@@ -422,9 +425,14 @@ def read_config(path: str) -> ConfigFile:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text so readers never observe a partially written file."""
+    """Write text so readers never observe a partially written file.
+
+    The file gets the mode open(path, "w") gives a new file: 0o666 less
+    the umask, which the kernel applies when it creates the temporary.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -299,7 +299,7 @@ def first_order_delay(mode: CrosstalkMode, line: LineRC) -> float:
 
 def taylor_inversion_reference(mode: CrosstalkMode, line: LineRC) -> float:
     """Linearized delay doubled, i.e. the delay whose pair inversion by the
-    extraction formulas returns (c, c_c) unchanged. Used by the forward
-    model that synthesizes quiet / out-of-phase measurements.
+    extraction formulas returns (c, c_c) unchanged; in-phase it is r * c.
+    Used by the forward model that synthesizes measurement records.
     """
     return 2.0 * first_order_delay(mode, line)

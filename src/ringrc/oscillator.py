@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .capacitance import CrosstalkMode, effective_capacitance
+from .capacitance import CrosstalkMode
 from .errors import InvalidSelectCodeError
 from .lumpmodel import LineRC, taylor_inversion_reference
 
@@ -44,14 +44,13 @@ class RoConfig:
     """Ring-oscillator and counter parameters.
 
     n is the stage count, m the counter division ratio, v_dd the supply
-    (volts). geometry / fanout describe one concrete instance and are
-    informational for the pure algebra.
+    (volts). geometry names the records synthesize_measurements produces;
+    the period algebra does not read it.
     """
 
     n: int
     m: int
     v_dd: float
-    fanout: Fanout = Fanout.FO1
     geometry: str = ""
 
     def __post_init__(self):
@@ -89,8 +88,8 @@ class DeviceParams:
 class MeasurementRecord:
     """One measured oscillation: counter period plus supply current.
 
-    t_osc is in seconds, currents in amps. When i_dda / i_ddq (active and
-    quiescent supply currents) are given, i_eff is their difference.
+    t_osc is in seconds, i_eff in amps. A file that gives the active and
+    quiescent supply currents instead stores their difference as i_eff.
     """
 
     geometry: str
@@ -98,8 +97,6 @@ class MeasurementRecord:
     mode: CrosstalkMode
     t_osc: float
     i_eff: float
-    i_dda: float | None = None
-    i_ddq: float | None = None
     die: str = ""
 
     def __post_init__(self):
@@ -107,21 +104,6 @@ class MeasurementRecord:
             raise ValueError(f"t_osc must be finite and > 0, got {self.t_osc!r}")
         if not (math.isfinite(self.i_eff) and self.i_eff > 0.0):
             raise ValueError(f"i_eff must be finite and > 0, got {self.i_eff!r}")
-        if (self.i_dda is None) != (self.i_ddq is None):
-            raise ValueError("i_dda and i_ddq must be given together")
-        if self.i_dda is not None:
-            if not (math.isfinite(self.i_dda) and math.isfinite(self.i_ddq)):
-                raise ValueError(
-                    f"i_dda and i_ddq must be finite, got "
-                    f"{self.i_dda!r} and {self.i_ddq!r}"
-                )
-            derived = self.i_dda - self.i_ddq
-            if abs(derived - self.i_eff) > 1e-12 * max(self.i_eff, 1e-30):
-                raise ValueError("i_eff must equal i_dda - i_ddq")
-
-    @property
-    def key(self) -> tuple[str, str, str, str]:
-        return (self.die, self.geometry, self.fanout.value, self.mode.value)
 
     def label(self) -> str:
         parts = [self.geometry, self.fanout.value, self.mode.value]
@@ -198,23 +180,19 @@ class SynthesisTruth:
 def synthesize_measurements(
     truth: SynthesisTruth,
     config: RoConfig,
-    modes: tuple[CrosstalkMode, ...] = (
-        CrosstalkMode.IN_PHASE,
-        CrosstalkMode.OUT_OF_PHASE,
-        CrosstalkMode.QUIET,
-    ),
-    fanouts: tuple[Fanout, ...] = (Fanout.FO1, Fanout.FO2),
     noise_sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> list[MeasurementRecord]:
     """Forward-model measurement records from known parasitics.
 
-    Per fanout the stage ground load aggregates the interconnect and one
-    (FO1) or two (FO2) gate capacitances. In-phase records use the plain
-    charge-balance delay t_s = r_sw * load, which the period-difference
-    extraction inverts exactly. Quiet and out-of-phase records use the
-    delay form whose pair inversion by the coupling extraction returns
-    (load, c_c) exactly (see lumpmodel.taylor_inversion_reference), so a
+    Returns six records: FO1 then FO2, each in-phase, out-of-phase and
+    quiet. Per fanout the stage ground load aggregates the interconnect
+    and one (FO1) or two (FO2) gate capacitances. Every record uses the
+    delay form whose inversion by the extraction returns the truth
+    exactly (see lumpmodel.taylor_inversion_reference): in-phase records
+    use the plain charge-balance delay t_s = r_sw * load, which the
+    period-difference extraction inverts, and the quiet / out-of-phase
+    pair inverts to (load, c_c) in the coupling extraction. So a
     zero-noise round trip through extract_all recovers the truth.
 
     The effective supply current is v_dd / (2 * r_sw) on every record.
@@ -233,15 +211,15 @@ def synthesize_measurements(
 
     i_eff = config.v_dd / (2.0 * truth.r_sw)
     records = []
-    for fanout in fanouts:
-        gate_count = 1 if fanout is Fanout.FO1 else 2
+    for fanout, gate_count in ((Fanout.FO1, 1), (Fanout.FO2, 2)):
         load = truth.c_int + gate_count * truth.c_gate
         line = LineRC(r=truth.r_sw, c=load, c_c=truth.c_c, v_dd=config.v_dd)
-        for mode in modes:
-            if mode is CrosstalkMode.IN_PHASE:
-                t_s = truth.r_sw * effective_capacitance(mode, load, truth.c_c)
-            else:
-                t_s = taylor_inversion_reference(mode, line)
+        for mode in (
+            CrosstalkMode.IN_PHASE,
+            CrosstalkMode.OUT_OF_PHASE,
+            CrosstalkMode.QUIET,
+        ):
+            t_s = taylor_inversion_reference(mode, line)
             records.append(
                 MeasurementRecord(
                     geometry=config.geometry,

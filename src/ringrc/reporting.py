@@ -19,15 +19,15 @@ import numpy as np
 
 from .capacitance import AGGRESSOR_STEP, CrosstalkMode
 from .errors import ValidationError
-from .extraction import ErrorReport, ExtractionResult, ParasiticSet
+from .extraction import ErrorReport, ExtractionResult
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
 from .simulator import (
     SimulationResult,
     build_network,
     crossing_time,
-    quiet_delay_ratio,
     simulate_step,
+    victim_delay,
 )
 
 #: Largest tolerated oracle-vs-closed-form deviation, as a fraction of the rail.
@@ -56,19 +56,17 @@ _VALUES = {
 def emit_report(
     results: Mapping[str, ExtractionResult],
     comparisons: Mapping[str, ErrorReport] | None = None,
-    targets: Mapping[str, ParasiticSet] | None = None,
     fmt: str = "text",
 ) -> str:
     """Render extraction results as text, CSV or canonical JSON.
 
     JSON stores SI values; a comparison block appears for each geometry
-    with an error report, its targets empty when no target set is given.
+    with an error report, holding the errors and the report's targets.
     Text and CSV show geometries in sorted order. Text lists a
-    comparison row only where both an error and a target exist; CSV
-    leaves the target field empty where no target is given.
+    comparison row for each parameter with an error; CSV fills the
+    target and error fields of those rows and leaves the others empty.
     """
     comparisons = comparisons or {}
-    targets = targets or {}
     if fmt == "json":
         geometries = {}
         for geometry, result in results.items():
@@ -81,13 +79,12 @@ def emit_report(
             geometries[geometry] = {"extraction": extraction}
             report = comparisons.get(geometry)
             if report is not None:
-                target = targets.get(geometry)
                 geometries[geometry]["comparison"] = {
                     "errors": dict(report.param_errors),
                     "delay_product_error": report.delay_product_error,
-                    "targets": {} if target is None else {
+                    "targets": {
                         name: value
-                        for name, value in target.as_dict().items()
+                        for name, value in report.targets.as_dict().items()
                         if value is not None
                     },
                 }
@@ -101,7 +98,6 @@ def emit_report(
     for geometry in sorted(results):
         result = results[geometry]
         report = comparisons.get(geometry)
-        target = targets.get(geometry)
         errors = {} if report is None else report.param_errors
         if fmt == "text":
             out.append(f"\ngeometry {geometry}\n")
@@ -114,9 +110,7 @@ def emit_report(
                 target_field = error_field = ""
                 if name in errors:
                     error_field = f"{errors[name] * 100.0:.4f}"
-                    target_value = getattr(target, name, None)
-                    if target_value is not None:
-                        target_field = f"{target_value * scale:.6g}"
+                    target_field = f"{getattr(report.targets, name) * scale:.6g}"
                 out.append(
                     f"{geometry},{name},{unit},{getattr(result, attr) * scale:.6g},"
                     f"{target_field},{error_field}\n"
@@ -129,12 +123,12 @@ def emit_report(
                 f" {'error %':>8}\n"
             )
             for name, extracted in result.parasitics.as_dict().items():
-                if name not in errors or target is None:
+                if name not in errors:
                     continue
                 _, unit, scale = _VALUES[name]
                 out.append(
                     f"  {name + ' (' + unit + ')':<12} {extracted * scale:>10.2f}"
-                    f" {getattr(target, name) * scale:>10.2f}"
+                    f" {getattr(report.targets, name) * scale:>10.2f}"
                     f" {errors[name] * 100.0:>8.2f}\n"
                 )
         if report.delay_product_error is not None:
@@ -337,7 +331,9 @@ def validate_geometry(
         result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
         max_dev[mode] = _max_waveform_deviation(line, mode, result)
         delays[mode] = crossing_time(result, threshold_fraction * line.v_dd)
-    ratio = quiet_delay_ratio(line, segments, threshold_fraction)
+    # the lump quiet delay is already in hand: simulate only the segmented line
+    t_dist = victim_delay(line, CrosstalkMode.QUIET, segments, threshold_fraction)
+    ratio = t_dist / delays[CrosstalkMode.QUIET]
     return GeometryValidation(geometry, max_dev, delays, segments, ratio)
 
 

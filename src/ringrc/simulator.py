@@ -41,7 +41,6 @@ class NetworkStateSpace:
     holds the far-end node index of lines A, B, C.
     """
 
-    segments: int
     capacitance: np.ndarray
     conductance: np.ndarray
     source_conductance: np.ndarray
@@ -176,7 +175,6 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
 
     observed = (node(0, n_seg - 1), node(1, n_seg - 1), node(2, n_seg - 1))
     return NetworkStateSpace(
-        segments=n_seg,
         capacitance=cap,
         conductance=cond,
         source_conductance=src_g,
@@ -256,12 +254,11 @@ def victim_delay(
     mode: CrosstalkMode,
     segments: int = 1,
     threshold_fraction: float = 0.5,
-    t_end: float | None = None,
 ) -> float:
     """Simulated time for the victim to reach the threshold voltage."""
     net = build_network(line, segments)
     drive = DrivePattern.for_mode(mode, line.v_dd)
-    result = simulate_step(net, drive, t_end=t_end)
+    result = simulate_step(net, drive)
     return crossing_time(result, threshold_fraction * line.v_dd)
 
 

@@ -360,6 +360,31 @@ class TestReport:
         assert code == 3
         assert "no design targets" in err
 
+    @pytest.mark.parametrize("value", ["0", "-12.39"])
+    def test_non_positive_target_rejected(self, workspace, capsys, value):
+        """A target of zero or below is a config error: exit 3, no report."""
+        config = workspace["root"] / f"spec{value}.cfg"
+        config.write_text(
+            bundled_text("config_28nm.cfg").replace(
+                "spec.1W1S.c_total_ff = 12.39", f"spec.1W1S.c_total_ff = {value}"
+            )
+        )
+        out_path = workspace["root"] / f"spec{value}.txt"
+        code = main(
+            [
+                "report",
+                "--config", str(config),
+                "--measurements", workspace["measurements"],
+                "--out", str(out_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "spec.1W1S.c_total_ff must be > 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
+
 
 @pytest.fixture(scope="module")
 def golden_inputs(tmp_path_factory):

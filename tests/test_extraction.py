@@ -325,6 +325,7 @@ class TestCompareToSpec:
         assert set(report.param_errors) == {
             "c_total", "c_gate", "c_int", "c_c", "r_sw",
         }
+        assert report.targets is TARGETS["1W1S"]
 
     def test_geometry_mismatch_rejected(self):
         result = extract_all(records_for("1W1S"), CONFIG)

@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import os
+import re
 
 import pytest
 
@@ -56,8 +57,8 @@ class TestParseMeasurements:
         (rec,) = parse_measurements(text)
         assert rec.die == "D1"
         assert rec.t_osc == pytest.approx(113.22e-9, rel=1e-12, abs=0.0)
-        assert rec.i_dda == pytest.approx(1.38487e-3, rel=1e-12, abs=0.0)
-        assert rec.i_ddq == pytest.approx(0.1e-3, rel=1e-12, abs=0.0)
+        # i_eff is idda - iddq, each converted to amps first
+        assert rec.i_eff == 1.38487 * 1e-3 - 0.1 * 1e-3
         assert rec.i_eff == pytest.approx(1.28487e-3, rel=1e-12, abs=0.0)
 
     def test_seconds_and_amps(self):
@@ -248,10 +249,9 @@ class TestParseConfig:
 
     def test_ro_config_view(self):
         config = parse_config(MINIMAL_CONFIG)
-        ro = config.ro_config("1W1S", Fanout.FO2)
+        ro = config.ro_config("1W1S")
         assert (ro.n, ro.m, ro.v_dd) == (100, 64, 0.9)
         assert ro.geometry == "1W1S"
-        assert ro.fanout is Fanout.FO2
 
     @pytest.mark.parametrize("missing", ["n", "m", "v_dd"])
     def test_required_keys(self, missing):
@@ -332,10 +332,14 @@ class TestParseConfig:
             "threshold_fraction = 0.0",
             "threshold_fraction = 1.0",
             "segments = 0",
+            "spec.1W1S.c_total_ff = 0",
+            "spec.1W1S.c_total_ff = -12.39",
+            "spec.1W2S.r_sw_ohm = -0.0",
         ],
     )
     def test_scalar_range_checks(self, extra):
-        with pytest.raises(ValidationError):
+        key = extra.split(" = ")[0]
+        with pytest.raises(ValidationError, match=re.escape(key)):
             parse_config(MINIMAL_CONFIG + extra + "\n")
 
     def test_small_stage_count_rejected(self):
@@ -369,6 +373,17 @@ class TestFileIo:
         cfg.write_text(MINIMAL_CONFIG)
         assert read_config(str(cfg)).n == 100
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_atomic_write_honours_umask(self, tmp_path, umask, mode):
+        """The file gets the mode open(path, "w") would give a new file."""
+        path = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(str(path), "text\n")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+
     def test_atomic_write(self, tmp_path):
         path = tmp_path / "out.txt"
         write_text_atomic(str(path), "first\n")
@@ -377,6 +392,13 @@ class TestFileIo:
         assert path.read_text() == "second\n"
         # no temporary droppings left behind
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_atomic_write_failure_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(str(target), "text\n")
+        assert os.listdir(tmp_path) == ["taken"]
 
 
 class TestReportJson:

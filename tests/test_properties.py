@@ -9,11 +9,15 @@ from ringrc import (
     CrosstalkMode,
     DrivePattern,
     ExtractionResult,
+    Fanout,
     LineRC,
     ParasiticSet,
     RingRcError,
+    RoConfig,
+    SynthesisTruth,
     build_network,
     compare_to_spec,
+    counter_period,
     emit_binning,
     emit_report,
     emit_report_json,
@@ -23,6 +27,7 @@ from ringrc import (
     parse_report,
     simulate_step,
     step_response_victim,
+    synthesize_measurements,
 )
 
 # Text built from the grammar's own pieces, so generated files get past the
@@ -144,6 +149,34 @@ def test_lump_victim_matches_exact_responses(r, c, cc_ratio, v_dd, mode):
     assert np.max(np.abs(victim.values - want)) <= 1e-12 * v_dd
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(3, 1000),
+    m=st.integers(1, 1024),
+    r_sw=positive(10.0, 1e4),
+    c_gate=positive(1e-17, 1e-13),
+    c_int=positive(1e-17, 1e-13),
+    cc_ratio=positive(0.4, 5.0),
+)
+def test_in_phase_records_use_charge_balance_delay(
+    n, m, r_sw, c_gate, c_int, cc_ratio
+):
+    """Every in-phase synthesized record's period is exactly that of the
+    stage delay r_sw * (c_int + k c_gate), k gate loads per stage."""
+    config = RoConfig(n=n, m=m, v_dd=0.9)
+    # c_c above a third of the FO2 load keeps the out-of-phase delay defined
+    c_c = cc_ratio * (c_int + 2.0 * c_gate)
+    truth = SynthesisTruth(r_sw=r_sw, c_gate=c_gate, c_int=c_int, c_c=c_c)
+    in_phase = [
+        rec
+        for rec in synthesize_measurements(truth, config)
+        if rec.mode is CrosstalkMode.IN_PHASE
+    ]
+    assert [rec.fanout for rec in in_phase] == [Fanout.FO1, Fanout.FO2]
+    for k, rec in enumerate(in_phase, start=1):
+        assert rec.t_osc == counter_period(config, r_sw * (c_int + k * c_gate))
+
+
 # Report values: any finite float small enough that relative errors and
 # delay products stay finite, so strict JSON can hold them.
 FINITE = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False)
@@ -158,10 +191,8 @@ UNIT_SCALE = {"ohm": 1.0, "fF": 1e15}
 #: ExtractionResult fields after the geometry: seven values, provenance.
 RESULT_FIELDS = st.tuples(*[FINITE] * 7, PROVENANCE)
 #: Per geometry: no comparison, or the ParasiticSet targets (full, partial
-#: or empty) and whether they are passed to the report as well.
-COMPARISON = st.none() | st.tuples(
-    st.tuples(*[st.none() | st.floats(1e-30, 1e30)] * 5), st.booleans()
-)
+#: or empty).
+COMPARISON = st.none() | st.tuples(*[st.none() | st.floats(1e-30, 1e30)] * 5)
 
 
 @settings(deadline=None, max_examples=100)
@@ -173,25 +204,22 @@ COMPARISON = st.none() | st.tuples(
 def test_extraction_report_round_trips(drawn):
     """JSON emit -> parse -> emit is byte-identical, and every CSV
     extracted cell and text value row is the JSON value in display units."""
-    results, comparisons, targets = {}, {}, {}
-    for geometry, (fields, comparison) in drawn.items():
+    results, comparisons = {}, {}
+    for geometry, (fields, target_values) in drawn.items():
         results[geometry] = ExtractionResult(geometry, *fields)
-        if comparison is not None:
-            target_values, with_targets = comparison
+        if target_values is not None:
             spec = ParasiticSet(*target_values)
             comparisons[geometry] = compare_to_spec(results[geometry], spec)
-            if with_targets:
-                targets[geometry] = spec
-    text = emit_report(results, comparisons, targets, "json")
+    text = emit_report(results, comparisons, "json")
     payload = parse_report(text)
     assert emit_report_json(payload) == text
-    rows = emit_report(results, comparisons, targets, "csv").splitlines()[1:]
+    rows = emit_report(results, comparisons, "csv").splitlines()[1:]
     values = [row.split(",") for row in rows if ",delay_product," not in row]
     assert len(values) == 7 * len(results)
     # text value rows ("  name  value unit") come in the CSV's row order
     table = [
         line.split()
-        for line in emit_report(results, comparisons, targets, "text").splitlines()
+        for line in emit_report(results, comparisons, "text").splitlines()
     ]
     shown = [cells[1] for cells in table if len(cells) == 3 and cells[2] in UNIT_SCALE]
     assert len(shown) == len(values)

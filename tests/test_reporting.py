@@ -21,6 +21,7 @@ from ringrc import (
     format_validation_text,
     monitor_binning,
     parse_report,
+    quiet_delay_ratio,
     run_validation,
     simulate_step,
     validate_geometry,
@@ -142,7 +143,7 @@ class TestExtractionReport:
         }
 
     def test_text_contains_rows_and_comparison(self):
-        text = emit_report(self.results, self.comparisons, self.targets, "text")
+        text = emit_report(self.results, self.comparisons, "text")
         assert "geometry 1W1S" in text
         assert "r_sw" in text and "c_c" in text
         assert "delay product (r_sw x c_total) error:" in text
@@ -153,7 +154,7 @@ class TestExtractionReport:
         assert "delay product" not in text
 
     def test_csv_shape(self):
-        csv = emit_report(self.results, self.comparisons, self.targets, "csv")
+        csv = emit_report(self.results, self.comparisons, "csv")
         lines = csv.strip().splitlines()
         assert lines[0] == "geometry,parameter,unit,extracted,target,error_pct"
         # seven parameter rows plus the delay-product row
@@ -162,13 +163,15 @@ class TestExtractionReport:
         assert rsw_row == "1W1S,r_sw,ohm,504,450,12.0000"
 
     def test_json_round_trip(self):
-        text = emit_report(self.results, self.comparisons, self.targets, "json")
+        text = emit_report(self.results, self.comparisons, "json")
         payload = parse_report(text)
         block = payload["geometries"]["1W1S"]
         assert block["extraction"]["r_sw"] == 504.0
         assert block["comparison"]["errors"]["r_sw"] == pytest.approx(
             0.12, rel=1e-12
         )
+        # the targets come from the comparison itself
+        assert block["comparison"]["targets"]["r_sw"] == 450.0
         assert block["extraction"]["provenance"]["r_sw"] == [
             "1W1S/FO1/in_phase"
         ]
@@ -190,6 +193,8 @@ class TestValidation:
         assert all(dev < 1e-6 for dev in outcome.max_dev.values())
         assert 0.35 <= outcome.distributed_ratio <= 0.65
         assert outcome.distributed_ratio == pytest.approx(0.6233, abs=0.002)
+        # the lump quiet delay comes from the mode loop, with the same bits
+        assert outcome.distributed_ratio == quiet_delay_ratio(W1S, 20)
         delays = outcome.delays
         assert (
             delays[CrosstalkMode.IN_PHASE]

@@ -215,7 +215,6 @@ class TestSimulateStep:
         """A hand-built network with net negative conductance has no
         settled response; it must be rejected, not returned."""
         net = NetworkStateSpace(
-            segments=1,
             capacitance=np.array([[1.0]]),
             conductance=np.array([[-2.0]]),
             source_conductance=np.array([1.0]),
@@ -228,7 +227,6 @@ class TestSimulateStep:
     def test_asymmetric_network_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             NetworkStateSpace(
-                segments=1,
                 capacitance=np.array([[1.0, 0.5], [0.0, 1.0]]),
                 conductance=np.zeros((2, 2)),
                 source_conductance=np.zeros(2),
