@@ -23,7 +23,7 @@ from .errors import NumericError, ParseError, ValidationError
 from .extraction import compare_to_spec, extract_all
 from .files import ConfigFile, read_config, read_measurements, write_text_atomic
 from .lumpmodel import DrivePattern
-from .oscillator import MeasurementRecord
+from .oscillator import Measurements
 from .reporting import (
     emit_binning,
     emit_report,
@@ -142,34 +142,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _group(
-    records: list[MeasurementRecord], field: str
-) -> dict[str, list[MeasurementRecord]]:
-    """Split records by one attribute in a single pass.
-
-    Each group keeps its records in file order.
-    """
-    groups: dict[str, list[MeasurementRecord]] = {}
-    for r in records:
-        groups.setdefault(getattr(r, field), []).append(r)
-    return groups
-
-
-def _select_die(
-    records: list[MeasurementRecord], die: str | None
-) -> list[MeasurementRecord]:
-    by_die = _group(records, "die")
+def _select_die(measurements: Measurements, die: str | None) -> Measurements:
     if die is not None:
-        if die not in by_die:
+        measurements = measurements.where("die", die)
+        if not len(measurements):
             raise ValidationError(f"no records for die {die!r}")
-        return by_die[die]
-    dies = sorted(by_die)
+    dies = sorted(set(measurements.die))
     if len(dies) > 1:
         raise ValidationError(
             f"measurements span multiple dies ({', '.join(d or '<blank>' for d in dies)}); "
             f"pass --die or use the binning command"
         )
-    return records
+    return measurements
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -210,19 +194,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    records = _select_die(read_measurements(args.measurements), args.die)
-    by_geometry = _group(records, "geometry")
-    geometries = args.geometry or sorted(by_geometry)
+    measurements = _select_die(read_measurements(args.measurements), args.die)
+    geometries = args.geometry or sorted(set(measurements.geometry))
     results = {}
     comparisons = {}
     for geometry in geometries:
-        if geometry not in by_geometry:
+        rows = measurements.where("geometry", geometry)
+        if not len(rows):
             raise ValidationError(f"no measurements for geometry {geometry!r}")
-        result = extract_all(
-            by_geometry[geometry],
-            config.ro_config(geometry),
-            rsw_mode=config.rsw_mode,
-        )
+        ro_config = config.ro_config(geometry)
+        (result,) = extract_all(rows, ro_config, rsw_mode=config.rsw_mode).values()
         results[geometry] = result
         if args.with_comparison:
             comparisons[geometry] = compare_to_spec(
@@ -244,20 +225,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_binning(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    by_geometry = _group(read_measurements(args.measurements), "geometry")
-    if args.geometry not in by_geometry:
+    lot = read_measurements(args.measurements).where("geometry", args.geometry)
+    if not len(lot):
         raise ValidationError(f"no measurements for geometry {args.geometry!r}")
-    by_die = _group(by_geometry[args.geometry], "die")
-    if "" in by_die and "<blank>" in by_die:
+    if {"", "<blank>"} <= set(lot.die):
         raise ValidationError(
             "die label '<blank>' clashes with the label given to unlabelled rows"
         )
     ro_config = config.ro_config(args.geometry)
-    per_die = {}
-    for die in sorted(by_die):
-        per_die[die or "<blank>"] = extract_all(
-            by_die[die], ro_config, rsw_mode=config.rsw_mode
-        )
+    results = extract_all(lot, ro_config, rsw_mode=config.rsw_mode)
+    per_die = {die or "<blank>": result for die, result in results.items()}
     _emit(emit_binning(monitor_binning(per_die), fmt=args.format), args.out)
     return 0
 

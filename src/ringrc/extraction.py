@@ -20,17 +20,22 @@ factor:
 
 Both carry that 1/2 factor; on data synthesized from the matching
 forward model they return the stage load and coupling exactly, while on
-silicon data c lands near half the in-phase stage load.
+silicon data c lands near half the in-phase stage load. Every formula
+takes scalars or per-die arrays alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .capacitance import CrosstalkMode
-from .errors import ExtractionDomainError, MissingRecordError, ValidationError
-from .oscillator import Fanout, MeasurementRecord, RoConfig, stage_delay_from_period
+from .errors import ExtractionDomainError, MissingRecordError, NumericError
+from .errors import ValidationError
+from .oscillator import Fanout, Measurements, RoConfig, record_label
+from .oscillator import stage_delay_from_period
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,8 @@ class SpecTable:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Full extraction for one geometry, with per-value record provenance."""
+    """Full extraction for one geometry and die; rsw_mode names the FO1
+    record whose current gave r_sw, which fixes every value's provenance."""
 
     geometry: str
     r_sw: float
@@ -84,7 +90,19 @@ class ExtractionResult:
     c_total: float
     c_ground: float
     c_coupling: float
-    provenance: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    die: str = ""
+    rsw_mode: CrosstalkMode = CrosstalkMode.IN_PHASE
+
+    @property
+    def provenance(self) -> dict[str, tuple[str, ...]]:
+        """Each extracted value's source record labels."""
+        inp_fo1, inp_fo2, oop_fo1, quiet_fo1, rsw = (
+            record_label(self.die, self.geometry, fanout, mode)
+            for fanout, mode in (*_REQUIRED, (Fanout.FO1, self.rsw_mode))
+        )
+        pair, coupled = (inp_fo1, inp_fo2), (oop_fo1, quiet_fo1, rsw)
+        return {"r_sw": (rsw,), "c_s": (inp_fo1,), "c_gate": pair, "c_int": pair,
+                "c_total": pair, "c_ground": coupled, "c_coupling": coupled}
 
     @property
     def parasitics(self) -> ParasiticSet:
@@ -113,19 +131,27 @@ class ErrorReport:
     targets: ParasiticSet
 
 
+def _check(holds, error: type, message: str, *values) -> None:
+    """Raise error(message) unless holds is all true, filled with the values
+    (as floats) where it first is not; works on scalars and arrays alike."""
+    if holds is not True and not np.all(holds):  # True: a scalar check passed
+        holds = np.asarray(holds)
+        first = int(np.argmin(holds.ravel()))
+        at = [float(np.broadcast_to(v, holds.shape).flat[first]) for v in values]
+        raise error(message.format(*at))
+
+
 def switching_resistance(i_eff: float, v_dd: float) -> float:
     """Driver switching resistance r_sw = v_dd / (2 i_eff)."""
-    if not i_eff > 0.0:
-        raise ValueError(f"i_eff must be > 0, got {i_eff!r}")
-    if not v_dd > 0.0:
-        raise ValueError(f"v_dd must be > 0, got {v_dd!r}")
+    _check(i_eff > 0.0, ValueError, "i_eff must be > 0, got {!r}", i_eff)
+    _check(v_dd > 0.0, ValueError, "v_dd must be > 0, got {!r}", v_dd)
     return v_dd / (2.0 * i_eff)
 
 
 def stage_capacitance(t_osc: float, i_eff: float, config: RoConfig) -> float:
     """Stage load from charge balance, c_s = t_osc * i_eff / (2 n m v_dd)."""
-    if not t_osc > 0.0 or not i_eff > 0.0:
-        raise ValueError("t_osc and i_eff must be > 0")
+    _check((t_osc > 0.0) & (i_eff > 0.0), ValueError,
+           "t_osc and i_eff must be > 0")
     return t_osc * i_eff / (config.period_scale * config.v_dd)
 
 
@@ -133,11 +159,8 @@ def gate_capacitance(
     t_osc_fo1: float, t_osc_fo2: float, r_sw: float, config: RoConfig
 ) -> float:
     """Gate load from the period increase of the double-loaded oscillator."""
-    if not t_osc_fo2 > t_osc_fo1:
-        raise ExtractionDomainError(
-            f"FO2 period must exceed FO1 period, got "
-            f"{t_osc_fo2!r} <= {t_osc_fo1!r}"
-        )
+    _check(t_osc_fo2 > t_osc_fo1, ExtractionDomainError,
+           "FO2 period must exceed FO1 period, got {!r} <= {!r}", t_osc_fo2, t_osc_fo1)
     return (t_osc_fo2 - t_osc_fo1) / (config.period_scale * r_sw)
 
 
@@ -145,11 +168,9 @@ def interconnect_capacitance(
     t_osc_fo1: float, t_osc_fo2: float, r_sw: float, config: RoConfig
 ) -> float:
     """Interconnect load left after removing the gate contribution."""
-    if not 2.0 * t_osc_fo1 > t_osc_fo2:
-        raise ExtractionDomainError(
-            f"2 * FO1 period must exceed FO2 period, got "
-            f"2 * {t_osc_fo1!r} <= {t_osc_fo2!r}"
-        )
+    _check(2.0 * t_osc_fo1 > t_osc_fo2, ExtractionDomainError,
+           "2 * FO1 period must exceed FO2 period, got 2 * {!r} <= {!r}",
+           t_osc_fo1, t_osc_fo2)
     return (2.0 * t_osc_fo1 - t_osc_fo2) / (config.period_scale * r_sw)
 
 
@@ -159,10 +180,8 @@ def ground_capacitance(t_o: float, t_q: float, r: float) -> float:
     c = t_o t_q / (r (t_o + t_q)); includes the 1/2 lump-to-distributed
     scaling relative to the exact inversion of the linearized delays.
     """
-    if not t_o > 0.0 or not t_q > 0.0:
-        raise ValueError("stage delays must be > 0")
-    if not r > 0.0:
-        raise ValueError(f"r must be > 0, got {r!r}")
+    _check((t_o > 0.0) & (t_q > 0.0), ValueError, "stage delays must be > 0")
+    _check(r > 0.0, ValueError, "r must be > 0, got {!r}", r)
     return t_o * t_q / (r * (t_o + t_q))
 
 
@@ -171,110 +190,110 @@ def coupling_capacitance(t_o: float, t_q: float, r: float) -> float:
 
     c_c = 2 t_o t_q / (3 r (2 t_o - t_q)), with the same 1/2 scaling.
     """
-    if not t_o > 0.0 or not t_q > 0.0:
-        raise ValueError("stage delays must be > 0")
-    if not r > 0.0:
-        raise ValueError(f"r must be > 0, got {r!r}")
-    if not 2.0 * t_o > t_q:
-        raise ExtractionDomainError(
-            f"2 * t_o must exceed t_q, got 2 * {t_o!r} <= {t_q!r}"
-        )
+    _check((t_o > 0.0) & (t_q > 0.0), ValueError, "stage delays must be > 0")
+    _check(r > 0.0, ValueError, "r must be > 0, got {!r}", r)
+    _check(2.0 * t_o > t_q, ExtractionDomainError,
+           "2 * t_o must exceed t_q, got 2 * {!r} <= {!r}", t_o, t_q)
     return 2.0 * t_o * t_q / (3.0 * r * (2.0 * t_o - t_q))
 
 
-def _index_records(
-    records: list[MeasurementRecord],
-) -> dict[tuple[Fanout, CrosstalkMode], MeasurementRecord]:
-    geometries = {rec.geometry for rec in records}
+def _cell(fanout: Fanout, mode: CrosstalkMode) -> int:
+    """Index of a (fanout, mode) pair among the six."""
+    return (3 * (fanout is Fanout.FO2) + (mode is CrosstalkMode.OUT_OF_PHASE)
+            + 2 * (mode is CrosstalkMode.QUIET))
+
+
+#: The (fanout, mode) records every die needs, in the order they are required.
+_REQUIRED = (
+    (Fanout.FO1, CrosstalkMode.IN_PHASE), (Fanout.FO2, CrosstalkMode.IN_PHASE),
+    (Fanout.FO1, CrosstalkMode.OUT_OF_PHASE), (Fanout.FO1, CrosstalkMode.QUIET),
+)
+_REQUIRED_CELLS = [_cell(fanout, mode) for fanout, mode in _REQUIRED]
+
+
+def extract_all(
+    measurements: Measurements,
+    config: RoConfig,
+    rsw_mode: CrosstalkMode = CrosstalkMode.IN_PHASE,
+) -> dict[str, ExtractionResult]:
+    """Extract every die of one geometry's records, running the formulas
+    once over per-die columns; one die is the length-1 case.
+
+    Each die needs in-phase FO1 and FO2, out-of-phase and quiet FO1
+    records; rsw_mode picks the FO1 record whose current gives r_sw
+    (in-phase, the default, has the purely capacitive load the charge
+    balance assumes). Returns one ExtractionResult per die label ("" if
+    unlabelled) in sorted order. A failing lot raises what its first
+    failing die raises alone, naming the die when there are several.
+    """
+    if not len(measurements):
+        raise ValidationError("no records given")
+    geometries = set(measurements.geometry)
     if len(geometries) > 1:
         raise ValidationError(
             f"records span several geometries {sorted(geometries)}; "
             f"extract one geometry at a time"
         )
-    index = {}
-    for rec in records:
-        key = (rec.fanout, rec.mode)
-        if key in index:
-            raise ValidationError(
-                f"duplicate ({rec.fanout.value}, {rec.mode.value}) records "
-                f"{index[key].label()!r} and {rec.label()!r}; "
-                f"extract one die at a time"
-            )
-        index[key] = rec
-    return index
+    dies = sorted(set(measurements.die))
+    position = {die: 6 * index for index, die in enumerate(dies)}
+    # grid[6 * die + _cell(fanout, mode)]: the row holding that record, or -1
+    grid = [-1] * (6 * len(dies))
+    columns = zip(measurements.die, measurements.fanout, measurements.mode)
+    for row, (die, fanout, mode) in enumerate(columns):
+        cell = position[die] + _cell(fanout, mode)
+        if grid[cell] >= 0:
+            first, second = measurements.take(np.array([grid[cell], row]))
+            raise ValidationError(f"duplicate ({fanout.value}, {mode.value}) records "
+                                  f"{first.label()!r} and {second.label()!r}")
+        grid[cell] = row
+    # rows[slot][die]: the row holding that die's _REQUIRED[slot] record, or -1
+    rows = [grid[cell::6] for cell in _REQUIRED_CELLS]
+    rsw_slot = _REQUIRED.index((Fanout.FO1, rsw_mode))
 
+    def name(die: str) -> str:
+        return f"die {die or '<blank>'}: " if len(dies) > 1 else ""
 
-def _require(
-    index: dict[tuple[Fanout, CrosstalkMode], MeasurementRecord],
-    fanout: Fanout,
-    mode: CrosstalkMode,
-) -> MeasurementRecord:
-    try:
-        return index[(fanout, mode)]
-    except KeyError:
-        raise MissingRecordError(
-            f"required record ({fanout.value}, {mode.value}) is missing"
-        ) from None
+    def run(start: int, stop: int) -> tuple:
+        """Every value of dies[start:stop], with the checks in order."""
+        picked = [slot[start:stop] for slot in rows]
+        t_osc, i_eff = measurements.t_osc[picked], measurements.i_eff[picked]
+        if stop - start == 1:  # one die: floats cost less than length-1 arrays
+            t_osc, i_eff = t_osc[:, 0].tolist(), i_eff[:, 0].tolist()
+        inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = t_osc
+        r_sw = switching_resistance(i_eff[rsw_slot], config.v_dd)
+        c_s = stage_capacitance(inp_fo1, i_eff[0], config)
+        c_gate = gate_capacitance(inp_fo1, inp_fo2, r_sw, config)
+        c_int = interconnect_capacitance(inp_fo1, inp_fo2, r_sw, config)
+        t_o = stage_delay_from_period(config, oop_fo1)
+        t_q = stage_delay_from_period(config, quiet_fo1)
+        c_ground = ground_capacitance(t_o, t_q, r_sw)
+        c_coupling = coupling_capacitance(t_o, t_q, r_sw)
+        return r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_coupling
 
+    # The dies before the first one with a missing record run the formulas
+    # together; if a check fails, they rerun one at a time to find which.
+    usable = next((d for d, found in enumerate(zip(*rows)) if -1 in found), len(dies))
+    with np.errstate(all="ignore"):
+        try:
+            values = run(0, usable)
+        except (NumericError, ValueError):
+            for index, die in enumerate(dies[:usable]):
+                try:
+                    run(index, index + 1)
+                except (NumericError, ValueError) as exc:
+                    raise type(exc)(f"{name(die)}{exc}") from None
+            raise
+    if usable < len(dies):
+        fanout, mode = _REQUIRED[[slot[usable] for slot in rows].index(-1)]
+        raise MissingRecordError(f"{name(dies[usable])}required record "
+                                 f"({fanout.value}, {mode.value}) is missing")
 
-def extract_all(
-    records: list[MeasurementRecord],
-    config: RoConfig,
-    rsw_mode: CrosstalkMode = CrosstalkMode.IN_PHASE,
-) -> ExtractionResult:
-    """Run the full extraction on one geometry's records.
-
-    Needs in-phase FO1 and FO2 records (periods and the FO1 current) plus
-    out-of-phase and quiet FO1 records. rsw_mode selects which FO1
-    record's current feeds the switching resistance; in-phase is the
-    default because its purely capacitive stage load matches the charge
-    balance behind the formula.
-
-    Returns an ExtractionResult whose provenance maps each extracted
-    value to the records it came from. Raises ValidationError when two
-    records share a (fanout, mode), as happens when dies are mixed.
-    """
-    if not records:
-        raise ValidationError("no records given")
-    index = _index_records(records)
-
-    inp_fo1 = _require(index, Fanout.FO1, CrosstalkMode.IN_PHASE)
-    inp_fo2 = _require(index, Fanout.FO2, CrosstalkMode.IN_PHASE)
-    oop_fo1 = _require(index, Fanout.FO1, CrosstalkMode.OUT_OF_PHASE)
-    quiet_fo1 = _require(index, Fanout.FO1, CrosstalkMode.QUIET)
-    rsw_rec = _require(index, Fanout.FO1, rsw_mode)
-
-    r_sw = switching_resistance(rsw_rec.i_eff, config.v_dd)
-    c_s = stage_capacitance(inp_fo1.t_osc, inp_fo1.i_eff, config)
-    c_gate = gate_capacitance(inp_fo1.t_osc, inp_fo2.t_osc, r_sw, config)
-    c_int = interconnect_capacitance(inp_fo1.t_osc, inp_fo2.t_osc, r_sw, config)
-    t_o = stage_delay_from_period(config, oop_fo1.t_osc)
-    t_q = stage_delay_from_period(config, quiet_fo1.t_osc)
-    c_ground = ground_capacitance(t_o, t_q, r_sw)
-    c_coupling = coupling_capacitance(t_o, t_q, r_sw)
-
-    geometry = records[0].geometry
-    pair = (inp_fo1.label(), inp_fo2.label())
-    provenance = {
-        "r_sw": (rsw_rec.label(),),
-        "c_s": (inp_fo1.label(),),
-        "c_gate": pair,
-        "c_int": pair,
-        "c_total": pair,
-        "c_ground": (oop_fo1.label(), quiet_fo1.label(), rsw_rec.label()),
-        "c_coupling": (oop_fo1.label(), quiet_fo1.label(), rsw_rec.label()),
+    geometry = geometries.pop()
+    return {
+        die: ExtractionResult(geometry, *extracted, die=die, rsw_mode=rsw_mode)
+        for die, *extracted in zip(dies, *(
+            [v] if isinstance(v, float) else v.tolist() for v in values))
     }
-    return ExtractionResult(
-        geometry=geometry,
-        r_sw=r_sw,
-        c_s=c_s,
-        c_gate=c_gate,
-        c_int=c_int,
-        c_total=c_gate + c_int,
-        c_ground=c_ground,
-        c_coupling=c_coupling,
-        provenance=provenance,
-    )
 
 
 def compare_to_spec(

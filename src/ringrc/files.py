@@ -34,13 +34,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .capacitance import CapacitanceSet, CrosstalkMode
 from .errors import ParseError, ValidationError
 from .extraction import ParasiticSet, SpecTable
 from .lumpmodel import LineRC
-from .oscillator import Fanout, MeasurementRecord, RoConfig
+from .oscillator import Fanout, Measurements, RoConfig, record_label
 
 _TOSC_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
 _CURRENT_UNITS = {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9}
@@ -81,19 +83,21 @@ def _int(token: str, what: str, lineno: int) -> int:
 
 
 def _strip(raw: str) -> str:
-    return raw.split("#", 1)[0].strip()
+    return raw.partition("#")[0].strip()
 
 
-def parse_measurements(text: str) -> list[MeasurementRecord]:
-    """Parse measurement text into records (SI units).
-
-    Raises ParseError, with the offending 1-based line number, for any
-    deviation from the documented grammar.
-    """
+def parse_measurements(text: str) -> Measurements:
+    """Parse measurement text into a table (SI units). Each row is checked
+    once, as it is read: field count, mode, fanout, numbers (finite, then
+    t_osc and i_eff > 0), then that its (die, geometry, fanout, mode) is
+    new; a ParseError names the first offending 1-based line."""
     units: dict[str, float] | None = None
     columns: list[str] | None = None
-    records: list[MeasurementRecord] = []
-    seen: dict[tuple, int] = {}
+    die, geometry, fanout, mode = [], [], [], []
+    t_osc, i_eff, lines = array("d"), array("d"), array("q")
+    # Keyed by interned strings: their hashes are cached, and no row
+    # keeps a string of its own alive.
+    seen: dict[tuple[str, str, str, str], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -103,70 +107,74 @@ def parse_measurements(text: str) -> list[MeasurementRecord]:
             if units is not None:
                 raise ParseError("duplicate units declaration", lineno)
             units = _parse_units(line[len("units:") :], lineno)
+            tosc_scale, current_scale = units["tosc"], units["current"]
             continue
         if line.startswith("columns:"):
             if columns is not None:
                 raise ParseError("duplicate columns declaration", lineno)
             columns = _parse_columns(line[len("columns:") :], lineno)
+            at = {name: index for index, name in enumerate(columns)}.get
+            (die_at, geometry_at, fanout_at, mode_at,
+             tosc_at, ieff_at, idda_at, iddq_at) = map(at, _MEAS_COLUMNS)
             continue
         if units is None:
             raise ParseError("data row before the units declaration", lineno)
         if columns is None:
             raise ParseError("data row before the columns declaration", lineno)
 
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) != len(columns):
             raise ParseError(
                 f"expected {len(columns)} fields ({' '.join(columns)}), "
                 f"got {len(fields)}",
                 lineno,
             )
-        row = dict(zip(columns, fields))
-        mode_token = row["mode"]
-        if mode_token not in _MODES:
+        mode_token = fields[mode_at].strip()
+        row_mode = _MODES.get(mode_token)
+        if row_mode is None:
             raise ParseError(
                 f"unknown mode {mode_token!r}; valid modes: "
                 f"{', '.join(sorted(_MODES))}",
                 lineno,
             )
-        fanout_token = row["fanout"]
-        if fanout_token not in _FANOUTS:
+        fanout_token = fields[fanout_at].strip()
+        row_fanout = _FANOUTS.get(fanout_token)
+        if row_fanout is None:
             raise ParseError(
                 f"unknown fanout {fanout_token!r}; valid fanouts: "
                 f"{', '.join(sorted(_FANOUTS))}",
                 lineno,
             )
-        t_osc = _float(row["tosc"], "tosc", lineno) * units["tosc"]
-        kwargs = dict(
-            geometry=row["geometry"],
-            fanout=_FANOUTS[fanout_token],
-            mode=_MODES[mode_token],
-            t_osc=t_osc,
-            die=row.get("die", ""),
-        )
-        if "ieff" in row:
-            kwargs["i_eff"] = _float(row["ieff"], "ieff", lineno) * units["current"]
+        row_t_osc = _float(fields[tosc_at].strip(), "tosc", lineno) * tosc_scale
+        if ieff_at is not None:
+            row_i_eff = _float(fields[ieff_at].strip(), "ieff", lineno) * current_scale
         else:
-            kwargs["i_eff"] = (
-                _float(row["idda"], "idda", lineno) * units["current"]
-                - _float(row["iddq"], "iddq", lineno) * units["current"]
+            row_i_eff = (
+                _float(fields[idda_at].strip(), "idda", lineno) * current_scale
+                - _float(fields[iddq_at].strip(), "iddq", lineno) * current_scale
             )
-        try:
-            record = MeasurementRecord(**kwargs)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        key = (record.die, record.geometry, record.fanout, record.mode)
-        if key in seen:
-            raise ParseError(
-                f"duplicate record {record.label()!r} "
-                f"(first seen on line {seen[key]})",
-                lineno,
-            )
-        seen[key] = lineno
-        records.append(record)
-    if not records:
+        if not (math.isfinite(row_t_osc) and row_t_osc > 0.0):
+            raise ParseError(f"t_osc must be finite and > 0, got {row_t_osc!r}", lineno)
+        if not (math.isfinite(row_i_eff) and row_i_eff > 0.0):
+            raise ParseError(f"i_eff must be finite and > 0, got {row_i_eff!r}", lineno)
+        row_die = "" if die_at is None else sys.intern(fields[die_at].strip())
+        row_geometry = sys.intern(fields[geometry_at].strip())
+        key = (row_die, row_geometry, sys.intern(fanout_token), sys.intern(mode_token))
+        first = seen.setdefault(key, lineno)
+        if first != lineno:
+            label = record_label(row_die, row_geometry, row_fanout, row_mode)
+            raise ParseError(f"duplicate record {label!r} (first seen on line {first})",
+                             lineno)
+        die.append(row_die)
+        geometry.append(row_geometry)
+        fanout.append(row_fanout)
+        mode.append(row_mode)
+        t_osc.append(row_t_osc)
+        i_eff.append(row_i_eff)
+        lines.append(lineno)
+    if not lines:
         raise ParseError("no data rows found", None)
-    return records
+    return Measurements.from_columns(die, geometry, fanout, mode, t_osc, i_eff, lines)
 
 
 def _parse_units(body: str, lineno: int) -> dict[str, float]:
@@ -272,18 +280,13 @@ def parse_config(text: str) -> ConfigFile:
     def take(key: str) -> tuple[str, int] | None:
         return raw.pop(key, None)
 
-    entry = take("n")
-    if entry is None:
-        raise ValidationError("required key 'n' is missing")
-    n = _int(entry[0], "n", entry[1])
-    entry = take("m")
-    if entry is None:
-        raise ValidationError("required key 'm' is missing")
-    m = _int(entry[0], "m", entry[1])
-    entry = take("v_dd")
-    if entry is None:
-        raise ValidationError("required key 'v_dd' is missing")
-    v_dd = _float(entry[0], "v_dd", entry[1])
+    def required(key: str, convert):
+        entry = take(key)
+        if entry is None:
+            raise ValidationError(f"required key {key!r} is missing")
+        return convert(entry[0], key, entry[1])
+
+    n, m, v_dd = required("n", _int), required("m", _int), required("v_dd", _float)
 
     try:
         RoConfig(n=n, m=m, v_dd=v_dd)
@@ -414,7 +417,7 @@ def _maybe_ff(fields: dict[str, float], key: str) -> float | None:
     return None if value is None else value * 1e-15
 
 
-def read_measurements(path: str) -> list[MeasurementRecord]:
+def read_measurements(path: str) -> Measurements:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_measurements(fh.read())
 
@@ -427,14 +430,21 @@ def read_config(path: str) -> ConfigFile:
 def write_text_atomic(path: str, text: str) -> None:
     """Write text so readers never observe a partially written file.
 
-    The file gets the mode open(path, "w") gives a new file: 0o666 less
-    the umask, which the kernel applies when it creates the temporary.
+    The file gets the mode open(path, "w") would leave: an existing file
+    keeps its permission bits, and a new one gets 0o666 less the umask,
+    which the kernel applies when it creates the temporary.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    try:
+        existing_mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        existing_mode = None
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if existing_mode is not None:
+                os.fchmod(fh.fileno(), existing_mode)
             fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:

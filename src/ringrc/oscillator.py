@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,13 +85,14 @@ class DeviceParams:
         return cls(2.0 * i_avg, 2.0 * i_avg)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One measured oscillation: counter period plus supply current.
+def record_label(die: str, geometry: str, fanout: Fanout, mode: CrosstalkMode) -> str:
+    """A record's name, die/geometry/fanout/mode, without a blank die."""
+    parts = (geometry, fanout.value, mode.value)
+    return "/".join((die, *parts) if die else parts)
 
-    t_osc is in seconds, i_eff in amps. A file that gives the active and
-    quiescent supply currents instead stores their difference as i_eff.
-    """
+
+class MeasurementRecord(NamedTuple):
+    """One row of a Measurements table, as iterating the table yields it."""
 
     geometry: str
     fanout: Fanout
@@ -99,17 +101,58 @@ class MeasurementRecord:
     i_eff: float
     die: str = ""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t_osc) and self.t_osc > 0.0):
-            raise ValueError(f"t_osc must be finite and > 0, got {self.t_osc!r}")
-        if not (math.isfinite(self.i_eff) and self.i_eff > 0.0):
-            raise ValueError(f"i_eff must be finite and > 0, got {self.i_eff!r}")
-
     def label(self) -> str:
-        parts = [self.geometry, self.fanout.value, self.mode.value]
-        if self.die:
-            parts.insert(0, self.die)
-        return "/".join(parts)
+        return record_label(self.die, self.geometry, self.fanout, self.mode)
+
+
+@dataclass(frozen=True)
+class Measurements:
+    """Measured oscillations, column by column: die and geometry strings
+    and fanout and mode members (object arrays), t_osc in seconds and
+    i_eff in amps (float64), and each row's 1-based line in its file (0
+    for rows built in code). Rows are checked once, where they are made."""
+
+    die: np.ndarray
+    geometry: np.ndarray
+    fanout: np.ndarray
+    mode: np.ndarray
+    t_osc: np.ndarray
+    i_eff: np.ndarray
+    line: np.ndarray
+
+    @classmethod
+    def from_columns(cls, die, geometry, fanout, mode, t_osc, i_eff, line):
+        """A table from one sequence per column."""
+        labels = [np.array(c, dtype=object) for c in (die, geometry, fanout, mode)]
+        return cls(*labels, np.array(t_osc, dtype=np.float64),
+                   np.array(i_eff, dtype=np.float64), np.array(line, dtype=np.int64))
+
+    @classmethod
+    def from_records(cls, records: Iterable[MeasurementRecord]) -> "Measurements":
+        """A table of rows whose t_osc and i_eff are finite and > 0, else ValueError."""
+        rows = list(records)
+        for row in rows:
+            for name, value in (("t_osc", row.t_osc), ("i_eff", row.i_eff)):
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        geometry, fanout, mode, t_osc, i_eff, die = zip(*rows) if rows else [()] * 6
+        return cls.from_columns(die, geometry, fanout, mode, t_osc, i_eff, [0] * len(die))
+
+    def __len__(self) -> int:
+        return len(self.t_osc)
+
+    def __iter__(self) -> Iterator[MeasurementRecord]:
+        return map(MeasurementRecord._make, zip(
+            self.geometry, self.fanout, self.mode, self.t_osc.tolist(),
+            self.i_eff.tolist(), self.die))
+
+    def take(self, rows: np.ndarray) -> "Measurements":
+        """The given rows, in the given order."""
+        return Measurements(*(column[rows] for column in vars(self).values()))
+
+    def where(self, field: str, value) -> "Measurements":
+        """The rows whose field equals value, in table order."""
+        return self.take(np.flatnonzero(getattr(self, field) == value))
 
 
 def mux_decode(code: str) -> CrosstalkMode:
@@ -154,8 +197,9 @@ def counter_period(config: RoConfig, t_s: float) -> float:
 
 
 def stage_delay_from_period(config: RoConfig, t_osc: float) -> float:
-    """Invert counter_period: t_s = t_osc / (2 n m)."""
-    if not t_osc > 0.0:
+    """Invert counter_period: t_s = t_osc / (2 n m), elementwise on arrays."""
+    positive = t_osc > 0.0
+    if positive is not True and not np.all(positive):
         raise ValueError(f"t_osc must be > 0, got {t_osc!r}")
     return t_osc / config.period_scale
 
@@ -182,10 +226,10 @@ def synthesize_measurements(
     config: RoConfig,
     noise_sigma: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> list[MeasurementRecord]:
+) -> Measurements:
     """Forward-model measurement records from known parasitics.
 
-    Returns six records: FO1 then FO2, each in-phase, out-of-phase and
+    Returns a table of six records: FO1 then FO2, each in-phase, out-of-phase and
     quiet. Per fanout the stage ground load aggregates the interconnect
     and one (FO1) or two (FO2) gate capacitances. Every record uses the
     delay form whose inversion by the extraction returns the truth
@@ -229,4 +273,4 @@ def synthesize_measurements(
                     i_eff=perturb(i_eff),
                 )
             )
-    return records
+    return Measurements.from_records(records)

@@ -83,10 +83,11 @@ def extractions():
     config = parse_config(data.joinpath("config_28nm.cfg").read_text())
     results = {}
     for geometry in ("1W1S", "1W2S"):
-        subset = [r for r in records if r.geometry == geometry]
         results[geometry] = extract_all(
-            subset, config.ro_config(geometry), rsw_mode=config.rsw_mode
-        )
+            records.where("geometry", geometry),
+            config.ro_config(geometry),
+            rsw_mode=config.rsw_mode,
+        )[""]
     return results
 
 
@@ -221,7 +222,7 @@ class TestAcceptance:
                 c_c=float(rng.uniform(lo, hi)),
             )
             records = synthesize_measurements(truth, CONFIG)
-            result = extract_all(records, CONFIG)
+            result = extract_all(records, CONFIG)[""]
             for got, want in (
                 (result.r_sw, truth.r_sw),
                 (result.c_gate, truth.c_gate),

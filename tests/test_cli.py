@@ -62,6 +62,7 @@ GOLDEN_CASES = {
         ("extract", "extract", "config", "measurements", ()),
         ("report_partial_spec", "report", "partial", "measurements", ()),
         ("binning_blank_die", "binning", "config", "lot", ("--geometry", "1W1S")),
+        ("binning_lot40", "binning", "config", "lot40", ("--geometry", "1W2S")),
     )
 }
 
@@ -69,7 +70,8 @@ GOLDEN_CASES = {
 def write_golden_inputs(root):
     """Write the golden cases' inputs under root and return their paths:
     the bundled config and data, the config with only c_total_ff as a 1W1S
-    target, and a lot of an unlabelled die plus D2."""
+    target, a lot of an unlabelled die plus D2, and a committed seeded lot
+    of 40 dies in two geometries, rows shuffled (units s and A)."""
     config = bundled_text("config_28nm.cfg")
     partial = "".join(
         line for line in config.splitlines(keepends=True)
@@ -84,6 +86,7 @@ def write_golden_inputs(root):
         (root / name).write_text(text)
         paths[key] = str(root / name)
     paths["lot"] = write_lot(root / "lot.csv", lot_rows([("", 1.0), ("D2", 0.8)]))
+    paths["lot40"] = str(GOLDEN / "lot40_input.csv")
     return paths
 
 
@@ -675,8 +678,8 @@ class TestBinning:
         assert not out.exists()
 
     def test_one_extraction_per_die(self, workspace, capsys, tmp_path, monkeypatch):
-        """Each die is extracted once, in sorted die order, from exactly
-        its own records in file order."""
+        """One extract_all call gets exactly the geometry's records, in
+        file order, and returns one result per die in sorted die order."""
         rows = lot_rows([("D2", 0.8), ("D1", 1.0), ("D3", 1.1)])
         rows += lot_rows([("D1", 1.0)], geometry="1W2S")
         rows = rows[1::2] + rows[::2]
@@ -685,8 +688,9 @@ class TestBinning:
         real = cli.extract_all
 
         def spy(records, config, **kwargs):
-            calls.append(list(records))
-            return real(records, config, **kwargs)
+            results = real(records, config, **kwargs)
+            calls.append((list(records), list(results)))
+            return results
 
         monkeypatch.setattr(cli, "extract_all", spy)
         code = main(
@@ -700,12 +704,45 @@ class TestBinning:
         assert code == 0
         capsys.readouterr()
         records = read_measurements(lot)
-        assert [call[0].die for call in calls] == ["D1", "D2", "D3"]
-        for call in calls:
-            die = call[0].die
-            assert call == [
-                r for r in records if r.die == die and r.geometry == "1W1S"
-            ]
+        assert calls == [
+            ([r for r in records if r.geometry == "1W1S"], ["D1", "D2", "D3"])
+        ]
+
+    @pytest.mark.parametrize(
+        "drop, swap, code, message",
+        [
+            ("D3", "D4", 3, "die D3: required record (FO1, quiet) is missing"),
+            ("D4", "D2", 4, "die D2: FO2 period must exceed FO1 period"),
+            ("D9", "", 4, "die <blank>: FO2 period must exceed FO1 period"),
+            ("", "", 3, "die <blank>: required record (FO1, quiet) is missing"),
+        ],
+    )
+    def test_lot_errors_name_the_die(
+        self, workspace, capsys, tmp_path, drop, swap, code, message
+    ):
+        """A failing lot names the first failing die in sorted order, keeps
+        its exit code and writes no report."""
+        rows = lot_rows([("D4", 1.0), ("D3", 0.9), ("D2", 1.1), ("", 1.0)])
+        rows = [r for r in rows if not (r[0] == drop and r[3] == "quiet")]
+        # a die whose FO2 period is shorter than its FO1 period
+        rows = [
+            r[:4] + (f"{float(r[4]) / 2:.6f}",) + r[5:]
+            if r[0] == swap and r[2] == "FO2" else r
+            for r in rows
+        ]
+        out = tmp_path / "bins.txt"
+        argv = [
+            "binning",
+            "--config", workspace["config"],
+            "--measurements", write_lot(tmp_path / "lot.csv", rows),
+            "--geometry", "1W1S",
+            "--out", str(out),
+        ]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_geometry(self, workspace, capsys):
         code = main(

@@ -8,6 +8,7 @@ from ringrc import (
     ExtractionDomainError,
     Fanout,
     MeasurementRecord,
+    Measurements,
     MissingRecordError,
     ParasiticSet,
     RoConfig,
@@ -67,14 +68,24 @@ EXPECTED = {
 }
 
 
-def records_for(geometry):
+def rows_for(geometry, die=""):
     return [
         MeasurementRecord(
-            geometry=geometry, fanout=fanout, mode=mode, t_osc=t, i_eff=i
+            geometry=geometry, fanout=fanout, mode=mode, t_osc=t, i_eff=i, die=die
         )
         for (g, fanout, mode), (t, i) in MEASURED.items()
         if g == geometry
     ]
+
+
+def records_for(geometry):
+    return Measurements.from_records(rows_for(geometry))
+
+
+def extract_one(rows, config=CONFIG, **kwargs):
+    """The extraction of a list of one die's records."""
+    (result,) = extract_all(Measurements.from_records(rows), config, **kwargs).values()
+    return result
 
 
 class TestScalarFormulas:
@@ -142,7 +153,7 @@ class TestScalarFormulas:
         capacitances unchanged and scales the resistance by k."""
         rng = np.random.default_rng(6000 + trial)
         k = float(rng.uniform(0.2, 5.0))
-        base = records_for("1W1S")
+        base = rows_for("1W1S")
         scaled = [
             MeasurementRecord(
                 geometry=rec.geometry,
@@ -153,7 +164,7 @@ class TestScalarFormulas:
             )
             for rec in base
         ]
-        got = extract_all(scaled, CONFIG)
+        got = extract_one(scaled)
         want = EXPECTED["1W1S"]
         assert got.r_sw == pytest.approx(want["r_sw"] * k, rel=1e-9)
         for name in ("c_s", "c_gate", "c_int", "c_ground", "c_coupling"):
@@ -173,20 +184,20 @@ class TestScalarFormulas:
 class TestExtractAll:
     @pytest.mark.parametrize("geometry", ["1W1S", "1W2S"])
     def test_full_extraction(self, geometry):
-        result = extract_all(records_for(geometry), CONFIG)
+        result = extract_all(records_for(geometry), CONFIG)[""]
         assert result.geometry == geometry
         for name, want in EXPECTED[geometry].items():
             assert getattr(result, name) == pytest.approx(want, rel=1e-9, abs=0.0), name
 
     def test_parasitics_view(self):
-        result = extract_all(records_for("1W1S"), CONFIG)
+        result = extract_all(records_for("1W1S"), CONFIG)[""]
         para = result.parasitics
         assert para.c_total == result.c_total
         assert para.c_c == result.c_coupling
         assert para.r_sw == result.r_sw
 
     def test_provenance_labels(self):
-        result = extract_all(records_for("1W1S"), CONFIG)
+        result = extract_all(records_for("1W1S"), CONFIG)[""]
         assert result.provenance["r_sw"] == ("1W1S/FO1/in_phase",)
         assert result.provenance["c_gate"] == (
             "1W1S/FO1/in_phase",
@@ -199,8 +210,8 @@ class TestExtractAll:
         """Routing the resistance through the quiet record's current gives
         the quiet-mode charge-balance resistance instead."""
         records = records_for("1W1S")
-        default = extract_all(records, CONFIG)
-        quiet = extract_all(records, CONFIG, rsw_mode=CrosstalkMode.QUIET)
+        default = extract_all(records, CONFIG)[""]
+        quiet = extract_all(records, CONFIG, rsw_mode=CrosstalkMode.QUIET)[""]
         assert default.r_sw != quiet.r_sw
         assert quiet.r_sw == pytest.approx(
             switching_resistance(503.47e-6, 0.9), rel=1e-12
@@ -209,43 +220,62 @@ class TestExtractAll:
         assert quiet.c_s == default.c_s
 
     def test_missing_record_is_named(self):
-        records = [
+        rows = [
             rec
-            for rec in records_for("1W1S")
+            for rec in rows_for("1W1S")
             if not (
                 rec.fanout is Fanout.FO1 and rec.mode is CrosstalkMode.QUIET
             )
         ]
         with pytest.raises(MissingRecordError, match="FO1.*quiet"):
-            extract_all(records, CONFIG)
+            extract_one(rows)
 
     def test_mixed_geometries_rejected(self):
-        records = records_for("1W1S") + records_for("1W2S")
+        records = Measurements.from_records(rows_for("1W1S") + rows_for("1W2S"))
         with pytest.raises(ValidationError, match="several geometries"):
             extract_all(records, CONFIG)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            extract_all([], CONFIG)
+            extract_all(Measurements.from_records([]), CONFIG)
 
     def test_duplicate_records_rejected(self):
-        """Two dies' records mixed in one call share every (fanout, mode);
-        the pair is named instead of the later record silently winning."""
-        d1, d2 = (
-            [
-                MeasurementRecord(
-                    geometry=r.geometry, fanout=r.fanout, mode=r.mode,
-                    t_osc=r.t_osc, i_eff=r.i_eff, die=die,
-                )
-                for r in records_for("1W1S")
-            ]
-            for die in ("D1", "D2")
-        )
-        match = r"duplicate \(FO1, in_phase\)"
-        with pytest.raises(ValidationError, match=match) as info:
-            extract_all(d1 + d2, CONFIG)
-        assert "D1/1W1S/FO1/in_phase" in str(info.value)
-        assert "D2/1W1S/FO1/in_phase" in str(info.value)
+        """Two records of one die sharing a (fanout, mode) are named
+        instead of the later record silently winning."""
+        rows = rows_for("1W1S", die="D1")
+        with pytest.raises(ValidationError, match=r"duplicate \(FO1, quiet\)") as info:
+            extract_one(rows + rows_for("1W1S", die="D2") + rows[2:3])
+        assert str(info.value).count("D1/1W1S/FO1/quiet") == 2
+
+    def test_dies_extract_apart(self):
+        """A table of several dies gives each die the result it gets alone,
+        keyed by die label in sorted order."""
+        rows = rows_for("1W1S", die="D2") + rows_for("1W1S", die="D1")
+        results = extract_all(Measurements.from_records(rows), CONFIG)
+        assert list(results) == ["D1", "D2"]
+        for die, result in results.items():
+            alone = extract_one(rows_for("1W1S", die=die))
+            assert result == alone
+            assert result.provenance["r_sw"] == (f"{die}/1W1S/FO1/in_phase",)
+
+    def test_lot_errors_name_the_first_failing_die(self):
+        """In a lot, the error raised is the one the first failing die in
+        sorted order raises first, prefixed with that die's label."""
+        ok = rows_for("1W1S", die="A")
+        no_quiet = [r for r in rows_for("1W1S", die="C") if r.mode is not CrosstalkMode.QUIET]
+        swapped = [
+            r._replace(t_osc=r.t_osc * (0.5 if r.fanout is Fanout.FO2 else 1.0))
+            for r in rows_for("1W1S", die="B")
+        ]
+        records = Measurements.from_records(ok + no_quiet + swapped)
+        with pytest.raises(ExtractionDomainError, match="^die B: FO2 period"):
+            extract_all(records, CONFIG)
+        records = Measurements.from_records(ok + no_quiet)
+        with pytest.raises(MissingRecordError, match=r"^die C: required record \(FO1, quiet\)"):
+            extract_all(records, CONFIG)
+        blank = [r._replace(die="") for r in swapped]
+        with pytest.raises(ExtractionDomainError, match="^die <blank>: FO2"):
+            extract_all(Measurements.from_records(ok + blank), CONFIG)
 
 
 # Published values for the same structures: this chain's results and an
@@ -319,7 +349,7 @@ class TestCompareToSpec:
         assert "c_gate" not in report.param_errors
 
     def test_extraction_result_input(self):
-        result = extract_all(records_for("1W1S"), CONFIG)
+        result = extract_all(records_for("1W1S"), CONFIG)[""]
         report = compare_to_spec(result, TARGETS["1W1S"])
         assert report.geometry == "1W1S"
         assert set(report.param_errors) == {
@@ -328,7 +358,7 @@ class TestCompareToSpec:
         assert report.targets is TARGETS["1W1S"]
 
     def test_geometry_mismatch_rejected(self):
-        result = extract_all(records_for("1W1S"), CONFIG)
+        result = extract_all(records_for("1W1S"), CONFIG)[""]
         with pytest.raises(ValidationError, match="mismatch"):
             compare_to_spec(result, TARGETS["1W2S"], geometry="1W2S")
 

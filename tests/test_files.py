@@ -40,7 +40,8 @@ class TestParseMeasurements:
     def test_happy_path_si_conversion(self):
         records = parse_measurements(GOOD_TEXT)
         assert len(records) == 2
-        rec = records[0]
+        assert list(records.line) == [4, 5]
+        rec = list(records)[0]
         assert rec.geometry == "1W1S"
         assert rec.fanout is Fanout.FO1
         assert rec.mode is CrosstalkMode.IN_PHASE
@@ -86,8 +87,8 @@ class TestParseMeasurements:
         frozen switching resistance."""
         records = parse_measurements(bundled("measurements_28nm.csv").read_text())
         config = parse_config(bundled("config_28nm.cfg").read_text())
-        subset = [r for r in records if r.geometry == "1W1S"]
-        result = extract_all(subset, config.ro_config("1W1S"))
+        subset = records.where("geometry", "1W1S")
+        result = extract_all(subset, config.ro_config("1W1S"))[""]
         assert result.r_sw == pytest.approx(504.7672462142457, rel=1e-12)
 
     def test_unknown_mode_reports_line(self):
@@ -383,6 +384,20 @@ class TestFileIo:
         finally:
             os.umask(previous)
         assert path.stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("mode", [0o640, 0o600, 0o664])
+    def test_atomic_write_keeps_existing_mode(self, tmp_path, mode):
+        """Replacing a file keeps its permission bits, whatever the umask."""
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        path.chmod(mode)
+        previous = os.umask(0o022)
+        try:
+            write_text_atomic(str(path), "new\n")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+        assert path.read_text() == "new\n"
 
     def test_atomic_write(self, tmp_path):
         path = tmp_path / "out.txt"

@@ -11,6 +11,7 @@ from ringrc import (
     Fanout,
     InvalidSelectCodeError,
     MeasurementRecord,
+    Measurements,
     RoConfig,
     SynthesisTruth,
     counter_period,
@@ -123,24 +124,22 @@ class TestPeriodAlgebra:
             counter_period(CONFIG, -1e-12)
 
 
+def row(**values):
+    return MeasurementRecord(
+        **{**dict(geometry="g", fanout=Fanout.FO1, mode=CrosstalkMode.QUIET,
+                  t_osc=1e-9, i_eff=1e-6), **values}
+    )
+
+
 class TestMeasurementRecord:
+    """Records built in code enter a Measurements table through
+    from_records, which checks their values."""
+
     def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(
-                geometry="g",
-                fanout=Fanout.FO1,
-                mode=CrosstalkMode.QUIET,
-                t_osc=0.0,
-                i_eff=1e-6,
-            )
-        with pytest.raises(ValueError):
-            MeasurementRecord(
-                geometry="g",
-                fanout=Fanout.FO1,
-                mode=CrosstalkMode.QUIET,
-                t_osc=1e-9,
-                i_eff=0.0,
-            )
+        with pytest.raises(ValueError, match="t_osc"):
+            Measurements.from_records([row(), row(t_osc=0.0)])
+        with pytest.raises(ValueError, match="i_eff"):
+            Measurements.from_records([row(i_eff=0.0)])
 
     @pytest.mark.parametrize(
         "field, kwargs",
@@ -152,35 +151,26 @@ class TestMeasurementRecord:
         ],
     )
     def test_non_finite_fields(self, field, kwargs):
-        values = dict(
-            geometry="g",
-            fanout=Fanout.FO1,
-            mode=CrosstalkMode.QUIET,
-            t_osc=1e-9,
-            i_eff=1e-6,
-        )
-        values.update(kwargs)
         with pytest.raises(ValueError, match=f"{field} .*must be finite"):
-            MeasurementRecord(**values)
+            Measurements.from_records([row(**kwargs)])
 
     def test_label_and_key(self):
-        rec = MeasurementRecord(
-            geometry="1W1S",
-            fanout=Fanout.FO2,
-            mode=CrosstalkMode.QUIET,
-            t_osc=1e-9,
-            i_eff=1e-6,
-            die="D3",
-        )
+        rec = row(geometry="1W1S", fanout=Fanout.FO2, die="D3")
         assert rec.label() == "D3/1W1S/FO2/quiet"
-        bare = MeasurementRecord(
-            geometry="1W1S",
-            fanout=Fanout.FO2,
-            mode=CrosstalkMode.QUIET,
-            t_osc=1e-9,
-            i_eff=1e-6,
-        )
-        assert bare.label() == "1W1S/FO2/quiet"
+        assert row(geometry="1W1S", fanout=Fanout.FO2).label() == "1W1S/FO2/quiet"
+        table = Measurements.from_records([row(), rec])
+        assert [r.label() for r in table] == [
+            "g/FO1/quiet", "D3/1W1S/FO2/quiet"
+        ]
+
+    def test_table_round_trips_its_rows(self):
+        rows = [row(), row(die="D1", mode=CrosstalkMode.IN_PHASE, t_osc=2e-9)]
+        table = Measurements.from_records(rows)
+        assert list(table) == rows
+        assert table.t_osc.dtype == np.float64
+        assert list(table.line) == [0, 0]
+        assert list(table.where("die", "D1")) == rows[1:]
+        assert list(table.take(np.array([1, 0]))) == rows[::-1]
 
 
 class TestSynthesis:
@@ -226,7 +216,7 @@ class TestSynthesis:
             c_c=c_c,
         )
         records = synthesize_measurements(truth, CONFIG)
-        result = extract_all(records, CONFIG)
+        result = extract_all(records, CONFIG)[""]
         assert result.r_sw == pytest.approx(truth.r_sw, rel=1e-9)
         assert result.c_gate == pytest.approx(truth.c_gate, rel=1e-9)
         assert result.c_int == pytest.approx(truth.c_int, rel=1e-9)
@@ -259,7 +249,7 @@ class TestSynthesis:
             records = synthesize_measurements(
                 truth, CONFIG, noise_sigma=0.01, rng=rng
             )
-            result = extract_all(records, CONFIG)
+            result = extract_all(records, CONFIG)[""]
             estimates.append(result.c_gate)
         estimates = np.array(estimates)
         rel_std = float(np.std(estimates) / truth.c_gate)

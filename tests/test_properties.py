@@ -11,22 +11,33 @@ from ringrc import (
     ExtractionResult,
     Fanout,
     LineRC,
+    Measurements,
+    NumericError,
     ParasiticSet,
+    ParseError,
     RingRcError,
     RoConfig,
     SynthesisTruth,
+    ValidationError,
     build_network,
     compare_to_spec,
     counter_period,
+    coupling_capacitance,
     emit_binning,
     emit_report,
     emit_report_json,
+    extract_all,
+    gate_capacitance,
+    ground_capacitance,
+    interconnect_capacitance,
     monitor_binning,
     parse_config,
     parse_measurements,
     parse_report,
     simulate_step,
+    stage_capacitance,
     step_response_victim,
+    switching_resistance,
     synthesize_measurements,
 )
 
@@ -181,15 +192,11 @@ def test_in_phase_records_use_charge_balance_delay(
 # delay products stay finite, so strict JSON can hold them.
 FINITE = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False)
 LABELS = st.text("ABDSW12_-<> ", max_size=6)
-PROVENANCE = st.dictionaries(
-    st.sampled_from(["r_sw", "c_s", "c_gate", "c_coupling", "x"]),
-    st.lists(st.text(max_size=8), max_size=3).map(tuple),
-    max_size=3,
-)
 #: CSV display unit -> scale from the SI value the JSON holds.
 UNIT_SCALE = {"ohm": 1.0, "fF": 1e15}
-#: ExtractionResult fields after the geometry: seven values, provenance.
-RESULT_FIELDS = st.tuples(*[FINITE] * 7, PROVENANCE)
+#: ExtractionResult fields after the geometry: seven values, the die and
+#: the r_sw record's mode (which fix the provenance labels).
+RESULT_FIELDS = st.tuples(*[FINITE] * 7, LABELS, st.sampled_from(list(CrosstalkMode)))
 #: Per geometry: no comparison, or the ParasiticSet targets (full, partial
 #: or empty).
 COMPARISON = st.none() | st.tuples(*[st.none() | st.floats(1e-30, 1e30)] * 5)
@@ -269,3 +276,186 @@ def test_binning_report_round_trips(dies):
         assert cells["geometry"] == payload["binning"]["geometry"]
         for column, (field, scale) in BIN_COLUMNS.items():
             assert cells[column] == f"{entry[field] * scale:.6g}"
+
+
+# ---------------------------------------------------------------------------
+# the parser's first-fault rule
+
+#: Valid rows of a three-die, two-geometry file: (die, geometry, fanout,
+#: mode, tosc ns, ieff uA), on lines 3, 4, ...
+VALID_ROWS = [
+    (die, geometry, fanout.value, mode.value, f"{80.0 + 3.0 * k:.2f}", "900.5")
+    for die in ("D2", "", "D1")
+    for geometry in ("1W1S", "1W2S")
+    for k, (fanout, mode) in enumerate(
+        (fanout, mode) for fanout in Fanout for mode in CrosstalkMode
+    )
+]
+FIRST_ROW_LINE = 3
+
+
+def _inject(rows, index, kind):
+    """Row `index` with one fault of the given kind, and the message
+    fragment the parser reports for it."""
+    die, geometry, fanout, mode, tosc, ieff = rows[index]
+    if kind == "mode":
+        return (die, geometry, fanout, "sideways", tosc, ieff), "unknown mode 'sideways'"
+    if kind == "fanout":
+        return (die, geometry, "FO3", mode, tosc, ieff), "unknown fanout 'FO3'"
+    if kind == "field count":
+        return rows[index] + ("1",), "expected 6 fields"
+    if kind == "not a number":
+        return (die, geometry, fanout, mode, tosc, "12x"), "ieff: not a number: '12x'"
+    if kind == "not finite":
+        return (die, geometry, fanout, mode, "inf", ieff), "tosc: not a finite number"
+    if kind == "not positive":
+        return (die, geometry, fanout, mode, "-0.0", ieff), "t_osc must be finite and > 0"
+    # duplicate: the key of the first row, which comes earlier
+    first = rows[0]
+    label = "/".join(part for part in first[:4] if part)
+    return first[:4] + (tosc, ieff), f"duplicate record {label!r}"
+
+
+FAULT_KINDS = ("mode", "fanout", "field count", "not a number", "not finite",
+               "not positive", "duplicate")
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, len(VALID_ROWS) - 1), st.sampled_from(FAULT_KINDS)),
+        min_size=1,
+        max_size=5,
+        unique_by=lambda fault: fault[0],
+    )
+)
+def test_parser_reports_the_first_faulty_line(faults):
+    """With faults of any kind on any rows, the parser reports the first
+    faulty line, with that fault's message."""
+    rows = list(VALID_ROWS)
+    messages = {}
+    for index, kind in faults:
+        rows[index], messages[index] = _inject(VALID_ROWS, index, kind)
+    text = (
+        "units: tosc=ns current=uA\ncolumns: die geometry fanout mode tosc ieff\n"
+        + "".join(",".join(row) + "\n" for row in rows)
+    )
+    first = min(messages)
+    try:
+        parse_measurements(text)
+    except ParseError as exc:
+        assert exc.line == FIRST_ROW_LINE + first
+        assert messages[first] in str(exc)
+    else:
+        raise AssertionError("a faulty file parsed")
+
+
+# ---------------------------------------------------------------------------
+# a lot extracts as its dies do one at a time
+
+CONFIG = RoConfig(n=100, m=64, v_dd=0.9)
+#: What may be wrong with one die's records.
+DEFECTS = st.sampled_from(
+    [None, None, None, "no quiet", "no FO2", "FO2 too fast", "FO2 too slow",
+     "out-of-phase too fast"]
+)
+
+
+def _die_rows(die, truth, noise, defect):
+    rows = []
+    for rec in synthesize_measurements(truth, CONFIG):
+        scale = 1.0 + noise
+        if defect == "FO2 too fast" and rec.fanout is Fanout.FO2:
+            scale = 0.5
+        elif defect == "FO2 too slow" and rec.fanout is Fanout.FO2:
+            scale = 4.0
+        elif defect == "out-of-phase too fast" and rec.mode is CrosstalkMode.OUT_OF_PHASE:
+            scale = 0.1
+        if (defect == "no quiet" and rec.mode is CrosstalkMode.QUIET) or (
+            defect == "no FO2" and rec.fanout is Fanout.FO2
+        ):
+            continue
+        rows.append(rec._replace(die=die, t_osc=rec.t_osc * scale))
+    return rows
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.dictionaries(
+        LABELS,
+        st.tuples(
+            positive(100.0, 1000.0),
+            positive(1.0, 5.0),
+            positive(3.0, 10.0),
+            positive(0.4, 1.8),
+            positive(-1e-3, 1e-3),
+            DEFECTS,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(list(CrosstalkMode)),
+    st.randoms(use_true_random=False),
+)
+def test_lot_extraction_equals_each_die_alone(dies, rsw_mode, random):
+    """Extracting a lot gives every die, bit for bit, the result it gets
+    alone; a failing lot raises, prefixed with the die, the error of the
+    first die in sorted order that fails alone."""
+    rows = []
+    for die, (r_sw, c_gate, c_int, cc_ratio, noise, defect) in dies.items():
+        truth = SynthesisTruth(
+            r_sw=r_sw,
+            c_gate=c_gate * 1e-15,
+            c_int=c_int * 1e-15,
+            c_c=cc_ratio * (c_int + 2.0 * c_gate) * 1e-15,
+        )
+        rows += _die_rows(die, truth, noise, defect)
+    random.shuffle(rows)
+    lot = Measurements.from_records(rows)
+    alone = {}
+    for die in sorted(dies):
+        try:
+            alone[die] = extract_all(lot.where("die", die), CONFIG, rsw_mode)[die]
+        except (NumericError, ValidationError) as exc:
+            alone[die] = exc
+    failures = [die for die in sorted(dies) if isinstance(alone[die], Exception)]
+    try:
+        results = extract_all(lot, CONFIG, rsw_mode)
+    except (NumericError, ValidationError) as exc:
+        assert failures, exc
+        want = alone[failures[0]]
+        assert type(exc) is type(want)
+        prefix = f"die {failures[0] or '<blank>'}: " if len(dies) > 1 else ""
+        assert str(exc) == f"{prefix}{want}"
+    else:
+        assert not failures
+        assert list(results) == sorted(dies)
+        for die, result in results.items():
+            assert result == alone[die]
+            want = _scalar_extraction([r for r in rows if r.die == die], rsw_mode)
+            got = [getattr(result, name) for name in EXTRACTED]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+EXTRACTED = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling")
+
+
+def _scalar_extraction(rows, rsw_mode):
+    """One die's values from the formulas on Python floats, record by
+    record: the reference the array path must match bit for bit."""
+    by_key = {(r.fanout, r.mode): r for r in rows}
+    inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = (
+        by_key[(fanout, mode)]
+        for fanout, mode in ((Fanout.FO1, CrosstalkMode.IN_PHASE),
+                             (Fanout.FO2, CrosstalkMode.IN_PHASE),
+                             (Fanout.FO1, CrosstalkMode.OUT_OF_PHASE),
+                             (Fanout.FO1, CrosstalkMode.QUIET))
+    )
+    r_sw = switching_resistance(by_key[(Fanout.FO1, rsw_mode)].i_eff, CONFIG.v_dd)
+    c_gate = gate_capacitance(inp_fo1.t_osc, inp_fo2.t_osc, r_sw, CONFIG)
+    c_int = interconnect_capacitance(inp_fo1.t_osc, inp_fo2.t_osc, r_sw, CONFIG)
+    t_o = oop_fo1.t_osc / CONFIG.period_scale
+    t_q = quiet_fo1.t_osc / CONFIG.period_scale
+    return [r_sw, stage_capacitance(inp_fo1.t_osc, inp_fo1.i_eff, CONFIG), c_gate,
+            c_int, c_gate + c_int, ground_capacitance(t_o, t_q, r_sw),
+            coupling_capacitance(t_o, t_q, r_sw)]

@@ -43,7 +43,6 @@ def make_result(geometry="1W1S", die_r=504.0, c_total=12.6e-15):
         c_total=c_total,
         c_ground=c_total / 2.0,
         c_coupling=8.0e-15,
-        provenance={"r_sw": (f"{geometry}/FO1/in_phase",)},
     )
 
 
