@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parse/input errors, 3 validation errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -38,7 +39,10 @@ from .simulator import build_network, crossing_time, simulate_step
 _MODE_NAMES = tuple(sorted(m.value for m in CrosstalkMode))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one (main calls it once per call); callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="ringrc",
         description=(

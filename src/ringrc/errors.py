@@ -52,4 +52,6 @@ class PoleProximityError(NumericError):
 
 
 class ExtractionDomainError(NumericError):
-    """Measured periods violate an ordering required by an extraction formula."""
+    """Measurements outside an extraction formula's domain: periods out of
+    the order it requires, or values so large or small that it over- or
+    underflows."""

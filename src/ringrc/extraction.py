@@ -134,11 +134,22 @@ class ErrorReport:
 def _check(holds, error: type, message: str, *values) -> None:
     """Raise error(message) unless holds is all true, filled with the values
     (as floats) where it first is not; works on scalars and arrays alike."""
-    if holds is not True and not np.all(holds):  # True: a scalar check passed
+    if holds is not True and holds is not np.True_ and not np.all(holds):
         holds = np.asarray(holds)
         first = int(np.argmin(holds.ravel()))
         at = [float(np.broadcast_to(v, holds.shape).flat[first]) for v in values]
         raise error(message.format(*at))
+
+
+def _in_range(names: tuple[str, ...], values: tuple) -> None:
+    """Raise ExtractionDomainError naming the first of values (each a value
+    or a column per die) that is not finite and > 0: the measurements were
+    so large or small that a formula over- or underflowed (r_sw =
+    v_dd / (2 i_eff) is 0 for i_eff = 1e308 A)."""
+    for name, value in zip(names, values):
+        _check((value > 0.0) & (value < np.inf), ExtractionDomainError,
+               f"{name} = {{!r}}: the measurements over- or underflow its formula"
+               f" (it must be finite and > 0)", value)
 
 
 def switching_resistance(i_eff: float, v_dd: float) -> float:
@@ -209,6 +220,8 @@ _REQUIRED = (
     (Fanout.FO1, CrosstalkMode.OUT_OF_PHASE), (Fanout.FO1, CrosstalkMode.QUIET),
 )
 _REQUIRED_CELLS = [_cell(fanout, mode) for fanout, mode in _REQUIRED]
+#: The extracted values, in ExtractionResult's field order.
+_VALUES = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling")
 
 
 def extract_all(
@@ -257,8 +270,8 @@ def extract_all(
         """Every value of dies[start:stop], with the checks in order."""
         picked = [slot[start:stop] for slot in rows]
         t_osc, i_eff = measurements.t_osc[picked], measurements.i_eff[picked]
-        if stop - start == 1:  # one die: floats cost less than length-1 arrays
-            t_osc, i_eff = t_osc[:, 0].tolist(), i_eff[:, 0].tolist()
+        if stop - start == 1:  # one die: scalars cost less than length-1 arrays
+            t_osc, i_eff = t_osc[:, 0], i_eff[:, 0]
         inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = t_osc
         r_sw = switching_resistance(i_eff[rsw_slot], config.v_dd)
         c_s = stage_capacitance(inp_fo1, i_eff[0], config)
@@ -266,12 +279,17 @@ def extract_all(
         c_int = interconnect_capacitance(inp_fo1, inp_fo2, r_sw, config)
         t_o = stage_delay_from_period(config, oop_fo1)
         t_q = stage_delay_from_period(config, quiet_fo1)
+        _in_range(("r_sw", "stage delay t_o", "stage delay t_q"), (r_sw, t_o, t_q))
         c_ground = ground_capacitance(t_o, t_q, r_sw)
         c_coupling = coupling_capacitance(t_o, t_q, r_sw)
-        return r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_coupling
+        values = r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_coupling
+        _in_range(_VALUES, values)
+        return values
 
     # The dies before the first one with a missing record run the formulas
     # together; if a check fails, they rerun one at a time to find which.
+    # numpy arithmetic, also on one die's scalars, over- and underflows to
+    # inf, 0 or nan where Python floats would raise; _in_range catches those.
     usable = next((d for d, found in enumerate(zip(*rows)) if -1 in found), len(dies))
     with np.errstate(all="ignore"):
         try:
@@ -289,10 +307,10 @@ def extract_all(
                                  f"({fanout.value}, {mode.value}) is missing")
 
     geometry = geometries.pop()
+    per_die = np.array(values).reshape(len(values), -1).T.tolist()
     return {
         die: ExtractionResult(geometry, *extracted, die=die, rsw_mode=rsw_mode)
-        for die, *extracted in zip(dies, *(
-            [v] if isinstance(v, float) else v.tolist() for v in values))
+        for die, extracted in zip(dies, per_die)
     }
 
 
@@ -304,7 +322,8 @@ def compare_to_spec(
     """Relative errors of extracted (or published) values against targets.
 
     The delay-product error compares r_sw * c_total between the two sets
-    and is None when either side lacks one of the factors.
+    and is None when either side lacks one of the factors. An error that
+    overflows (a value ~1e300 times its target) raises NumericError.
     """
     if isinstance(values, ExtractionResult):
         if geometry and geometry != values.geometry:
@@ -315,6 +334,13 @@ def compare_to_spec(
         geometry = values.geometry
         values = values.parasitics
 
+    def relative(name: str, value: float, target: float) -> float:
+        error = abs(value - target) / target
+        if error == np.inf:
+            raise NumericError(f"{name} = {value!r} is too far from its target "
+                               f"{target!r} for a finite relative error")
+        return error
+
     param_errors = {}
     for name, value in values.as_dict().items():
         target = spec.as_dict()[name]
@@ -322,13 +348,12 @@ def compare_to_spec(
             continue
         if target == 0.0:
             raise ValueError(f"target {name} is zero; relative error undefined")
-        param_errors[name] = abs(value - target) / target
+        param_errors[name] = relative(name, value, target)
 
     delay_error = None
     if None not in (values.r_sw, values.c_total, spec.r_sw, spec.c_total):
-        ours = values.r_sw * values.c_total
-        target = spec.r_sw * spec.c_total
-        delay_error = abs(ours - target) / target
+        delay_error = relative("r_sw * c_total", values.r_sw * values.c_total,
+                               spec.r_sw * spec.c_total)
 
     return ErrorReport(
         geometry=geometry,

@@ -199,7 +199,7 @@ def counter_period(config: RoConfig, t_s: float) -> float:
 def stage_delay_from_period(config: RoConfig, t_osc: float) -> float:
     """Invert counter_period: t_s = t_osc / (2 n m), elementwise on arrays."""
     positive = t_osc > 0.0
-    if positive is not True and not np.all(positive):
+    if positive is not True and positive is not np.True_ and not np.all(positive):
         raise ValueError(f"t_osc must be > 0, got {t_osc!r}")
     return t_osc / config.period_scale
 

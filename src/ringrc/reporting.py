@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacitance import AGGRESSOR_STEP, CrosstalkMode
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .extraction import ErrorReport, ExtractionResult
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
@@ -183,6 +183,7 @@ def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
 
     Raises:
         ValidationError: if the mapping is empty or mixes geometries.
+        NumericError: if a die's scale against the slowest is not finite.
     """
     if not results:
         raise ValidationError("no dies to bin")
@@ -193,6 +194,12 @@ def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
         )
     proxies = {die: res.r_sw * res.c_total for die, res in results.items()}
     slowest = max(proxies.values())
+    fastest = min(proxies, key=proxies.get)
+    if not (proxies[fastest] > 0.0 and slowest / proxies[fastest] < np.inf):
+        raise NumericError(
+            f"die {fastest}: delay proxy r_sw * c_total = {proxies[fastest]!r} s "
+            f"has no finite clock scale against the slowest die's {slowest!r} s"
+        )
     bins = []
     for die in sorted(results, key=lambda d: (-proxies[d], d)):
         result = results[die]

@@ -4,9 +4,12 @@ Each test drives main() directly with an argv list and inspects the
 return code plus captured stdout/stderr.
 """
 
+import argparse
 import importlib.resources
 import json
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -307,6 +310,47 @@ class TestExtract:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 3: i_eff must be finite" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ieff", 1e308, "r_sw = 0.0"),  # 2 * i_eff overflows
+            ("ieff", 1e-310, "r_sw = inf"),  # v_dd / (2 * i_eff) overflows
+            # the out-of-phase and quiet stage delays underflow to 0
+            ("tosc", 1e-320, "stage delay t_o = 0.0"),
+        ],
+    )
+    def test_degenerate_extraction_exits_4(self, workspace, capsys, tmp_path, field,
+                                           value, message, fmt):
+        """Finite measurements that over- or underflow a formula are a
+        numeric error: exit 4, the value named, no report written."""
+        rows = [
+            (fanout, mode,
+             value if field == "tosc" and mode != "in_phase" else tosc * 1e-9,
+             value if field == "ieff" else ieff * 1e-6)
+            for fanout, mode, tosc, ieff in BASE_1W1S
+        ]
+        bad = tmp_path / "degenerate.csv"
+        bad.write_text(
+            "units: tosc=s current=A\ncolumns: geometry fanout mode tosc ieff\n"
+            + "".join(f"1W1S,{f},{m},{t!r},{i!r}\n" for f, m, t, i in rows)
+        )
+        out_path = tmp_path / "report.out"
+        code = main(
+            [
+                "report",
+                "--config", workspace["config"],
+                "--measurements", str(bad),
+                "--format", fmt,
+                "--out", str(out_path),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert f"error: {message}: " in err
         assert "Traceback" not in err
         assert not out_path.exists()
 
@@ -744,6 +788,47 @@ class TestBinning:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "die_b, message",
+        [
+            # 2 * i_eff overflows, so r_sw = 0
+            ([(f, m, f"{t}e-9", "1e308") for f, m, t, _ in BASE_1W1S], "r_sw = 0.0: "),
+            # every value finite, but the delay proxy r_sw * c_total underflows
+            ([("FO1", "in_phase", "1e-318", "4.5e299"),
+              ("FO1", "out_of_phase", "88.39e-9", "4.5e299"),
+              ("FO1", "quiet", "82.31e-9", "4.5e299"),
+              ("FO2", "in_phase", "1.2e-318", "4.5e299")],
+             "delay proxy r_sw * c_total = "),
+        ],
+    )
+    def test_degenerate_die_exits_4(self, workspace, capsys, tmp_path, die_b, message):
+        """A lot with a die that over- or underflows exits 4, naming the die
+        and the value, and writes no report."""
+        die_a = [(f, m, f"{t}e-9", f"{i}e-6") for f, m, t, i in BASE_1W1S]
+        lot = tmp_path / "lot.csv"
+        lot.write_text(
+            "units: tosc=s current=A\n"
+            "columns: die geometry fanout mode tosc ieff\n"
+            + "".join(f"{die},1W1S,{','.join(row)}\n"
+                      for die, rows in (("A", die_a), ("B", die_b)) for row in rows)
+        )
+        out = tmp_path / "bins.json"
+        code = main(
+            [
+                "binning",
+                "--config", workspace["config"],
+                "--measurements", str(lot),
+                "--geometry", "1W1S",
+                "--format", "json",
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert f"error: die B: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_geometry(self, workspace, capsys):
         code = main(
             [
@@ -789,3 +874,87 @@ class TestTopLevel:
         assert code == 0
         assert "warning:" in captured.err
         assert "colour" in captured.err
+
+
+def call(argv, capsys):
+    """What one main() call returns, or the code it exits with, and what it
+    printed."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+EXTRACT = ["--config", "{config}", "--measurements", "{measurements}"]
+#: Two calls in one process and what the second must show of its own
+#: arguments; {placeholders} name workspace paths.
+SEQUENCES = {
+    "geometry, then every geometry": (
+        ["report", *EXTRACT, "--geometry", "1W1S"], ["report", *EXTRACT],
+        lambda code, out, err: code == 0 and "geometry 1W2S" in out,
+    ),
+    "every geometry, then one": (
+        ["report", *EXTRACT], ["report", *EXTRACT, "--geometry", "1W1S"],
+        lambda code, out, err: code == 0 and out.count("geometry") == 1,
+    ),
+    "report, then extract": (
+        ["report", *EXTRACT], ["extract", *EXTRACT],
+        lambda code, out, err: out == (GOLDEN / "extract.txt").read_text(),
+    ),
+    "one die, then no die": (
+        ["extract", "--config", "{config}", "--measurements", "{two_die}", "--die", "D1"],
+        ["extract", "--config", "{config}", "--measurements", "{two_die}"],
+        lambda code, out, err: code == 3 and "pass --die" in err,
+    ),
+    "usage error, then a good call": (
+        ["report", "--config"], ["report", *EXTRACT],
+        lambda code, out, err: code == 0 and out == (GOLDEN / "report.txt").read_text(),
+    ),
+    "version, then help": (
+        ["--version"], ["--help"],
+        lambda code, out, err: code == "SystemExit(0)" and out.startswith("usage:"),
+    ),
+}
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_calls_stay_independent(self, workspace, capsys, monkeypatch, name):
+        """Calls through the one shared parser return and print what each
+        gets from a parser of its own."""
+        *argvs, second_is_own = SEQUENCES[name]
+        argvs = [[arg.format(**workspace) for arg in argv] for argv in argvs]
+        shared = [call(argv, capsys) for argv in argvs]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [call(argv, capsys) for argv in argvs]
+        assert shared == fresh
+        assert second_is_own(*shared[1])
+
+    def test_parser_built_once(self, workspace, capsys, monkeypatch):
+        """Repeated main() calls build the argument parser at most once."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        argv = [arg.format(**workspace) for arg in ["extract", *EXTRACT]]
+        for _ in range(3):
+            assert main(argv) == 0
+        assert built.count("ringrc") <= 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_not_built_at_import(self):
+        """Importing the CLI builds no parser; the first main() call does."""
+        src = pathlib.Path(cli.__file__).parents[1]
+        probe = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import ringrc.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "0\n"

@@ -10,6 +10,7 @@ from ringrc import (
     MeasurementRecord,
     Measurements,
     MissingRecordError,
+    NumericError,
     ParasiticSet,
     RoConfig,
     SpecTable,
@@ -277,6 +278,40 @@ class TestExtractAll:
         with pytest.raises(ExtractionDomainError, match="^die <blank>: FO2"):
             extract_all(Measurements.from_records(ok + blank), CONFIG)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # 2 * i_eff overflows, so r_sw = v_dd / inf = 0
+            ("i_eff", 1e308, "r_sw = 0.0"),
+            # v_dd / (2 * i_eff) overflows
+            ("i_eff", 1e-310, "r_sw = inf"),
+            # the out-of-phase and quiet FO1 stage delays underflow to 0
+            ("t_osc", 1e-320, "stage delay t_o = 0.0"),
+        ],
+    )
+    def test_over_and_underflow_are_domain_errors(self, field, value, message):
+        """Measurements that over- or underflow a formula raise a domain
+        error naming the value, alone and, prefixed with the die, in a lot."""
+        def degenerate(die):
+            return [
+                r._replace(**{field: value})
+                if field == "i_eff" or r.mode is not CrosstalkMode.IN_PHASE else r
+                for r in rows_for("1W1S", die=die)
+            ]
+        with pytest.raises(ExtractionDomainError, match=f"^{message}: the measurements"):
+            extract_one(degenerate(""))
+        lot = Measurements.from_records(rows_for("1W1S", die="A") + degenerate("B"))
+        with pytest.raises(ExtractionDomainError, match=f"^die B: {message}: "):
+            extract_all(lot, CONFIG)
+
+    def test_extracted_values_are_finite_and_positive(self):
+        """A value that over- or underflows after r_sw and the stage delays
+        (here c_s = t_osc * i_eff / (2 n m v_dd) overflows) is also named."""
+        rows = [r._replace(t_osc=r.t_osc * 1e23) for r in rows_for("1W1S")]
+        rows = [r._replace(i_eff=r.i_eff * 1e300) for r in rows]
+        with pytest.raises(ExtractionDomainError, match="^c_s = inf: "):
+            extract_one(rows)
+
 
 # Published values for the same structures: this chain's results and an
 # earlier single-oscillator method, with the shared design targets.
@@ -361,6 +396,15 @@ class TestCompareToSpec:
         result = extract_all(records_for("1W1S"), CONFIG)[""]
         with pytest.raises(ValidationError, match="mismatch"):
             compare_to_spec(result, TARGETS["1W2S"], geometry="1W2S")
+
+    def test_overflowing_error_rejected(self):
+        """A value so far from its target that the relative error overflows
+        is a numeric error naming the value, not an infinite error."""
+        with pytest.raises(NumericError, match=r"^c_total = 1e\+300 is too far"):
+            compare_to_spec(ParasiticSet(c_total=1e300), ParasiticSet(c_total=1e-14))
+        far = ParasiticSet(c_total=1e-14, r_sw=1e300)
+        with pytest.raises(NumericError, match=r"^r_sw = 1e\+300 is too far"):
+            compare_to_spec(far, ParasiticSet(c_total=1e-14, r_sw=1e-300))
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError, match="zero"):

@@ -1,8 +1,12 @@
 """Property-based tests: parser robustness, the lump oracle on random lines
 and report emission."""
 
+import importlib.resources
+import pathlib
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringrc import (
@@ -40,6 +44,7 @@ from ringrc import (
     switching_resistance,
     synthesize_measurements,
 )
+from ringrc.cli import main
 
 # Text built from the grammar's own pieces, so generated files get past the
 # declarations and reach the number, unit, column and record checks.
@@ -459,3 +464,72 @@ def _scalar_extraction(rows, rsw_mode):
     return [r_sw, stage_capacitance(inp_fo1.t_osc, inp_fo1.i_eff, CONFIG), c_gate,
             c_int, c_gate + c_int, ground_capacitance(t_o, t_q, r_sw),
             coupling_capacitance(t_o, t_q, r_sw)]
+
+
+# ---------------------------------------------------------------------------
+# extreme magnitudes through the command line
+
+#: Positive floats from the smallest subnormal to the largest finite value.
+MAGNITUDES = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                       st.floats(1.0, 9.99), st.integers(-323, 307))
+MAGNITUDES |= st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+#: The bundled 1W1S records (fanout, mode, t_osc, i_eff), relative to FO1 in-phase.
+RATIOS = (
+    ("FO1", "in_phase", 1.0, 1.0),
+    ("FO1", "out_of_phase", 88.39 / 81.66, 990.63 / 891.50),
+    ("FO1", "quiet", 82.31 / 81.66, 503.47 / 891.50),
+    ("FO2", "in_phase", 101.35 / 81.66, 1388.00 / 891.50),
+)
+#: One die: a t_osc and an i_eff scale for those records, and up to two
+#: (record, column) cells replaced by a magnitude of their own.
+EXTREME_DIE = st.tuples(
+    MAGNITUDES,
+    MAGNITUDES,
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 1)), MAGNITUDES,
+                    max_size=2),
+)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _numbers(item)
+    elif isinstance(node, float):
+        yield node
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(EXTREME_DIE, min_size=1, max_size=2))
+# a relative error against a target overflows; a delay proxy underflows
+@example([(1.0, 1e299, {})])
+@example([(81.66e-9, 891.5e-6, {}),
+          (1e-318, 4.5e299, {(1, 0): 88.39e-9, (2, 0): 82.31e-9})])
+def test_extreme_magnitudes_end_in_a_documented_exit(dies):
+    """Periods and currents anywhere in the float range make `report` on
+    one die and `binning` on a 2-die lot exit 0, 3 or 4, never raise; on
+    exit 0 every reported value is finite and the JSON round-trips, and
+    otherwise no report is written."""
+    lines = ["units: tosc=s current=A", "columns: die geometry fanout mode tosc ieff"]
+    for index, (t_scale, i_scale, cells) in enumerate(dies):
+        for record, (fanout, mode, t_ratio, i_ratio) in enumerate(RATIOS):
+            values = [cells.get((record, 0), t_scale * t_ratio),
+                      cells.get((record, 1), i_scale * i_ratio)]
+            t_osc, i_eff = np.clip(values, 5e-324, np.finfo(float).max).tolist()
+            lines.append(f"D{index},1W1S,{fanout},{mode},{t_osc!r},{i_eff!r}")
+    config = importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg")
+    with tempfile.TemporaryDirectory() as tmp:
+        measurements, out = pathlib.Path(tmp, "m.csv"), pathlib.Path(tmp, "r.json")
+        measurements.write_text("\n".join(lines) + "\n")
+        command = ["report"] if len(dies) == 1 else ["binning", "--geometry", "1W1S"]
+        code = main([*command, "--config", str(config), "--measurements",
+                     str(measurements), "--format", "json", "--out", str(out)])
+        assert code in (0, 3, 4)
+        if code:
+            assert not out.exists()
+            return
+        text = out.read_text()
+    payload = parse_report(text)
+    assert emit_report_json(payload) == text
+    assert all(np.isfinite(list(_numbers(payload))))
