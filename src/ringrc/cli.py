@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parse/input errors, 3 validation errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -238,7 +239,9 @@ def _cmd_binning(args: argparse.Namespace) -> int:
         )
     ro_config = config.ro_config(args.geometry)
     results = extract_all(lot, ro_config, rsw_mode=config.rsw_mode)
-    per_die = {die or "<blank>": result for die, result in results.items()}
+    die = results.die.copy()
+    die[die == ""] = "<blank>"
+    per_die = dataclasses.replace(results, die=die)
     _emit(emit_binning(monitor_binning(per_die), fmt=args.format), args.out)
     return 0
 

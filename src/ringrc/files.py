@@ -38,6 +38,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacitance import CapacitanceSet, CrosstalkMode
 from .errors import ParseError, ValidationError
 from .extraction import ParasiticSet, SpecTable
@@ -86,42 +88,78 @@ def _strip(raw: str) -> str:
     return raw.partition("#")[0].strip()
 
 
+#: Data rows the bulk parser tokenizes at a time: one join and one split per
+#: chunk, so only one chunk's token strings are alive at once.
+_CHUNK_ROWS = 4096
+#: Bodies of fewer lines are parsed row by row: below ~40 rows the bulk
+#: parser's fixed cost, some 70 us of numpy calls, exceeds what it saves.
+_BULK_MIN_LINES = 48
+
+
 def parse_measurements(text: str) -> Measurements:
-    """Parse measurement text into a table (SI units). Each row is checked
-    once, as it is read: field count, mode, fanout, numbers (finite, then
-    t_osc and i_eff > 0), then that its (die, geometry, fanout, mode) is
-    new; a ParseError names the first offending 1-based line."""
+    """Parse measurement text into a table (SI units) by _parse_rows' rules;
+    a ParseError names the first faulty 1-based line. Longer bodies are read
+    in bulk: one split per chunk of rows, one conversion and range check per
+    number column, labels coded as integers so that one sort of combined keys
+    finds duplicates. If a check fails, _parse_rows finds the faulty line."""
+    lines = text.splitlines()
+    units, columns, start = _declarations(lines)
+    if len(lines) - start >= _BULK_MIN_LINES:
+        table = _parse_bulk(lines, units, columns, start)
+        if table is not None:
+            return table
+    return _parse_rows(lines, units, columns, start)
+
+
+def _declarations(lines: list[str]) -> tuple[dict[str, float], list[str], int]:
+    """The units and columns declared before the first data row, and the
+    index of that row in lines."""
     units: dict[str, float] | None = None
     columns: list[str] | None = None
-    die, geometry, fanout, mode = [], [], [], []
-    t_osc, i_eff, lines = array("d"), array("d"), array("q")
-    # Keyed by interned strings: their hashes are cached, and no row
-    # keeps a string of its own alive.
-    seen: dict[tuple[str, str, str, str], int] = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+    for index, raw in enumerate(lines):
+        line, lineno = _strip(raw), index + 1
         if not line:
             continue
         if line.startswith("units:"):
             if units is not None:
                 raise ParseError("duplicate units declaration", lineno)
             units = _parse_units(line[len("units:") :], lineno)
-            tosc_scale, current_scale = units["tosc"], units["current"]
-            continue
-        if line.startswith("columns:"):
+        elif line.startswith("columns:"):
             if columns is not None:
                 raise ParseError("duplicate columns declaration", lineno)
             columns = _parse_columns(line[len("columns:") :], lineno)
-            at = {name: index for index, name in enumerate(columns)}.get
-            (die_at, geometry_at, fanout_at, mode_at,
-             tosc_at, ieff_at, idda_at, iddq_at) = map(at, _MEAS_COLUMNS)
-            continue
-        if units is None:
+        elif units is None:
             raise ParseError("data row before the units declaration", lineno)
-        if columns is None:
+        elif columns is None:
             raise ParseError("data row before the columns declaration", lineno)
+        else:
+            return units, columns, index
+    raise ParseError("no data rows found", None)
 
+
+def _parse_rows(
+    lines: list[str], units: dict[str, float], columns: list[str], start: int
+) -> Measurements:
+    """The parser's rules, applied one row at a time from lines[start]:
+    field count, mode, fanout, numbers (finite, then t_osc and i_eff > 0),
+    then that the row's (die, geometry, fanout, mode) is new. The first
+    faulty line raises its ParseError."""
+    tosc_scale, current_scale = units["tosc"], units["current"]
+    at = {name: index for index, name in enumerate(columns)}.get
+    (die_at, geometry_at, fanout_at, mode_at,
+     tosc_at, ieff_at, idda_at, iddq_at) = map(at, _MEAS_COLUMNS)
+    die, geometry, fanout, mode = [], [], [], []
+    t_osc, i_eff, linenos = array("d"), array("d"), array("q")
+    # Keyed by interned strings: their hashes are cached, and no row
+    # keeps a string of its own alive.
+    seen: dict[tuple[str, str, str, str], int] = {}
+
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = _strip(raw)
+        if not line:
+            continue
+        if line.startswith(("units:", "columns:")):
+            raise ParseError(f"duplicate {line.partition(':')[0]} declaration", lineno)
         fields = line.split(",")
         if len(fields) != len(columns):
             raise ParseError(
@@ -171,10 +209,80 @@ def parse_measurements(text: str) -> Measurements:
         mode.append(row_mode)
         t_osc.append(row_t_osc)
         i_eff.append(row_i_eff)
-        lines.append(lineno)
-    if not lines:
-        raise ParseError("no data rows found", None)
-    return Measurements.from_columns(die, geometry, fanout, mode, t_osc, i_eff, lines)
+        linenos.append(lineno)
+    return Measurements.from_columns(die, geometry, fanout, mode, t_osc, i_eff, linenos)
+
+
+def _fields(rows: list[str], width: int) -> list[str] | None:
+    """The fields of rows, row after row, if no row holds a comment or a
+    declaration and each has width fields; else None. Each row after the
+    first is joined with a leading newline, so its first field and no
+    other holds one: counting those checks every row's field count."""
+    body = ",\n".join(rows)
+    fields = body.split(",")
+    if ("#" in body or "units:" in body or "columns:" in body
+            or len(fields) != width * len(rows)
+            or "".join(fields[width::width]).count("\n") != len(rows) - 1):
+        return None
+    return fields
+
+
+def _parse_bulk(
+    lines: list[str], units: dict[str, float], columns: list[str], start: int
+) -> Measurements | None:
+    """_parse_rows' table from chunked, vectorized checks of the rows from
+    lines[start], or None if a check fails."""
+    width, lookup = len(columns), {"die": sys.intern, "geometry": sys.intern,
+                                   "fanout": _FANOUTS.get, "mode": _MODES.get}
+    # per label column: raw token -> code of its stripped label, and label -> code
+    codes = {name: ({}, {}) for name in lookup if name in columns}
+    chunks: dict[str, list[np.ndarray]] = {name: [] for name in columns}
+    linenos = []
+    for begin in range(start, len(lines), _CHUNK_ROWS):
+        rows = lines[begin : begin + _CHUNK_ROWS]
+        numbered = np.arange(begin + 1, begin + 1 + len(rows))
+        fields = _fields(rows, width)
+        if fields is None:  # comments or blank lines, or a faulty row
+            kept = [(n, row) for n, row in zip(numbered.tolist(), map(_strip, rows)) if row]
+            numbered = np.array([n for n, _ in kept], dtype=np.int64)
+            fields = _fields([row for _, row in kept], width)
+            if fields is None:
+                return None
+        linenos.append(numbered)
+        for name, column in zip(columns, (fields[k::width] for k in range(width))):
+            if name not in codes:
+                try:
+                    chunks[name].append(np.array(column, dtype=np.float64))
+                except ValueError:
+                    return None
+                continue
+            known, labels = codes[name]
+            for token in set(column).difference(known):
+                label = lookup[name](token.strip())
+                if label is None:
+                    return None
+                known[token] = labels.setdefault(label, len(labels))
+            chunks[name].append(np.fromiter(map(known.__getitem__, column), np.int64,
+                                            len(column)))
+
+    column = {name: np.concatenate(parts) for name, parts in chunks.items()}
+    t_osc, current_scale = column["tosc"] * units["tosc"], units["current"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_eff = (column["ieff"] * current_scale if "ieff" in column
+                 else column["idda"] * current_scale - column["iddq"] * current_scale)
+    numbers = [column[name] for name in columns if name not in codes]
+    if not (np.isfinite(np.concatenate(numbers + [i_eff])).all()
+            and (t_osc > 0.0).all() and (i_eff > 0.0).all()):
+        return None
+    key, table = 0, {"die": np.full(len(t_osc), "", dtype=object)}
+    for name, (_, labels) in codes.items():
+        key = key * len(labels) + column[name]
+        table[name] = np.array(list(labels), dtype=object)[column[name]]
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        return None
+    return Measurements(table["die"], table["geometry"], table["fanout"], table["mode"],
+                        t_osc, i_eff, np.concatenate(linenos))
 
 
 def _parse_units(body: str, lineno: int) -> dict[str, float]:

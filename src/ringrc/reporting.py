@@ -1,12 +1,13 @@
 """Report generation: extraction tables, clock binning, model validation.
 
 Three output styles are supported for the tabular reports, and all three
-read one value table (`_VALUES` for extractions, the `DieBin` fields for
-binning). JSON is canonical (SI units, sorted keys, full float
-precision) so that emitting, parsing and re-emitting a report
-reproduces the bytes exactly. Text (the two-decimal femtofarad/ohm
-tables used in design reviews) and CSV (for spreadsheets) show the same
-values scaled to display units.
+read one value table (`_VALUES` for extractions, the `BinningReport`
+columns for binning, which text and CSV fill into one row template per
+die). JSON is canonical (SI units, sorted keys, full float precision) so
+that emitting, parsing and re-emitting a report reproduces the bytes
+exactly. Text (the two-decimal femtofarad/ohm tables used in design
+reviews; six significant digits for values outside 0.01 to 1e6) and CSV
+(for spreadsheets) show the same values scaled to display units.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .capacitance import AGGRESSOR_STEP, CrosstalkMode
 from .errors import NumericError, ValidationError
-from .extraction import ErrorReport, ExtractionResult
+from .extraction import ErrorReport, ExtractionResult, LotExtraction
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
 from .simulator import (
@@ -51,6 +52,12 @@ _VALUES = {
 
 # ---------------------------------------------------------------------------
 # extraction reports
+
+
+def _shown(value: float) -> str:
+    """A text-report value in display units, ten columns wide: two decimals
+    from 0.01 up to 1e6, six significant digits outside that range."""
+    return f"{value:>10.2f}" if 0.01 <= abs(value) < 1e6 else f"{value:>10.6g}"
 
 
 def emit_report(
@@ -102,7 +109,7 @@ def emit_report(
         if fmt == "text":
             out.append(f"\ngeometry {geometry}\n")
             out += [
-                f"  {name:<9} {getattr(result, attr) * scale:>10.2f} {unit}\n"
+                f"  {name:<9} {_shown(getattr(result, attr) * scale)} {unit}\n"
                 for name, (attr, unit, scale) in _VALUES.items()
             ]
         else:
@@ -127,8 +134,8 @@ def emit_report(
                     continue
                 _, unit, scale = _VALUES[name]
                 out.append(
-                    f"  {name + ' (' + unit + ')':<12} {extracted * scale:>10.2f}"
-                    f" {getattr(report.targets, name) * scale:>10.2f}"
+                    f"  {name + ' (' + unit + ')':<12} {_shown(extracted * scale)}"
+                    f" {_shown(getattr(report.targets, name) * scale)}"
                     f" {errors[name] * 100.0:>8.2f}\n"
                 )
         if report.delay_product_error is not None:
@@ -145,30 +152,26 @@ def emit_report(
 # multi-die clock binning
 
 
-@dataclass(frozen=True)
-class DieBin:
-    """Binning entry for one die.
+@dataclass(frozen=True, eq=False)
+class BinningReport:
+    """Clock binning of one geometry's dies, one array per field, dies
+    slowest first.
 
     delay_proxy is the r_sw * c_total product; scale is the slowest
-    die's proxy over this die's, so the slowest die sits at 1.0 and a
+    die's proxy over each die's, so the slowest die sits at 1.0 and a
     die that could run 25 % faster shows scale 1.25. normalized_runtime
     is the reciprocal (workload runtime relative to the slowest die at
     its matched clock) and improvement is scale - 1.
     """
 
-    die: str
-    r_sw: float
-    c_total: float
-    delay_proxy: float
-    scale: float
-    normalized_runtime: float
-    improvement: float
-
-
-@dataclass(frozen=True)
-class BinningReport:
     geometry: str
-    bins: tuple[DieBin, ...]
+    die: np.ndarray
+    r_sw: np.ndarray
+    c_total: np.ndarray
+    delay_proxy: np.ndarray
+    scale: np.ndarray
+    normalized_runtime: np.ndarray
+    improvement: np.ndarray
 
 
 def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
@@ -176,10 +179,11 @@ def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
 
     Args:
         results: extraction result per die label; all entries must be
-            for the same geometry.
+            for the same geometry. A LotExtraction is read column by
+            column.
 
     Returns:
-        BinningReport with dies ordered slowest first.
+        BinningReport with dies ordered slowest first, ties by label.
 
     Raises:
         ValidationError: if the mapping is empty or mixes geometries.
@@ -187,79 +191,73 @@ def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
     """
     if not results:
         raise ValidationError("no dies to bin")
-    geometries = {result.geometry for result in results.values()}
+    if isinstance(results, LotExtraction):
+        geometries, die = {results.geometry}, results.die
+        r_sw, c_total = results.r_sw, results.c_total
+    else:
+        geometries = {result.geometry for result in results.values()}
+        die = np.array(list(results), dtype=object)
+        r_sw, c_total = np.array([(r.r_sw, r.c_total) for r in results.values()]).T
     if len(geometries) != 1:
         raise ValidationError(
             f"binning requires a single geometry, got {sorted(geometries)}"
         )
-    proxies = {die: res.r_sw * res.c_total for die, res in results.items()}
-    slowest = max(proxies.values())
-    fastest = min(proxies, key=proxies.get)
-    if not (proxies[fastest] > 0.0 and slowest / proxies[fastest] < np.inf):
+    with np.errstate(over="ignore"):  # an infinite proxy fails the check below
+        proxy = r_sw * c_total
+    fastest = int(np.argmin(proxy))
+    slowest, low = float(proxy.max()), float(proxy[fastest])
+    if not (low > 0.0 and slowest / low < np.inf):
         raise NumericError(
-            f"die {fastest}: delay proxy r_sw * c_total = {proxies[fastest]!r} s "
+            f"die {die[fastest]}: delay proxy r_sw * c_total = {low!r} s "
             f"has no finite clock scale against the slowest die's {slowest!r} s"
         )
-    bins = []
-    for die in sorted(results, key=lambda d: (-proxies[d], d)):
-        result = results[die]
-        scale = slowest / proxies[die]
-        bins.append(
-            DieBin(
-                die=die,
-                r_sw=result.r_sw,
-                c_total=result.c_total,
-                delay_proxy=proxies[die],
-                scale=scale,
-                normalized_runtime=1.0 / scale,
-                improvement=scale - 1.0,
-            )
-        )
-    return BinningReport(geometry=geometries.pop(), bins=tuple(bins))
+    order = np.lexsort((die, -proxy))
+    proxy = proxy[order]
+    scale = slowest / proxy
+    return BinningReport(geometries.pop(), die[order], r_sw[order], c_total[order], proxy,
+                         scale, 1.0 / scale, scale - 1.0)
 
 
 def emit_binning(report: BinningReport, fmt: str = "text") -> str:
     """Render a binning report as text, CSV or canonical JSON.
 
-    JSON holds each DieBin's fields in SI units. Text and CSV format one
-    shared row per die: die, geometry, r_sw (ohm), c_total (fF), delay
-    proxy (ps), scale, runtime and gain (%).
+    JSON holds one entry per die with each of its columns, in SI units.
+    Text and CSV fill one row template per die: die, geometry (CSV only),
+    r_sw (ohm), c_total (fF), delay proxy (ps), scale, runtime and gain (%).
     """
     if fmt == "json":
-        bins = [vars(entry) for entry in report.bins]
+        columns = {name: column.tolist() for name, column in vars(report).items()
+                   if name != "geometry"}
+        bins = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
         return emit_report_json(
             {
                 "format": REPORT_FORMAT_TAG,
                 "binning": {"geometry": report.geometry, "bins": bins},
             }
         )
+    labels = [report.die]
     if fmt == "text":
         head = (
             f"clock binning for geometry {report.geometry}"
-            f" ({len(report.bins)} dies, slowest first)\n"
+            f" ({len(report.die)} dies, slowest first)\n"
             f"  {'die':<10} {'r_sw (ohm)':>11} {'c_total (fF)':>13}"
             f" {'proxy (ps)':>11} {'scale':>7} {'runtime':>8} {'gain %':>7}\n"
         )
-        row = (
-            "  {0:<10} {2:>11.2f} {3:>13.2f} {4:>11.4f} {5:>7.3f} {6:>8.3f}"
-            " {7:>7.2f}\n"
-        )
+        row = "  %-10s %11.2f %13.2f %11.4f %7.3f %8.3f %7.2f\n"
     elif fmt == "csv":
         head = (
             "die,geometry,r_sw_ohm,c_total_ff,delay_proxy_ps,"
             "scale,normalized_runtime,improvement_pct\n"
         )
-        row = "{0},{1},{2:.6g},{3:.6g},{4:.6g},{5:.6g},{6:.6g},{7:.6g}\n"
+        row = "%s,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n"
+        labels.append(np.full(len(report.die), report.geometry, dtype=object))
     else:
         raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
-    return head + "".join(
-        row.format(
-            entry.die, report.geometry, entry.r_sw, entry.c_total * 1e15,
-            entry.delay_proxy * 1e12, entry.scale, entry.normalized_runtime,
-            entry.improvement * 100.0,
-        )
-        for entry in report.bins
-    )
+    table = np.column_stack([
+        *labels, report.r_sw, report.c_total * 1e15, report.delay_proxy * 1e12,
+        report.scale, report.normalized_runtime, report.improvement * 100.0,
+    ])
+    return head + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

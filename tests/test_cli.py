@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ringrc import cli, parse_report
+from ringrc import cli, extraction, files, parse_report
 from ringrc.cli import main
 from ringrc.files import read_measurements
 
@@ -353,6 +353,30 @@ class TestExtract:
         assert f"error: {message}: " in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+
+    def test_extreme_values_stay_readable(self, workspace, capsys, tmp_path):
+        """A die with i_eff ~1e285 A extracts r_sw ~4.5e-286 ohm and
+        capacitances ~1e289 fF; the text report shows each with six
+        significant digits, the JSON value rounded."""
+        path = tmp_path / "extreme.csv"
+        path.write_text(
+            "units: tosc=s current=A\n"
+            "columns: geometry fanout mode tosc ieff\n"
+            + "".join(f"1W1S,{fanout},{mode},{tosc}e-9,1e285\n"
+                      for fanout, mode, tosc, _ in BASE_1W1S)
+        )
+        argv = ["extract", "--config", workspace["config"], "--measurements", str(path)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        values = parse_report(capsys.readouterr().out)["geometries"]["1W1S"]["extraction"]
+        rows = [line.split() for line in text.splitlines() if line.endswith(("ohm", "fF"))]
+        assert len(rows) == 7
+        for name, shown, unit in rows:
+            scale = 1.0 if unit == "ohm" else 1e15
+            assert shown == f"{values[name] * scale:.6g}"
+        assert rows[0] == ["r_sw", "4.5e-286", "ohm"]
 
 
 class TestReport:
@@ -828,6 +852,47 @@ class TestBinning:
         assert f"error: die B: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_fault_in_another_geometry_fails_the_call(self, workspace, capsys, tmp_path):
+        """Every row of the file is checked before one geometry is picked: a
+        lot whose only fault is a 1W1S row fails a 1W2S binning with exit
+        2, naming that row's line."""
+        dies = [(f"D{k}", 1.0 + 0.01 * k) for k in range(8)]
+        rows = lot_rows(dies) + lot_rows(dies, geometry="1W2S")
+        assert len(rows) >= files._BULK_MIN_LINES  # read in bulk
+        rows[5] = rows[5][:4] + ("-81.66",) + rows[5][5:]
+        out = tmp_path / "bins.txt"
+        argv = [
+            "binning",
+            "--config", workspace["config"],
+            "--measurements", write_lot(tmp_path / "lot.csv", rows),
+            "--geometry", "1W2S",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 8: t_osc must be finite and > 0, got -8.166e-08\n"
+        assert not out.exists()
+
+    def test_lot_builds_no_per_die_results(self, workspace, capsys, tmp_path, monkeypatch):
+        """binning reads the lot's columns from parse to report: no
+        ExtractionResult is built for any die."""
+        dies = [(f"D{k}", 1.0 + 0.01 * k) for k in range(20)] + [("", 0.9)]
+        lot = write_lot(tmp_path / "lot.csv", lot_rows(dies))
+        argv = ["binning", "--config", workspace["config"], "--measurements", lot,
+                "--geometry", "1W1S", "--format", "csv"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def per_die_result(*args, **kwargs):
+            raise AssertionError("an ExtractionResult was built")
+
+        monkeypatch.setattr(extraction, "ExtractionResult", per_die_result)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == want
+        assert out.count("\n") == 1 + len(dies)
+        assert "\n<blank>,1W1S," in out
 
     def test_missing_geometry(self, workspace, capsys):
         code = main(

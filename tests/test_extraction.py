@@ -259,6 +259,22 @@ class TestExtractAll:
             assert result == alone
             assert result.provenance["r_sw"] == (f"{die}/1W1S/FO1/in_phase",)
 
+    def test_lot_is_columns_behind_a_mapping(self):
+        """A lot's result holds one column per value in sorted die order;
+        looking a die up builds that die's ExtractionResult."""
+        rows = rows_for("1W1S", die="D2") + rows_for("1W1S", die="") + rows_for("1W1S", die="D1")
+        results = extract_all(Measurements.from_records(rows), CONFIG)
+        assert results.die.tolist() == ["", "D1", "D2"] == list(results)
+        assert results.geometry == "1W1S" and len(results) == 3
+        for name in ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling"):
+            column = getattr(results, name)
+            assert column.dtype == np.float64
+            assert column.tolist() == [getattr(results[die], name) for die in results]
+        assert results == dict(results.items())
+        assert "D3" not in results and results.get("D3") is None
+        with pytest.raises(KeyError):
+            results["D3"]
+
     def test_lot_errors_name_the_first_failing_die(self):
         """In a lot, the error raised is the one the first failing die in
         sorted order raises first, prefixed with that die's label."""

@@ -44,6 +44,7 @@ from ringrc import (
     switching_resistance,
     synthesize_measurements,
 )
+from ringrc import files
 from ringrc.cli import main
 
 # Text built from the grammar's own pieces, so generated files get past the
@@ -238,7 +239,7 @@ def test_extraction_report_round_trips(drawn):
     for (geometry, name, unit, extracted, *_), text_value in zip(values, shown):
         value = payload["geometries"][geometry]["extraction"][name] * UNIT_SCALE[unit]
         assert extracted == f"{value:.6g}"
-        assert text_value == f"{value:.2f}"
+        assert text_value == (f"{value:.2f}" if 0.01 <= abs(value) < 1e6 else f"{value:.6g}")
 
 
 #: Binning CSV column -> (JSON field, scale from the SI value).
@@ -353,6 +354,136 @@ def test_parser_reports_the_first_faulty_line(faults):
         assert messages[first] in str(exc)
     else:
         raise AssertionError("a faulty file parsed")
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, len(VALID_ROWS) - 1), st.sampled_from(FAULT_KINDS))
+def test_bulk_parser_defers_every_fault(index, kind):
+    """On a faulty file the bulk parser returns no table, so the row rules
+    run and name the first faulty line."""
+    rows = list(VALID_ROWS)
+    rows[index], _ = _inject(VALID_ROWS, index, kind)
+    text = (
+        "units: tosc=ns current=uA\ncolumns: die geometry fanout mode tosc ieff\n"
+        + "".join(",".join(row) + "\n" for row in rows)
+    )
+    assert _bulk(text) is None
+
+
+def test_bulk_parser_defers_faults_a_field_total_hides():
+    """Faults that leave a chunk's fields in a valid sequence still defer
+    to the row rules: a row whose last field opens the next row, and a row
+    that starts like a declaration."""
+    short, long = VALID_ROWS[3][:-1], VALID_ROWS[3][-1:] + VALID_ROWS[4]
+    declared = ("units:x",) + VALID_ROWS[3][1:]
+    for rows, message in [
+        ((short, long), "line 6: expected 6 fields"),
+        ((declared, VALID_ROWS[4]), "line 6: duplicate units declaration"),
+    ]:
+        text = "units: tosc=ns current=uA\ncolumns: die geometry fanout mode tosc ieff\n" + "".join(
+            ",".join(row) + "\n" for row in VALID_ROWS[:3] + list(rows) + VALID_ROWS[5:])
+        assert _bulk(text) is None
+        try:
+            parse_measurements(text)
+        except ParseError as exc:
+            assert str(exc).startswith(message)
+        else:
+            raise AssertionError("a faulty file parsed")
+
+
+# ---------------------------------------------------------------------------
+# the bulk parser gives the table the row rules give
+
+
+def _bulk(text):
+    lines = text.splitlines()
+    return files._parse_bulk(lines, *files._declarations(lines))
+
+
+def _rows(text):
+    lines = text.splitlines()
+    return files._parse_rows(lines, *files._declarations(lines))
+
+
+def assert_same_table(got, want):
+    """Every column equal, with the same dtype and element types."""
+    for name in ("die", "geometry", "fanout", "mode", "t_osc", "i_eff", "line"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+        assert list(map(type, a.tolist())) == list(map(type, b.tolist())), name
+
+
+#: Labels as the parser keeps them: no comma, comment or outer whitespace.
+CLEAN_LABELS = st.text("ABDSW12_-<>. ", max_size=5).map(str.strip)
+PADDING = st.sampled_from(["", "", " ", "\t", " \t "])
+AMOUNTS = st.floats(1e-3, 1e6).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.6g}", f"{x:.3e}", str(int(x) + 1)]))
+FILLERS = st.sampled_from(["", "   ", "# a comment", "\t# indented, with a comma", "#"])
+
+
+@st.composite
+def valid_measurement_files(draw):
+    """Measurement text every row of which is valid, laid out in any of
+    the ways the grammar allows."""
+    currents = draw(st.sampled_from([["ieff"], ["idda", "iddq"]]))
+    labelled = draw(st.booleans())
+    columns = draw(st.permutations(
+        ["die"] * labelled + ["geometry", "fanout", "mode", "tosc"] + currents))
+    keys = draw(st.lists(
+        st.tuples(CLEAN_LABELS if labelled else st.just(""), CLEAN_LABELS,
+                  st.sampled_from(Fanout), st.sampled_from(CrosstalkMode)),
+        min_size=1, max_size=60, unique=True))
+    lines = [draw(FILLERS),
+             "units: " + draw(st.sampled_from(
+                 ["tosc=ns current=uA", "tosc=s current=A", "current=mA tosc=ps"])),
+             "columns: " + " ".join(columns)]
+    for die, geometry, fanout, mode in keys:
+        iddq = draw(st.floats(0.0, 1.0))
+        ieff = draw(AMOUNTS)
+        value = {"die": die, "geometry": geometry, "fanout": fanout.value,
+                 "mode": mode.value, "tosc": draw(AMOUNTS), "ieff": ieff,
+                 "iddq": repr(iddq), "idda": repr(float(ieff) + iddq)}
+        row = ",".join(draw(PADDING) + value[name] + draw(PADDING) for name in columns)
+        if draw(st.booleans()):
+            lines.append(draw(FILLERS))
+        lines.append(row + draw(st.sampled_from(["", "  # note", "#x,y"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline * draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=150)
+@given(valid_measurement_files())
+def test_bulk_parser_agrees_with_the_row_rules(text):
+    """Valid files give the same table, column by column with dtypes and
+    line numbers, from the bulk parser, the row rules and
+    parse_measurements."""
+    want = _rows(text)
+    assert_same_table(_bulk(text), want)
+    assert_same_table(parse_measurements(text), want)
+
+
+def test_bulk_parser_across_a_chunk_boundary():
+    """A file longer than one chunk, with a comment line closing the first
+    chunk and a blank line opening the second, parses in bulk as the row
+    rules parse it."""
+    rows = [
+        f"D{k:04d},1W1S,{fanout.value},{mode.value},{80 + k % 7}.25,{900 + k % 5}.5"
+        for k in range(files._CHUNK_ROWS // 6 + 10)
+        for fanout in Fanout for mode in CrosstalkMode
+    ]
+    head = ["units: tosc=ns current=uA", "columns: die geometry fanout mode tosc ieff"]
+    first = files._CHUNK_ROWS - 1  # data rows before the comment in the first chunk
+    lines = head + rows[:first] + ["# closes the first chunk", ""] + rows[first:]
+    text = "\n".join(lines) + "\n"
+    bulk = _bulk(text)
+    assert bulk is not None
+    assert_same_table(bulk, _rows(text))
+    assert_same_table(parse_measurements(text), _rows(text))
+    assert len(bulk) == len(rows) > files._CHUNK_ROWS
+    boundary = len(head) + files._CHUNK_ROWS
+    assert lines[boundary - 1 : boundary + 1] == ["# closes the first chunk", ""]
+    assert bulk.line[first - 1 : first + 1].tolist() == [boundary - 1, boundary + 2]
 
 
 # ---------------------------------------------------------------------------

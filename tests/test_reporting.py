@@ -55,18 +55,14 @@ class TestBinning:
             "fast": make_result(die_r=1.0, c_total=0.8),
         }
         report = monitor_binning(results)
-        assert [entry.die for entry in report.bins] == ["slow", "fast"]
-        slow, fast = report.bins
-        assert slow.scale == 1.0
-        assert slow.improvement == 0.0
-        assert slow.normalized_runtime == 1.0
-        assert fast.scale == 1.25
-        assert fast.improvement == 0.25
-        assert fast.normalized_runtime == 0.8
+        assert report.die.tolist() == ["slow", "fast"]
+        assert report.scale.tolist() == [1.0, 1.25]
+        assert report.improvement.tolist() == [0.0, 0.25]
+        assert report.normalized_runtime.tolist() == [1.0, 0.8]
 
     def test_single_die(self):
         report = monitor_binning({"only": make_result()})
-        assert report.bins[0].scale == 1.0
+        assert report.scale.tolist() == [1.0]
         assert report.geometry == "1W1S"
 
     def test_proxy_combines_resistance_and_load(self):
@@ -76,9 +72,9 @@ class TestBinning:
             "b": make_result(die_r=1.0, c_total=1.0),
         }
         report = monitor_binning(results)
-        assert report.bins[0].scale == report.bins[1].scale == 1.0
+        assert report.scale.tolist() == [1.0, 1.0]
         # ties order by die label
-        assert [entry.die for entry in report.bins] == ["a", "b"]
+        assert report.die.tolist() == ["a", "b"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="no dies"):
@@ -178,6 +174,31 @@ class TestExtractionReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(self.results, fmt="pdf")
+
+    def test_text_shows_extremes_in_significant_digits(self):
+        """Values from 0.01 up to 1e6 display units keep two decimals; the
+        rest print six significant digits, not 0.00 or hundreds of digits."""
+        result = ExtractionResult(
+            geometry="1W1S", r_sw=4.5e-286, c_s=7.08854e273, c_gate=-3.4e-12,
+            c_int=0.01e-15, c_total=999999.994e-15, c_ground=1e6 * 1e-15,
+            c_coupling=0.009e-15,
+        )
+        spec = ParasiticSet(c_total=12.5e-15, r_sw=450.0)
+        text = emit_report({"1W1S": result}, {"1W1S": compare_to_spec(result, spec)})
+        shown = {cells[0]: cells[1:] for cells in map(str.split, text.splitlines())
+                 if cells and cells[-1] in ("ohm", "fF")}
+        assert shown == {
+            "r_sw": ["4.5e-286", "ohm"],
+            "c_s": ["7.08854e+288", "fF"],
+            "c_gate": ["-3400.00", "fF"],
+            "c_int": ["0.01", "fF"],
+            "c_total": ["999999.99", "fF"],
+            "c_ground": ["1e+06", "fF"],
+            "c_c": ["0.009", "fF"],
+        }
+        compared = [line for line in text.splitlines() if line.startswith("  r_sw (ohm)")]
+        assert compared[0].split()[2:4] == ["4.5e-286", "450.00"]
+        assert "\n  r_sw        4.5e-286 ohm\n" in text  # still ten columns wide
 
 
 class TestValidation:
