@@ -24,10 +24,10 @@ from .extraction import ErrorReport, ExtractionResult, LotExtraction
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
 from .simulator import (
+    SAMPLES,
     SimulationResult,
+    VictimStep,
     build_network,
-    crossing_time,
-    simulate_step,
     victim_delay,
 )
 
@@ -308,14 +308,6 @@ class ValidationOutcome:
         return all(g.passed for g in self.geometries)
 
 
-def _max_waveform_deviation(
-    line: LineRC, mode: CrosstalkMode, result: SimulationResult
-) -> float:
-    waveform = result.victim
-    analytic = step_response_victim(mode, line, waveform.times)
-    return float(np.max(np.abs(waveform.values - analytic))) / line.v_dd
-
-
 def validate_geometry(
     geometry: str,
     line: LineRC,
@@ -331,11 +323,14 @@ def validate_geometry(
     count.
     """
     net = build_network(line, 1)
+    modes = net.modes()
     max_dev, delays = {}, {}
     for mode in AGGRESSOR_STEP:
-        result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
-        max_dev[mode] = _max_waveform_deviation(line, mode, result)
-        delays[mode] = crossing_time(result, threshold_fraction * line.v_dd)
+        victim = VictimStep.of(net, DrivePattern.for_mode(mode, line.v_dd), modes)
+        values = victim.sample()
+        analytic = step_response_victim(mode, line, np.arange(SAMPLES) * victim.dt)
+        max_dev[mode] = float(np.max(np.abs(values - analytic))) / line.v_dd
+        delays[mode] = victim.crossing(threshold_fraction * line.v_dd, values)
     # the lump quiet delay is already in hand: simulate only the segmented line
     t_dist = victim_delay(line, CrosstalkMode.QUIET, segments, threshold_fraction)
     ratio = t_dist / delays[CrosstalkMode.QUIET]

@@ -12,6 +12,10 @@ generalized eigenproblem (Golub & Van Loan, Matrix Computations). With
 C = L L^T and eigh(L^-1 G L^-T) = Q diag(lambda) Q^T, every node voltage
 is V_inf - sum_k r_k exp(-lambda_k t), with residues r_k taken from the
 mode shapes L^-T Q and the drive projected onto them.
+
+Threshold delays (victim_delay) sample the victim alone, a block of the
+waveform grid at a time, up to the first block that reaches the threshold;
+they share simulate_step's sampler and equal its crossing bit for bit.
 """
 
 from __future__ import annotations
@@ -21,13 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacitance import CrosstalkMode
-from .errors import NoCrossingError
+from .errors import NoCrossingError, ValidationError
 from .lumpmodel import DrivePattern, LineRC, bisect_crossing
 
 #: Default simulation span, in units of the slowest time constant.
 T_END_FACTOR = 30.0
 #: Samples in every simulated waveform, spread uniformly over [0, t_end].
 SAMPLES = 8192
+#: Samples per block of a crossing scan. The bundled lines cross half swing at
+#: sample ~160 of the quiet 50-segment network, within the first block.
+_SCAN_BLOCK = 256
 
 
 @dataclass
@@ -141,57 +148,55 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
         raise ValueError(f"segments must be >= 1, got {segments}")
     n_seg = segments
     n_nodes = 3 * n_seg
-    r_seg = line.r / n_seg
-    c_seg = line.c / n_seg
+    g_seg = 1.0 / (line.r / n_seg)
     cc_seg = line.c_c / n_seg
-    g_seg = 1.0 / r_seg
-
-    cap = np.zeros((n_nodes, n_nodes))
-    cond = np.zeros((n_nodes, n_nodes))
+    try:
+        cap = np.zeros((n_nodes, n_nodes))
+        cond = np.zeros((n_nodes, n_nodes))
+    except MemoryError:
+        raise ValidationError(f"a {n_nodes}-node network is too large to allocate") from None
+    nodes = np.arange(n_nodes).reshape(3, n_seg)  # nodes[line, section]
+    cap[np.diag_indices(n_nodes)] = line.c / n_seg
+    # series resistances, then A-B and B-C coupling (line B sums in that order)
+    for matrix, i, j, value in (
+        (cond, nodes[:, :-1], nodes[:, 1:], g_seg),
+        (cap, nodes[0], nodes[1], cc_seg),
+        (cap, nodes[1], nodes[2], cc_seg),
+    ):
+        matrix[i, i] += value
+        matrix[j, j] += value
+        matrix[i, j] -= value
+        matrix[j, i] -= value
     src_g = np.zeros(n_nodes)
+    src_g[nodes[:, 0]] = g_seg
     src_line = np.full(n_nodes, -1, dtype=int)
-
-    def node(line_idx: int, seg_idx: int) -> int:
-        return line_idx * n_seg + seg_idx
-
-    for li in range(3):
-        src_g[node(li, 0)] = g_seg
-        src_line[node(li, 0)] = li
-        for k in range(n_seg):
-            cap[node(li, k), node(li, k)] += c_seg
-            if k + 1 < n_seg:
-                i, j = node(li, k), node(li, k + 1)
-                cond[i, i] += g_seg
-                cond[j, j] += g_seg
-                cond[i, j] -= g_seg
-                cond[j, i] -= g_seg
-    for li, lj in ((0, 1), (1, 2)):
-        for k in range(n_seg):
-            i, j = node(li, k), node(lj, k)
-            cap[i, i] += cc_seg
-            cap[j, j] += cc_seg
-            cap[i, j] -= cc_seg
-            cap[j, i] -= cc_seg
-
-    observed = (node(0, n_seg - 1), node(1, n_seg - 1), node(2, n_seg - 1))
+    src_line[nodes[:, 0]] = range(3)
     return NetworkStateSpace(
         capacitance=cap,
         conductance=cond,
         source_conductance=src_g,
         source_line=src_line,
-        observed=observed,
+        observed=tuple(nodes[:, -1].tolist()),
     )
+
+
+def _sample(rates: np.ndarray, residues: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Column i holds residues[i].sum() - residues[i] @ exp(-rates t) at
+    the ascending times. Modes are summed one at a time, each only over the
+    samples where it is still live: once rate * t >= 746, exp(-rate * t)
+    has underflowed to exactly 0.0 in IEEE double (it does past about
+    745.13), so the skipped terms are exact zeros."""
+    values = np.tile(residues.sum(axis=1), (len(times), 1))
+    lives = np.searchsorted(times, 746.0 / rates)
+    for rate, residue, live in zip(rates, residues.T, lives):
+        values[:live] -= np.exp(-rate * times[:live])[:, None] * residue
+    return values
 
 
 def simulate_step(
     net: NetworkStateSpace, drive: DrivePattern, t_end: float | None = None
 ) -> SimulationResult:
     """Sample the exact step response from an all-zero initial state.
-
-    Modes are summed one at a time (the work array stays samples x 3),
-    each only over the samples where it is still live: once rate * t >=
-    746, exp(-rate * t) has underflowed to exactly 0.0 in IEEE double (it
-    does past about 745.13), so the skipped terms are exact zeros.
 
     Args:
         net: network from build_network().
@@ -214,11 +219,7 @@ def simulate_step(
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
     dt = t_end / (SAMPLES - 1)
-    times = np.arange(SAMPLES) * dt
-    values = np.tile(residues.sum(axis=1), (SAMPLES, 1))
-    for rate, residue in zip(rates, residues.T):
-        live = np.searchsorted(times, 746.0 / rate)
-        values[:live] -= np.outer(np.exp(-rate * times[:live]), residue)
+    values = _sample(rates, residues, np.arange(SAMPLES) * dt)
     return SimulationResult(
         line_a=Waveform(dt, np.ascontiguousarray(values[:, 0]), "line_a"),
         line_b=Waveform(dt, np.ascontiguousarray(values[:, 1]), "line_b"),
@@ -228,25 +229,58 @@ def simulate_step(
     )
 
 
+@dataclass(frozen=True)
+class VictimStep:
+    """The victim's row (1 x mode) of simulate_step's residues, sampled on
+    a grid of SAMPLES points spaced dt, bit for bit as simulate_step does."""
+
+    rates: np.ndarray
+    residues: np.ndarray
+    dt: float
+
+    @classmethod
+    def of(cls, net: NetworkStateSpace, drive: DrivePattern, modes: tuple) -> VictimStep:
+        """On simulate_step's default grid, from modes = net.modes()."""
+        rates, shapes = modes
+        residues = shapes[[net.observed[1]]] * (shapes.T @ net._source_vector(drive) / rates)
+        return cls(rates, residues, T_END_FACTOR / rates[0] / (SAMPLES - 1))
+
+    def sample(self, first: int = 0, stop: int = SAMPLES) -> np.ndarray:
+        """Grid samples first .. stop - 1."""
+        return _sample(self.rates, self.residues, np.arange(first, stop) * self.dt)[:, 0]
+
+    def crossing(self, threshold: float, values: np.ndarray | None = None) -> float:
+        """First time the victim reaches the threshold: the first sample at
+        or above it, among `values` (the whole grid) or else the blocks of
+        the grid up to the first that reaches it, brackets the crossing, and
+        bisection locates it to float precision.
+
+        Raises:
+            NoCrossingError: if no sample reaches the threshold.
+        """
+        blocks = [(0, values)] if values is not None else (
+            (first, self.sample(first, min(first + _SCAN_BLOCK, SAMPLES)))
+            for first in range(0, SAMPLES, _SCAN_BLOCK)
+        )
+        for first, block in blocks:
+            above = np.flatnonzero(block >= threshold)
+            if len(above):
+                i = first + int(above[0])
+                if i == 0:
+                    return 0.0
+                lo, hi = (i - 1) * self.dt, i * self.dt
+                return bisect_crossing(self.rates, self.residues[0], threshold, lo, hi)
+        raise NoCrossingError(f"victim never reaches {threshold!r} V")
+
+
 def crossing_time(result: SimulationResult, threshold: float) -> float:
     """First time the victim reaches the threshold within the simulated span.
-
-    The first sample at or above the threshold brackets the crossing,
-    which bisection of the exact response then locates to float precision.
 
     Raises:
         NoCrossingError: if no sample reaches the threshold.
     """
-    above = np.flatnonzero(result.victim.values >= threshold)
-    if len(above) == 0:
-        raise NoCrossingError(f"victim never reaches {threshold!r} V")
-    i = int(above[0])
-    if i == 0:
-        return 0.0
-    dt = result.victim.dt
-    return bisect_crossing(
-        result.rates, result.residues[1], threshold, (i - 1) * dt, i * dt
-    )
+    victim = VictimStep(result.rates, result.residues[1:2], result.victim.dt)
+    return victim.crossing(threshold, result.victim.values)
 
 
 def victim_delay(
@@ -255,11 +289,13 @@ def victim_delay(
     segments: int = 1,
     threshold_fraction: float = 0.5,
 ) -> float:
-    """Simulated time for the victim to reach the threshold voltage."""
+    """Simulated time for the victim to reach the threshold voltage: bit
+    for bit crossing_time(simulate_step(build_network(line, segments),
+    drive), threshold_fraction * line.v_dd), raising where that raises."""
     net = build_network(line, segments)
     drive = DrivePattern.for_mode(mode, line.v_dd)
-    result = simulate_step(net, drive)
-    return crossing_time(result, threshold_fraction * line.v_dd)
+    victim = VictimStep.of(net, drive, net.modes())
+    return victim.crossing(threshold_fraction * line.v_dd)
 
 
 def quiet_delay_ratio(

@@ -585,6 +585,25 @@ class TestSimulate:
         assert "--t-end-ps must be finite and > 0" in captured.err
         assert "samples" not in captured.out
 
+    def test_unallocatable_segment_count_rejected(self, workspace, capsys):
+        """numpy refuses the 3e7-node matrices up front (6.4 PiB), so no
+        memory is touched; the request is a validation error, not a
+        traceback."""
+        code = main(
+            [
+                "simulate",
+                "--config", workspace["config"],
+                "--geometry", "1W1S",
+                "--mode", "quiet",
+                "--segments", "10000000",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "30000000-node network" in captured.err
+        assert "too large to allocate" in captured.err
+        assert captured.out == ""
+
     def test_unknown_geometry(self, workspace, capsys):
         code = main(
             [
@@ -643,6 +662,21 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == 3
         assert "overall: FAIL" in out
+
+
+    def test_unallocatable_segment_count_rejected(self, workspace, capsys, tmp_path):
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(
+            bundled_text("config_28nm.cfg").replace(
+                "segments = 50", "segments = 10000000"
+            )
+        )
+        out = tmp_path / "validation.txt"
+        code = main(["validate", "--config", str(huge), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "30000000-node network" in captured.err
+        assert not out.exists()
 
 
 class TestBinning:

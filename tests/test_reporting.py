@@ -1,5 +1,6 @@
 """Tests for report rendering, clock binning and model validation."""
 
+import importlib.resources
 import io
 import xml.etree.ElementTree as ET
 
@@ -10,12 +11,14 @@ from ringrc import (
     CrosstalkMode,
     DrivePattern,
     ExtractionResult,
+    GeometryValidation,
     LineRC,
     ParasiticSet,
     ValidationError,
     ValidationOutcome,
     build_network,
     compare_to_spec,
+    crossing_time,
     emit_binning,
     emit_report,
     format_validation_text,
@@ -24,12 +27,17 @@ from ringrc import (
     quiet_delay_ratio,
     run_validation,
     simulate_step,
+    step_response_victim,
     validate_geometry,
     waveform_csv,
     waveform_svg,
 )
+from ringrc.files import parse_config
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
+BUNDLED_LINES = parse_config(
+    importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg").read_text()
+).lines
 
 
 def make_result(geometry="1W1S", die_r=504.0, c_total=12.6e-15):
@@ -221,6 +229,34 @@ class TestValidation:
             <= delays[CrosstalkMode.QUIET]
             <= delays[CrosstalkMode.OUT_OF_PHASE]
         )
+
+    @pytest.mark.parametrize("geometry", ["1W1S", "1W2S"])
+    def test_equals_full_waveform_reference(self, geometry):
+        """The victim-only checks give exactly what full three-line
+        simulations, their crossings and their sampled deviations give, so
+        the validate text is unchanged to the byte."""
+        line = BUNDLED_LINES[geometry]
+        net = build_network(line, 1)
+        max_dev, delays = {}, {}
+        for mode in (
+            CrosstalkMode.IN_PHASE,
+            CrosstalkMode.QUIET,
+            CrosstalkMode.OUT_OF_PHASE,
+        ):
+            result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
+            victim = result.victim
+            analytic = step_response_victim(mode, line, victim.times)
+            max_dev[mode] = float(np.max(np.abs(victim.values - analytic))) / line.v_dd
+            delays[mode] = crossing_time(result, 0.5 * line.v_dd)
+        distributed = simulate_step(
+            build_network(line, 20),
+            DrivePattern.for_mode(CrosstalkMode.QUIET, line.v_dd),
+        )
+        ratio = crossing_time(distributed, 0.5 * line.v_dd) / delays[CrosstalkMode.QUIET]
+        want = GeometryValidation(geometry, max_dev, delays, 20, ratio)
+        got = validate_geometry(geometry, line, segments=20)
+        assert got == want
+        assert list(got.max_dev) == list(want.max_dev)
 
     def test_run_validation_orders_geometries(self):
         lines = {

@@ -1,7 +1,11 @@
 """Tests for the state-space transient oracle."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringrc import (
     CrosstalkMode,
@@ -9,6 +13,7 @@ from ringrc import (
     LineRC,
     NetworkStateSpace,
     NoCrossingError,
+    ValidationError,
     build_network,
     crossing_time,
     frequency_response,
@@ -20,9 +25,13 @@ from ringrc import (
     transfer_eval,
     victim_delay,
 )
-from ringrc.simulator import SAMPLES
+from ringrc.files import parse_config
+from ringrc.simulator import SAMPLES, VictimStep
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
+BUNDLED_LINES = parse_config(
+    importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg").read_text()
+).lines
 
 
 def random_line(rng):
@@ -33,7 +42,64 @@ def random_line(rng):
     return LineRC(r=r, c=c, c_c=c_c, v_dd=v_dd)
 
 
+def reference_network(line, segments):
+    """Element-by-element assembly: each element stamped into the matrices
+    one entry at a time."""
+    n_seg = segments
+    n_nodes = 3 * n_seg
+    r_seg = line.r / n_seg
+    c_seg = line.c / n_seg
+    cc_seg = line.c_c / n_seg
+    g_seg = 1.0 / r_seg
+
+    cap = np.zeros((n_nodes, n_nodes))
+    cond = np.zeros((n_nodes, n_nodes))
+    src_g = np.zeros(n_nodes)
+    src_line = np.full(n_nodes, -1, dtype=int)
+
+    def node(line_idx, seg_idx):
+        return line_idx * n_seg + seg_idx
+
+    for li in range(3):
+        src_g[node(li, 0)] = g_seg
+        src_line[node(li, 0)] = li
+        for k in range(n_seg):
+            cap[node(li, k), node(li, k)] += c_seg
+            if k + 1 < n_seg:
+                i, j = node(li, k), node(li, k + 1)
+                cond[i, i] += g_seg
+                cond[j, j] += g_seg
+                cond[i, j] -= g_seg
+                cond[j, i] -= g_seg
+    for li, lj in ((0, 1), (1, 2)):
+        for k in range(n_seg):
+            i, j = node(li, k), node(lj, k)
+            cap[i, i] += cc_seg
+            cap[j, j] += cc_seg
+            cap[i, j] -= cc_seg
+            cap[j, i] -= cc_seg
+
+    observed = (node(0, n_seg - 1), node(1, n_seg - 1), node(2, n_seg - 1))
+    return cap, cond, src_g, src_line, observed
+
+
 class TestBuildNetwork:
+    @pytest.mark.parametrize("segments", [1, 2, 3, 7, 50])
+    @pytest.mark.parametrize("geometry", sorted(BUNDLED_LINES))
+    def test_matches_element_by_element_assembly(self, geometry, segments):
+        """The array assembly gives exactly the matrices of stamping each
+        element entry by entry, diagonal sums included."""
+        net = build_network(BUNDLED_LINES[geometry], segments)
+        cap, cond, src_g, src_line, observed = reference_network(
+            BUNDLED_LINES[geometry], segments
+        )
+        assert np.array_equal(net.capacitance, cap)
+        assert np.array_equal(net.conductance, cond)
+        assert np.array_equal(net.source_conductance, src_g)
+        assert np.array_equal(net.source_line, src_line)
+        assert net.source_line.dtype == src_line.dtype
+        assert net.observed == observed
+
     def test_lump_matrices(self):
         """Single-lump network: one node per line, coupling off-diagonals."""
         net = build_network(W1S, 1)
@@ -105,6 +171,12 @@ class TestBuildNetwork:
     def test_invalid_segments(self):
         with pytest.raises(ValueError):
             build_network(W1S, 0)
+
+    def test_unallocatable_network_is_a_validation_error(self):
+        """numpy refuses two 3e7 x 3e7 matrices up front, before
+        allocating anything."""
+        with pytest.raises(ValidationError, match="30000000-node network"):
+            build_network(W1S, 10_000_000)
 
 
 class TestSimulateStep:
@@ -295,6 +367,70 @@ class TestCrossingTime:
         # reachable, but not within the simulated span
         with pytest.raises(NoCrossingError):
             crossing_time(self.result(t_end=1e-13), 0.5)
+
+
+def crossing_or_none(delay):
+    """delay(), or None where it raises NoCrossingError."""
+    try:
+        return delay()
+    except NoCrossingError:
+        return None
+
+
+# r, c and c_c each over several decades
+RANDOM_LINES = st.builds(
+    lambda r, c, cc, v_dd: LineRC(r=10.0**r, c=10.0**c, c_c=10.0**cc, v_dd=v_dd),
+    st.floats(0.0, 5.0),
+    st.floats(-17.0, -12.0),
+    st.floats(-19.0, -11.0),
+    st.floats(0.5, 1.5),
+)
+JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+class TestVictimDelay:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        RANDOM_LINES,
+        st.integers(1, 60),
+        st.sampled_from(list(CrosstalkMode)),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+        ),
+    )
+    @example(W1S, 50, CrosstalkMode.QUIET, 0.5)
+    @example(W1S, 7, CrosstalkMode.OUT_OF_PHASE, JUST_BELOW_ONE)
+    def test_equals_full_waveform_crossing(self, line, segments, mode, fraction):
+        """The victim-only block scan returns exactly the full simulation's
+        crossing, and raises NoCrossingError in exactly the same cases."""
+        net = build_network(line, segments)
+        drive = DrivePattern.for_mode(mode, line.v_dd)
+        want = crossing_or_none(
+            lambda: crossing_time(simulate_step(net, drive), fraction * line.v_dd)
+        )
+        got = crossing_or_none(lambda: victim_delay(line, mode, segments, fraction))
+        assert got == want
+
+    @pytest.mark.parametrize("segments", [1, 50])
+    def test_threshold_just_below_the_rail_is_never_reached(self, segments):
+        """30 slow time constants settle to within ~1e-13 of the rail."""
+        for mode in CrosstalkMode:
+            with pytest.raises(NoCrossingError):
+                victim_delay(W1S, mode, segments, JUST_BELOW_ONE)
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_scan_brackets_at_block_edges(self, segments):
+        """Thresholds equal to samples at and next to block edges, and to
+        the last sample, give the full waveform's crossing."""
+        net = build_network(W1S, segments)
+        drive = DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd)
+        result = simulate_step(net, drive)
+        victim = VictimStep.of(net, drive, net.modes())
+        assert np.array_equal(victim.sample(), result.victim.values)
+        for index in (1, 255, 256, 257, 512, 4000, SAMPLES - 1):
+            threshold = result.victim.values[index]
+            assert victim.crossing(threshold) == crossing_time(result, threshold)
 
 
 class TestDistributedScaling:
