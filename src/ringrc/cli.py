@@ -208,7 +208,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         if not len(rows):
             raise ValidationError(f"no measurements for geometry {geometry!r}")
         ro_config = config.ro_config(geometry)
-        (result,) = extract_all(rows, ro_config, rsw_mode=config.rsw_mode).values()
+        (result,) = extract_all(rows, ro_config).values()
         results[geometry] = result
         if args.with_comparison:
             comparisons[geometry] = compare_to_spec(
@@ -238,7 +238,7 @@ def _cmd_binning(args: argparse.Namespace) -> int:
             "die label '<blank>' clashes with the label given to unlabelled rows"
         )
     ro_config = config.ro_config(args.geometry)
-    results = extract_all(lot, ro_config, rsw_mode=config.rsw_mode)
+    results = extract_all(lot, ro_config)
     die = results.die.copy()
     die[die == ""] = "<blank>"
     per_die = dataclasses.replace(results, die=die)

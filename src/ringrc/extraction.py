@@ -27,7 +27,8 @@ takes scalars or per-die arrays alike.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,7 @@ class SpecTable:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Full extraction for one geometry and die; rsw_mode names the FO1
-    record whose current gave r_sw, which fixes every value's provenance."""
+    """Full extraction for one geometry and die."""
 
     geometry: str
     r_sw: float
@@ -91,17 +91,15 @@ class ExtractionResult:
     c_ground: float
     c_coupling: float
     die: str = ""
-    rsw_mode: CrosstalkMode = CrosstalkMode.IN_PHASE
 
     @property
     def provenance(self) -> dict[str, tuple[str, ...]]:
         """Each extracted value's source record labels."""
-        inp_fo1, inp_fo2, oop_fo1, quiet_fo1, rsw = (
-            record_label(self.die, self.geometry, fanout, mode)
-            for fanout, mode in (*_REQUIRED, (Fanout.FO1, self.rsw_mode))
+        inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = (
+            record_label(self.die, self.geometry, fanout, mode) for fanout, mode in _REQUIRED
         )
-        pair, coupled = (inp_fo1, inp_fo2), (oop_fo1, quiet_fo1, rsw)
-        return {"r_sw": (rsw,), "c_s": (inp_fo1,), "c_gate": pair, "c_int": pair,
+        pair, coupled = (inp_fo1, inp_fo2), (oop_fo1, quiet_fo1, inp_fo1)
+        return {"r_sw": (inp_fo1,), "c_s": (inp_fo1,), "c_gate": pair, "c_int": pair,
                 "c_total": pair, "c_ground": coupled, "c_coupling": coupled}
 
     @property
@@ -120,7 +118,8 @@ class LotExtraction(Mapping[str, ExtractionResult]):
     """One geometry's extraction over a lot, column by column: the die
     labels in sorted order and one float64 column per extracted value,
     named as ExtractionResult's fields. As a mapping it takes a die label
-    to that die's ExtractionResult, built when it is looked up."""
+    to that die's ExtractionResult, built when it is looked up (the index
+    from label to row on the first lookup)."""
 
     geometry: str
     die: np.ndarray
@@ -131,22 +130,21 @@ class LotExtraction(Mapping[str, ExtractionResult]):
     c_total: np.ndarray
     c_ground: np.ndarray
     c_coupling: np.ndarray
-    rsw_mode: CrosstalkMode = CrosstalkMode.IN_PHASE
-    _rows: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", {d: row for row, d in enumerate(self.die.tolist())})
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {d: row for row, d in enumerate(self.die.tolist())}
 
     def __getitem__(self, die: str) -> ExtractionResult:
         row = self._rows[die]
         values = [getattr(self, name).item(row) for name in _VALUES]
-        return ExtractionResult(self.geometry, *values, die=die, rsw_mode=self.rsw_mode)
+        return ExtractionResult(self.geometry, *values, die=die)
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self.die.tolist())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.die)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,6 @@ class ErrorReport:
     are omitted. targets is the set the errors were taken against.
     """
 
-    geometry: str
     param_errors: dict[str, float]
     delay_product_error: float | None
     targets: ParasiticSet
@@ -264,20 +261,15 @@ _REQUIRED_CELLS = [_CELLS[pair] for pair in _REQUIRED]
 _VALUES = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling")
 
 
-def extract_all(
-    measurements: Measurements,
-    config: RoConfig,
-    rsw_mode: CrosstalkMode = CrosstalkMode.IN_PHASE,
-) -> LotExtraction:
+def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
     """Extract every die of one geometry's records, running the formulas
     once over per-die columns; one die is the length-1 case.
 
     Each die needs in-phase FO1 and FO2, out-of-phase and quiet FO1
-    records; rsw_mode picks the FO1 record whose current gives r_sw
-    (in-phase, the default, has the purely capacitive load the charge
-    balance assumes). Returns the dies' values as columns, a mapping from
-    each die label ("" if unlabelled), in sorted order, to its
-    ExtractionResult. A failing lot raises what its first
+    records; r_sw comes from the FO1 in-phase current, whose purely
+    capacitive load the charge balance assumes. Returns the dies' values
+    as columns, a mapping from each die label ("" if unlabelled), in
+    sorted order, to its ExtractionResult. A failing lot raises what its first
     failing die raises alone, naming the die when there are several.
     """
     if not len(measurements):
@@ -310,7 +302,6 @@ def extract_all(
         grid[key] = row
     # rows[slot][die]: the row holding that die's _REQUIRED[slot] record, or -1
     rows = [grid[cell::6] for cell in _REQUIRED_CELLS]
-    rsw_slot = _REQUIRED.index((Fanout.FO1, rsw_mode))
 
     def name(die: str) -> str:
         return f"die {die or '<blank>'}: " if len(dies) > 1 else ""
@@ -322,7 +313,7 @@ def extract_all(
         if stop - start == 1:  # one die: scalars cost less than length-1 arrays
             t_osc, i_eff = t_osc[:, 0], i_eff[:, 0]
         inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = t_osc
-        r_sw = switching_resistance(i_eff[rsw_slot], config.v_dd)
+        r_sw = switching_resistance(i_eff[0], config.v_dd)
         c_s = stage_capacitance(inp_fo1, i_eff[0], config)
         c_gate = gate_capacitance(inp_fo1, inp_fo2, r_sw, config)
         c_int = interconnect_capacitance(inp_fo1, inp_fo2, r_sw, config)
@@ -356,8 +347,7 @@ def extract_all(
                                  f"({fanout.value}, {mode.value}) is missing")
 
     columns = np.array(values).reshape(len(values), -1)
-    return LotExtraction(geometries.pop(), np.array(dies, dtype=object), *columns,
-                         rsw_mode=rsw_mode)
+    return LotExtraction(geometries.pop(), np.array(dies, dtype=object), *columns)
 
 
 def compare_to_spec(
@@ -377,7 +367,6 @@ def compare_to_spec(
                 f"geometry mismatch: result is {values.geometry!r}, "
                 f"targets are {geometry!r}"
             )
-        geometry = values.geometry
         values = values.parasitics
 
     def relative(name: str, value: float, target: float) -> float:
@@ -402,7 +391,6 @@ def compare_to_spec(
                                spec.r_sw * spec.c_total)
 
     return ErrorReport(
-        geometry=geometry,
         param_errors=param_errors,
         delay_product_error=delay_error,
         targets=spec,

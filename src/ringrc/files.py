@@ -19,7 +19,6 @@ per-geometry sections:
     n = 100                      # required
     m = 64                       # required
     v_dd = 0.9                   # required, volts
-    rsw_mode = in_phase
     threshold_fraction = 0.5
     segments = 50
     line.1W1S.r_ohm = 504        # per-stage line model
@@ -56,7 +55,6 @@ _SCALAR_KEYS = (
     "n",
     "m",
     "v_dd",
-    "rsw_mode",
     "threshold_fraction",
     "segments",
 )
@@ -149,7 +147,7 @@ def _parse_rows(
     (die_at, geometry_at, fanout_at, mode_at,
      tosc_at, ieff_at, idda_at, iddq_at) = map(at, _MEAS_COLUMNS)
     die, geometry, fanout, mode = [], [], [], []
-    t_osc, i_eff, linenos = array("d"), array("d"), array("q")
+    t_osc, i_eff = array("d"), array("d")
     # Keyed by interned strings: their hashes are cached, and no row
     # keeps a string of its own alive.
     seen: dict[tuple[str, str, str, str], int] = {}
@@ -209,8 +207,7 @@ def _parse_rows(
         mode.append(row_mode)
         t_osc.append(row_t_osc)
         i_eff.append(row_i_eff)
-        linenos.append(lineno)
-    return Measurements.from_columns(die, geometry, fanout, mode, t_osc, i_eff, linenos)
+    return Measurements.from_columns(die, geometry, fanout, mode, t_osc, i_eff)
 
 
 def _fields(rows: list[str], width: int) -> list[str] | None:
@@ -237,18 +234,13 @@ def _parse_bulk(
     # per label column: raw token -> code of its stripped label, and label -> code
     codes = {name: ({}, {}) for name in lookup if name in columns}
     chunks: dict[str, list[np.ndarray]] = {name: [] for name in columns}
-    linenos = []
     for begin in range(start, len(lines), _CHUNK_ROWS):
         rows = lines[begin : begin + _CHUNK_ROWS]
-        numbered = np.arange(begin + 1, begin + 1 + len(rows))
         fields = _fields(rows, width)
         if fields is None:  # comments or blank lines, or a faulty row
-            kept = [(n, row) for n, row in zip(numbered.tolist(), map(_strip, rows)) if row]
-            numbered = np.array([n for n, _ in kept], dtype=np.int64)
-            fields = _fields([row for _, row in kept], width)
+            fields = _fields([row for row in map(_strip, rows) if row], width)
             if fields is None:
                 return None
-        linenos.append(numbered)
         for name, column in zip(columns, (fields[k::width] for k in range(width))):
             if name not in codes:
                 try:
@@ -282,7 +274,7 @@ def _parse_bulk(
     if (key[1:] == key[:-1]).any():
         return None
     return Measurements(table["die"], table["geometry"], table["fanout"], table["mode"],
-                        t_osc, i_eff, np.concatenate(linenos))
+                        t_osc, i_eff)
 
 
 def _parse_units(body: str, lineno: int) -> dict[str, float]:
@@ -343,7 +335,6 @@ class ConfigFile:
     n: int
     m: int
     v_dd: float
-    rsw_mode: CrosstalkMode
     threshold_fraction: float
     segments: int
     lines: dict[str, LineRC]
@@ -400,16 +391,6 @@ def parse_config(text: str) -> ConfigFile:
         RoConfig(n=n, m=m, v_dd=v_dd)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-
-    entry = take("rsw_mode")
-    if entry is None:
-        rsw_mode = CrosstalkMode.IN_PHASE
-    elif entry[0] in _MODES:
-        rsw_mode = _MODES[entry[0]]
-    else:
-        raise ValidationError(
-            f"rsw_mode must be one of {', '.join(sorted(_MODES))}, got {entry[0]!r}"
-        )
 
     entry = take("threshold_fraction")
     threshold = 0.5 if entry is None else _float(entry[0], "threshold_fraction", entry[1])
@@ -511,7 +492,6 @@ def parse_config(text: str) -> ConfigFile:
         n=n,
         m=m,
         v_dd=v_dd,
-        rsw_mode=rsw_mode,
         threshold_fraction=threshold,
         segments=segments,
         lines=lines,
@@ -526,12 +506,13 @@ def _maybe_ff(fields: dict[str, float], key: str) -> float | None:
 
 
 def read_measurements(path: str) -> Measurements:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" writes
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_measurements(fh.read())
 
 
 def read_config(path: str) -> ConfigFile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read())
 
 

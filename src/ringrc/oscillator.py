@@ -109,8 +109,7 @@ class MeasurementRecord(NamedTuple):
 class Measurements:
     """Measured oscillations, column by column: die and geometry strings
     and fanout and mode members (object arrays), t_osc in seconds and
-    i_eff in amps (float64), and each row's 1-based line in its file (0
-    for rows built in code). Rows are checked once, where they are made."""
+    i_eff in amps (float64). Rows are checked once, where they are made."""
 
     die: np.ndarray
     geometry: np.ndarray
@@ -118,14 +117,13 @@ class Measurements:
     mode: np.ndarray
     t_osc: np.ndarray
     i_eff: np.ndarray
-    line: np.ndarray
 
     @classmethod
-    def from_columns(cls, die, geometry, fanout, mode, t_osc, i_eff, line):
+    def from_columns(cls, die, geometry, fanout, mode, t_osc, i_eff):
         """A table from one sequence per column."""
         labels = [np.array(c, dtype=object) for c in (die, geometry, fanout, mode)]
         return cls(*labels, np.array(t_osc, dtype=np.float64),
-                   np.array(i_eff, dtype=np.float64), np.array(line, dtype=np.int64))
+                   np.array(i_eff, dtype=np.float64))
 
     @classmethod
     def from_records(cls, records: Iterable[MeasurementRecord]) -> "Measurements":
@@ -136,7 +134,7 @@ class Measurements:
                 if not (math.isfinite(value) and value > 0.0):
                     raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         geometry, fanout, mode, t_osc, i_eff, die = zip(*rows) if rows else [()] * 6
-        return cls.from_columns(die, geometry, fanout, mode, t_osc, i_eff, [0] * len(die))
+        return cls.from_columns(die, geometry, fanout, mode, t_osc, i_eff)
 
     def __len__(self) -> int:
         return len(self.t_osc)

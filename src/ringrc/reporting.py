@@ -174,34 +174,20 @@ class BinningReport:
     improvement: np.ndarray
 
 
-def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
-    """Derive per-die clock scaling from extracted parasitics.
-
-    Args:
-        results: extraction result per die label; all entries must be
-            for the same geometry. A LotExtraction is read column by
-            column.
+def monitor_binning(lot: LotExtraction) -> BinningReport:
+    """Derive per-die clock scaling from one geometry's extracted lot,
+    read column by column.
 
     Returns:
         BinningReport with dies ordered slowest first, ties by label.
 
     Raises:
-        ValidationError: if the mapping is empty or mixes geometries.
+        ValidationError: if the lot has no dies.
         NumericError: if a die's scale against the slowest is not finite.
     """
-    if not results:
+    if not lot:
         raise ValidationError("no dies to bin")
-    if isinstance(results, LotExtraction):
-        geometries, die = {results.geometry}, results.die
-        r_sw, c_total = results.r_sw, results.c_total
-    else:
-        geometries = {result.geometry for result in results.values()}
-        die = np.array(list(results), dtype=object)
-        r_sw, c_total = np.array([(r.r_sw, r.c_total) for r in results.values()]).T
-    if len(geometries) != 1:
-        raise ValidationError(
-            f"binning requires a single geometry, got {sorted(geometries)}"
-        )
+    die, r_sw, c_total = lot.die, lot.r_sw, lot.c_total
     with np.errstate(over="ignore"):  # an infinite proxy fails the check below
         proxy = r_sw * c_total
     fastest = int(np.argmin(proxy))
@@ -214,7 +200,7 @@ def monitor_binning(results: Mapping[str, ExtractionResult]) -> BinningReport:
     order = np.lexsort((die, -proxy))
     proxy = proxy[order]
     scale = slowest / proxy
-    return BinningReport(geometries.pop(), die[order], r_sw[order], c_total[order], proxy,
+    return BinningReport(lot.geometry, die[order], r_sw[order], c_total[order], proxy,
                          scale, 1.0 / scale, scale - 1.0)
 
 

@@ -56,9 +56,9 @@ class NetworkStateSpace:
 
     def __post_init__(self):
         c, g = self.capacitance, self.conductance
-        # atol=0: the default absolute tolerance of 1e-8 would equate any
-        # two femtofarad entries
-        if not np.allclose(c, c.T, atol=0.0) or not np.allclose(g, g.T, atol=0.0):
+        # exactly: eigh reads one triangle, so any asymmetry would silently
+        # solve a different network
+        if not np.array_equal(c, c.T) or not np.array_equal(g, g.T):
             raise ValueError("network matrices must be symmetric")
         offdiag = np.abs(c).sum(axis=1) - np.abs(np.diag(c))
         if np.any(np.diag(c) < offdiag - 1e-30):

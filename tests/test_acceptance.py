@@ -16,8 +16,8 @@ from ringrc import (
     CapacitanceSet,
     CrosstalkMode,
     DrivePattern,
-    ExtractionResult,
     LineRC,
+    LotExtraction,
     ParasiticSet,
     RoConfig,
     SynthesisTruth,
@@ -86,7 +86,6 @@ def extractions():
         results[geometry] = extract_all(
             records.where("geometry", geometry),
             config.ro_config(geometry),
-            rsw_mode=config.rsw_mode,
         )[""]
     return results
 
@@ -308,21 +307,20 @@ class TestAcceptance:
         )
 
     def test_criterion_9_binning_arithmetic(self):
-        def die(name, c_total):
-            return ExtractionResult(
-                geometry="1W1S",
-                r_sw=1.0,
-                c_s=c_total / 2.0,
-                c_gate=c_total / 4.0,
-                c_int=3.0 * c_total / 4.0,
-                c_total=c_total,
-                c_ground=c_total / 2.0,
-                c_coupling=c_total / 2.0,
-            )
-
-        report = monitor_binning(
-            {"slow": die("slow", 1.0), "fast": die("fast", 0.8)}
+        c_total = np.array([1.0, 0.8])
+        lot = LotExtraction(
+            geometry="1W1S",
+            die=np.array(["slow", "fast"], dtype=object),
+            r_sw=np.ones(2),
+            c_s=c_total / 2.0,
+            c_gate=c_total / 4.0,
+            c_int=3.0 * c_total / 4.0,
+            c_total=c_total,
+            c_ground=c_total / 2.0,
+            c_coupling=c_total / 2.0,
         )
+
+        report = monitor_binning(lot)
         improvement = dict(zip(report.die.tolist(), report.improvement.tolist()))
         scale = dict(zip(report.die.tolist(), report.scale.tolist()))
         ok = (

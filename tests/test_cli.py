@@ -492,6 +492,36 @@ class TestGolden:
             (name == "c_total",) * 2 for name in names
         ]
 
+    @pytest.mark.parametrize("name", [n for n in sorted(GOLDEN_CASES)
+                                      if n.startswith(("report.", "extract.", "binning_lot40."))])
+    def test_byte_order_mark_changes_nothing(self, golden_inputs, capsys, tmp_path, name):
+        """Copies of the inputs that start with a UTF-8 byte-order mark, as
+        spreadsheet "CSV UTF-8" writes them, give the same bytes."""
+        inputs = dict(golden_inputs)
+        for key in ("config", "measurements", "lot40"):
+            path = tmp_path / f"bom-{key}"
+            path.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(inputs[key]).read_bytes())
+            inputs[key] = str(path)
+        out = render_golden(inputs, capsys, name)
+        assert out == render_golden(golden_inputs, capsys, name)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["txt", "csv", "json"])
+    def test_leftover_rsw_mode_key_only_warns(self, golden_inputs, capsys, tmp_path, fmt):
+        """R_sw always comes from the FO1 in-phase record: a config that
+        still sets rsw_mode gets one unknown-key warning and the same bytes."""
+        config = tmp_path / "rsw.cfg"
+        config.write_text(pathlib.Path(golden_inputs["config"]).read_text()
+                          + "rsw_mode = quiet\n")
+        inputs = {**golden_inputs, "config": str(config)}
+        assert main([arg.format(**inputs) for arg in GOLDEN_CASES[f"report.{fmt}"]]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / f"report.{fmt}").read_bytes().decode()
+        lineno = config.read_text().count("\n")
+        assert captured.err.startswith(
+            f"warning: line {lineno}: unknown key 'rsw_mode' ignored; known keys: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestSimulate:
     def test_lump_quiet_crossing(self, workspace, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the parasitic extraction chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,9 @@ def records_for(geometry):
     return Measurements.from_records(rows_for(geometry))
 
 
-def extract_one(rows, config=CONFIG, **kwargs):
+def extract_one(rows, config=CONFIG):
     """The extraction of a list of one die's records."""
-    (result,) = extract_all(Measurements.from_records(rows), config, **kwargs).values()
+    (result,) = extract_all(Measurements.from_records(rows), config).values()
     return result
 
 
@@ -207,18 +209,26 @@ class TestExtractAll:
         assert "1W1S/FO1/quiet" in result.provenance["c_coupling"]
         assert "1W1S/FO1/out_of_phase" in result.provenance["c_coupling"]
 
-    def test_rsw_mode_selects_current(self):
-        """Routing the resistance through the quiet record's current gives
-        the quiet-mode charge-balance resistance instead."""
-        records = records_for("1W1S")
-        default = extract_all(records, CONFIG)[""]
-        quiet = extract_all(records, CONFIG, rsw_mode=CrosstalkMode.QUIET)[""]
-        assert default.r_sw != quiet.r_sw
-        assert quiet.r_sw == pytest.approx(
-            switching_resistance(503.47e-6, 0.9), rel=1e-12
-        )
-        # the in-phase charge-balance values are untouched
-        assert quiet.c_s == default.c_s
+    def test_rsw_from_fo1_in_phase_current(self):
+        """r_sw of every die in a lot is the charge-balance resistance of
+        its FO1 in-phase current, whatever the other records' currents,
+        and its provenance names that record."""
+        rows = []
+        for k, die in enumerate(("D1", "D2", "D3")):
+            rows += [
+                r._replace(i_eff=r.i_eff * (1.0 + 0.1 * k + 0.03 * (r.fanout is Fanout.FO2)
+                                            + 0.01 * list(CrosstalkMode).index(r.mode)))
+                for r in rows_for("1W1S", die=die)
+            ]
+        results = extract_all(Measurements.from_records(rows), CONFIG)
+        assert len(results) == 3
+        for die, result in results.items():
+            (in_phase,) = [r for r in rows if r.die == die and r.fanout is Fanout.FO1
+                           and r.mode is CrosstalkMode.IN_PHASE]
+            assert result.r_sw == switching_resistance(in_phase.i_eff, CONFIG.v_dd)
+            assert result.provenance["r_sw"] == (in_phase.label(),)
+            assert result.provenance["c_coupling"][-1] == in_phase.label()
+        assert len(set(results.r_sw.tolist())) == 3
 
     def test_missing_record_is_named(self):
         rows = [
@@ -274,6 +284,18 @@ class TestExtractAll:
         assert "D3" not in results and results.get("D3") is None
         with pytest.raises(KeyError):
             results["D3"]
+
+    def test_lot_looks_dies_up_after_replace(self):
+        """A lot answers lookups, len and iteration as extract_all returns
+        it and after dataclasses.replace gives it new die labels."""
+        rows = rows_for("1W1S", die="D2") + rows_for("1W1S", die="D1")
+        lot = extract_all(Measurements.from_records(rows), CONFIG)
+        assert list(lot) == ["D1", "D2"] and len(lot) == 2
+        assert lot["D2"].r_sw == lot.r_sw[1]
+        relabelled = dataclasses.replace(lot, die=np.array(["E1", "E2"], dtype=object))
+        assert list(relabelled) == ["E1", "E2"] and len(relabelled) == 2
+        assert relabelled["E2"] == dataclasses.replace(lot["D2"], die="E2")
+        assert "D1" not in relabelled and "E1" not in lot
 
     def test_lot_errors_name_the_first_failing_die(self):
         """In a lot, the error raised is the one the first failing die in
@@ -367,7 +389,6 @@ class TestCompareToSpec:
     )
     def test_published_errors(self, geometry, ct_pct, rsw_pct, delay_pct):
         report = compare_to_spec(PUBLISHED[geometry], TARGETS[geometry], geometry)
-        assert report.geometry == geometry
         assert report.param_errors["c_total"] * 100 == pytest.approx(
             ct_pct, abs=0.005
         )
@@ -402,7 +423,6 @@ class TestCompareToSpec:
     def test_extraction_result_input(self):
         result = extract_all(records_for("1W1S"), CONFIG)[""]
         report = compare_to_spec(result, TARGETS["1W1S"])
-        assert report.geometry == "1W1S"
         assert set(report.param_errors) == {
             "c_total", "c_gate", "c_int", "c_c", "r_sw",
         }

@@ -168,7 +168,7 @@ class TestMeasurementRecord:
         table = Measurements.from_records(rows)
         assert list(table) == rows
         assert table.t_osc.dtype == np.float64
-        assert list(table.line) == [0, 0]
+        assert table.i_eff.dtype == np.float64
         assert list(table.where("die", "D1")) == rows[1:]
         assert list(table.take(np.array([1, 0]))) == rows[::-1]
 

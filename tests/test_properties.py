@@ -15,6 +15,7 @@ from ringrc import (
     ExtractionResult,
     Fanout,
     LineRC,
+    LotExtraction,
     Measurements,
     NumericError,
     ParasiticSet,
@@ -200,9 +201,9 @@ FINITE = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False)
 LABELS = st.text("ABDSW12_-<> ", max_size=6)
 #: CSV display unit -> scale from the SI value the JSON holds.
 UNIT_SCALE = {"ohm": 1.0, "fF": 1e15}
-#: ExtractionResult fields after the geometry: seven values, the die and
-#: the r_sw record's mode (which fix the provenance labels).
-RESULT_FIELDS = st.tuples(*[FINITE] * 7, LABELS, st.sampled_from(list(CrosstalkMode)))
+#: ExtractionResult fields after the geometry: seven values and the die
+#: (which fixes the provenance labels).
+RESULT_FIELDS = st.tuples(*[FINITE] * 7, LABELS)
 #: Per geometry: no comparison, or the ParasiticSet targets (full, partial
 #: or empty).
 COMPARISON = st.none() | st.tuples(*[st.none() | st.floats(1e-30, 1e30)] * 5)
@@ -265,10 +266,10 @@ BIN_COLUMNS = {
 def test_binning_report_round_trips(dies):
     """Binning JSON round-trips byte-identically and each CSV cell is the
     matching JSON field in display units."""
-    lot = {
-        die: ExtractionResult("1W1S", r_sw, 0.0, 0.0, 0.0, c_total, 0.0, 0.0)
-        for die, (r_sw, c_total) in dies.items()
-    }
+    r_sw, c_total = np.array(list(dies.values())).T
+    zeros = np.zeros(len(dies))
+    lot = LotExtraction("1W1S", np.array(list(dies), dtype=object), r_sw, zeros, zeros,
+                        zeros, c_total, zeros, zeros)
     report = monitor_binning(lot)
     text = emit_binning(report, "json")
     payload = parse_report(text)
@@ -407,7 +408,9 @@ def _rows(text):
 
 def assert_same_table(got, want):
     """Every column equal, with the same dtype and element types."""
-    for name in ("die", "geometry", "fanout", "mode", "t_osc", "i_eff", "line"):
+    assert list(vars(got)) == list(vars(want)) == [
+        "die", "geometry", "fanout", "mode", "t_osc", "i_eff"]
+    for name in vars(want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tolist() == b.tolist(), name
@@ -455,9 +458,8 @@ def valid_measurement_files(draw):
 @settings(deadline=None, max_examples=150)
 @given(valid_measurement_files())
 def test_bulk_parser_agrees_with_the_row_rules(text):
-    """Valid files give the same table, column by column with dtypes and
-    line numbers, from the bulk parser, the row rules and
-    parse_measurements."""
+    """Valid files give the same table, column by column with dtypes,
+    from the bulk parser, the row rules and parse_measurements."""
     want = _rows(text)
     assert_same_table(_bulk(text), want)
     assert_same_table(parse_measurements(text), want)
@@ -483,7 +485,6 @@ def test_bulk_parser_across_a_chunk_boundary():
     assert len(bulk) == len(rows) > files._CHUNK_ROWS
     boundary = len(head) + files._CHUNK_ROWS
     assert lines[boundary - 1 : boundary + 1] == ["# closes the first chunk", ""]
-    assert bulk.line[first - 1 : first + 1].tolist() == [boundary - 1, boundary + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +531,9 @@ def _die_rows(die, truth, noise, defect):
         min_size=1,
         max_size=8,
     ),
-    st.sampled_from(list(CrosstalkMode)),
     st.randoms(use_true_random=False),
 )
-def test_lot_extraction_equals_each_die_alone(dies, rsw_mode, random):
+def test_lot_extraction_equals_each_die_alone(dies, random):
     """Extracting a lot gives every die, bit for bit, the result it gets
     alone; a failing lot raises, prefixed with the die, the error of the
     first die in sorted order that fails alone."""
@@ -551,12 +551,12 @@ def test_lot_extraction_equals_each_die_alone(dies, rsw_mode, random):
     alone = {}
     for die in sorted(dies):
         try:
-            alone[die] = extract_all(lot.where("die", die), CONFIG, rsw_mode)[die]
+            alone[die] = extract_all(lot.where("die", die), CONFIG)[die]
         except (NumericError, ValidationError) as exc:
             alone[die] = exc
     failures = [die for die in sorted(dies) if isinstance(alone[die], Exception)]
     try:
-        results = extract_all(lot, CONFIG, rsw_mode)
+        results = extract_all(lot, CONFIG)
     except (NumericError, ValidationError) as exc:
         assert failures, exc
         want = alone[failures[0]]
@@ -568,7 +568,7 @@ def test_lot_extraction_equals_each_die_alone(dies, rsw_mode, random):
         assert list(results) == sorted(dies)
         for die, result in results.items():
             assert result == alone[die]
-            want = _scalar_extraction([r for r in rows if r.die == die], rsw_mode)
+            want = _scalar_extraction([r for r in rows if r.die == die])
             got = [getattr(result, name) for name in EXTRACTED]
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -576,7 +576,7 @@ def test_lot_extraction_equals_each_die_alone(dies, rsw_mode, random):
 EXTRACTED = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling")
 
 
-def _scalar_extraction(rows, rsw_mode):
+def _scalar_extraction(rows):
     """One die's values from the formulas on Python floats, record by
     record: the reference the array path must match bit for bit."""
     by_key = {(r.fanout, r.mode): r for r in rows}
@@ -587,7 +587,7 @@ def _scalar_extraction(rows, rsw_mode):
                              (Fanout.FO1, CrosstalkMode.OUT_OF_PHASE),
                              (Fanout.FO1, CrosstalkMode.QUIET))
     )
-    r_sw = switching_resistance(by_key[(Fanout.FO1, rsw_mode)].i_eff, CONFIG.v_dd)
+    r_sw = switching_resistance(inp_fo1.i_eff, CONFIG.v_dd)
     c_gate = gate_capacitance(inp_fo1.t_osc, inp_fo2.t_osc, r_sw, CONFIG)
     c_int = interconnect_capacitance(inp_fo1.t_osc, inp_fo2.t_osc, r_sw, CONFIG)
     t_o = oop_fo1.t_osc / CONFIG.period_scale

@@ -13,6 +13,8 @@ from ringrc import (
     ExtractionResult,
     GeometryValidation,
     LineRC,
+    LotExtraction,
+    NumericError,
     ParasiticSet,
     ValidationError,
     ValidationOutcome,
@@ -54,55 +56,48 @@ def make_result(geometry="1W1S", die_r=504.0, c_total=12.6e-15):
     )
 
 
+def make_lot(dies, geometry="1W1S"):
+    """A LotExtraction of die label -> (r_sw, c_total), in the given order."""
+    r_sw, c_total = np.array(list(dies.values()), dtype=np.float64).reshape(-1, 2).T
+    return LotExtraction(
+        geometry, np.array(list(dies), dtype=object), r_sw, c_total / 2.0, c_total / 4.0,
+        0.75 * c_total, c_total, c_total / 2.0, np.full(len(dies), 8.0e-15),
+    )
+
+
 class TestBinning:
     def test_two_die_scaling_is_exact(self):
         """A die whose delay proxy is 20 % lower can run 25 % faster; the
         arithmetic must be exact for these representable inputs."""
-        results = {
-            "slow": make_result(die_r=1.0, c_total=1.0),
-            "fast": make_result(die_r=1.0, c_total=0.8),
-        }
-        report = monitor_binning(results)
+        report = monitor_binning(make_lot({"slow": (1.0, 1.0), "fast": (1.0, 0.8)}))
         assert report.die.tolist() == ["slow", "fast"]
         assert report.scale.tolist() == [1.0, 1.25]
         assert report.improvement.tolist() == [0.0, 0.25]
         assert report.normalized_runtime.tolist() == [1.0, 0.8]
 
     def test_single_die(self):
-        report = monitor_binning({"only": make_result()})
+        report = monitor_binning(make_lot({"only": (504.0, 12.6e-15)}, geometry="1W2S"))
         assert report.scale.tolist() == [1.0]
-        assert report.geometry == "1W1S"
+        assert report.geometry == "1W2S"
 
     def test_proxy_combines_resistance_and_load(self):
-        results = {
-            # same product, different split: identical bins
-            "a": make_result(die_r=2.0, c_total=0.5),
-            "b": make_result(die_r=1.0, c_total=1.0),
-        }
-        report = monitor_binning(results)
+        # same product, different split: identical bins
+        report = monitor_binning(make_lot({"b": (1.0, 1.0), "a": (2.0, 0.5)}))
         assert report.scale.tolist() == [1.0, 1.0]
         # ties order by die label
         assert report.die.tolist() == ["a", "b"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="no dies"):
-            monitor_binning({})
+            monitor_binning(make_lot({}))
 
-    def test_mixed_geometry_rejected(self):
-        results = {
-            "a": make_result(geometry="1W1S"),
-            "b": make_result(geometry="1W2S"),
-        }
-        with pytest.raises(ValidationError, match="single geometry"):
-            monitor_binning(results)
+    def test_unscalable_proxy_rejected(self):
+        """A proxy that underflows to zero has no finite clock scale."""
+        with pytest.raises(NumericError, match="^die fast: delay proxy"):
+            monitor_binning(make_lot({"slow": (1.0, 1.0), "fast": (1e-200, 1e-200)}))
 
     def test_text_format(self):
-        report = monitor_binning(
-            {
-                "D1": make_result(die_r=1.0, c_total=1.0),
-                "D2": make_result(die_r=1.0, c_total=0.8),
-            }
-        )
+        report = monitor_binning(make_lot({"D1": (1.0, 1.0), "D2": (1.0, 0.8)}))
         text = emit_binning(report, "text")
         assert "slowest first" in text
         assert "D1" in text and "D2" in text
@@ -110,7 +105,7 @@ class TestBinning:
         assert "25.00" in text
 
     def test_csv_format(self):
-        report = monitor_binning({"D1": make_result()})
+        report = monitor_binning(make_lot({"D1": (504.0, 12.6e-15)}))
         csv = emit_binning(report, "csv")
         header, row = csv.strip().splitlines()
         assert header == (
@@ -120,14 +115,14 @@ class TestBinning:
         assert row.startswith("D1,1W1S,")
 
     def test_json_format_round_trips(self):
-        report = monitor_binning({"D1": make_result()})
+        report = monitor_binning(make_lot({"D1": (504.0, 12.6e-15)}))
         payload = parse_report(emit_binning(report, "json"))
         entry = payload["binning"]["bins"][0]
         assert entry["die"] == "D1"
         assert entry["scale"] == 1.0
 
     def test_unknown_format(self):
-        report = monitor_binning({"D1": make_result()})
+        report = monitor_binning(make_lot({"D1": (504.0, 12.6e-15)}))
         with pytest.raises(ValueError, match="unknown report format"):
             emit_binning(report, "xml")
 

@@ -311,6 +311,19 @@ class TestSimulateStep:
         with pytest.raises(ValueError, match="symmetric"):
             NetworkStateSpace(**vars(net))
 
+    @pytest.mark.parametrize("matrix", ["capacitance", "conductance"])
+    @pytest.mark.parametrize("segments", [1, 7, 50])
+    def test_symmetry_is_exact(self, matrix, segments):
+        """build_network's matrices pass as built, and one entry off its
+        mirror by one ulp fails: eigh reads one triangle, so a nearly
+        symmetric matrix would be solved as a different network."""
+        net = build_network(W1S, segments)
+        NetworkStateSpace(**vars(net))
+        values = getattr(net, matrix)
+        values[0, 1] = np.nextafter(values[0, 1], np.inf)
+        with pytest.raises(ValueError, match="symmetric"):
+            NetworkStateSpace(**vars(net))
+
 
 class TestFrequencyResponse:
     @pytest.mark.parametrize("trial", range(5))
