@@ -211,9 +211,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         (result,) = extract_all(rows, ro_config).values()
         results[geometry] = result
         if args.with_comparison:
-            comparisons[geometry] = compare_to_spec(
-                result, config.spec.for_geometry(geometry), geometry=geometry
-            )
+            comparisons[geometry] = compare_to_spec(result, config.spec.for_geometry(geometry))
     _emit(emit_report(results, comparisons, fmt=args.format), args.out)
     return 0
 

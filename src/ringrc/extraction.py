@@ -353,7 +353,6 @@ def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
 def compare_to_spec(
     values: ParasiticSet | ExtractionResult,
     spec: ParasiticSet,
-    geometry: str = "",
 ) -> ErrorReport:
     """Relative errors of extracted (or published) values against targets.
 
@@ -362,11 +361,6 @@ def compare_to_spec(
     overflows (a value ~1e300 times its target) raises NumericError.
     """
     if isinstance(values, ExtractionResult):
-        if geometry and geometry != values.geometry:
-            raise ValidationError(
-                f"geometry mismatch: result is {values.geometry!r}, "
-                f"targets are {geometry!r}"
-            )
         values = values.parasitics
 
     def relative(name: str, value: float, target: float) -> float:

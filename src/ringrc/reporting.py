@@ -8,10 +8,15 @@ that emitting, parsing and re-emitting a report reproduces the bytes
 exactly. Text (the two-decimal femtofarad/ohm tables used in design
 reviews; six significant digits for values outside 0.01 to 1e6) and CSV
 (for spreadsheets) show the same values scaled to display units.
+
+The waveform CSV ("%.9e" per value) and SVG (points to 0.01 px, "%.2f")
+are written by one numpy field renderer, `_fields`, as NUL-padded byte
+arrays; their bytes equal Python's `%` formatting of every value.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -372,12 +377,87 @@ def format_validation_text(outcome: ValidationOutcome) -> str:
 # waveform output
 
 
+#: Decimal exponents the field renderer's tables cover.
+_EXP_SPAN = 300
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """"%04d" of 0..9999 as one uint32 of ASCII each, then "e%+03d" padded
+    to five bytes and the correctly rounded 10.0**e for |e| <= _EXP_SPAN."""
+    exponents = range(-_EXP_SPAN, _EXP_SPAN + 1)
+    suffixes = np.array(["e%+03d" % e for e in exponents], dtype="S5").view(np.uint8)
+    return (np.frombuffer("".join(["%04d" % i for i in range(10_000)]).encode(), np.uint32),
+            suffixes.reshape(-1, 5), np.array([float(f"1e{e}") for e in exponents]))
+
+
+def _fields(values: np.ndarray, fmt: str) -> np.ndarray:
+    """Python's `fmt % v`, for fmt "%.9e" or "%.2f", of each float64 in
+    the 1-d array `values`, one NUL-padded row of ASCII per value.
+
+    Digits come from the integer mantissa rint(|v| * 10**k), exact unless
+    the scaled value, two roundings off at most, lies that close to a
+    half-integer. Those values, a wrong exponent guess from log10, and all
+    outside the fast domain (zero, subnormals and |v| >= 1e280 for %.9e,
+    |v| >= 1e13 for %.2f, non-finite) are formatted by `%` itself.
+    """
+    quads, suffixes, powers = _digit_tables()
+    a = np.abs(values)
+    scientific = fmt == "%.9e"
+    decimals = 9 if scientific else 2
+    if scientific:
+        fast = (a >= 1e-280) & (a < 1e280)
+        a = np.where(fast, a, 1.0)
+        e = np.floor(np.log10(a)).astype(np.int64)
+        scaled = a * powers[_EXP_SPAN + decimals - e]
+        # out of range: log10 guessed wrong, or rint carries into the next decade
+        fast &= (scaled >= 1e9) & (scaled < 1e10 - 0.5)
+    else:
+        fast = a < 1e13
+        scaled = np.where(fast, a, 0.0) * 100.0
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
+    mantissa = np.rint(scaled).astype(np.int64)
+    groups = -(-len(str(mantissa.max(initial=0))) // 4)
+    words = np.empty((len(values), groups), np.uint32)  # four digits each
+    rest = mantissa
+    for j in range(groups):
+        place = 10 ** (4 * (groups - 1 - j))
+        words[:, j] = quads.take(rest // place)
+        rest = rest % place
+    digits = words.view(np.uint8)
+    # blank the leading zeros: every integer digit but the units, above the mantissa
+    places = 10 ** np.arange(4 * groups - 1, decimals, -1)
+    digits[:, :-decimals - 1][mantissa[:, None] < places] = 0
+    sign = np.signbit(values).view(np.uint8)[:, None] * np.uint8(ord("-"))
+    point = np.full((len(values), 1), ord("."), np.uint8)
+    parts = [sign, digits[:, :-decimals], point, digits[:, -decimals:]]
+    if scientific:
+        parts.append(suffixes.take(_EXP_SPAN + e, axis=0))
+    out = np.concatenate(parts, axis=1)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = np.array([fmt % x for x in values[slow].tolist()], dtype=bytes)
+        width = out.shape[1]
+        if texts.itemsize > width:  # a "%.2f" of 1e13 or more
+            out, width = np.pad(out, ((0, 0), (0, texts.itemsize - width))), texts.itemsize
+        out[slow] = texts.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return out
+
+
+def _join(fields: list[np.ndarray], separators: bytes) -> str:
+    """One line per row: each field's row and then its separator byte, with
+    the NUL filler dropped."""
+    parts = [part for field, separator in zip(fields, separators)
+             for part in (field, np.full((len(field), 1), separator, np.uint8))]
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def waveform_csv(result: SimulationResult) -> str:
     """Render a simulation result as a four-column CSV (time plus the
-    far-end voltage of each line)."""
-    waveforms = (result.line_a, result.line_b, result.line_c)
-    rows = np.column_stack([result.line_a.times] + [w.values for w in waveforms])
-    body = ("%.9e,%.9e,%.9e,%.9e\n" * len(rows)) % tuple(rows.ravel().tolist())
+    far-end voltage of each line), every value as "%.9e"."""
+    lines = (result.line_a, result.line_b, result.line_c)
+    columns = [result.line_a.times] + [line.values for line in lines]
+    body = _join([_fields(column, "%.9e") for column in columns], b",,,\n")
     return "time_s,line_a_v,line_b_v,line_c_v\n" + body
 
 
@@ -402,7 +482,7 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     def y(v):
         return top + plot_h * (1.0 - (v - v_min) / span)
 
-    xs = left + plot_w * (times / t_max)
+    x_fields = _fields(left + plot_w * (times / t_max), "%.2f")
     # by hand: xml.sax.saxutils.escape would import urllib.request at startup
     escaped_title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
@@ -428,8 +508,7 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     for idx, waveform in enumerate(
         (result.line_a, result.line_b, result.line_c)
     ):
-        xy = np.column_stack([xs, y(waveform.values)]).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
+        points = _join([x_fields, _fields(y(waveform.values), "%.2f")], b", ")[:-1]
         color = colors[waveform.label]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'

@@ -388,7 +388,7 @@ class TestCompareToSpec:
         ],
     )
     def test_published_errors(self, geometry, ct_pct, rsw_pct, delay_pct):
-        report = compare_to_spec(PUBLISHED[geometry], TARGETS[geometry], geometry)
+        report = compare_to_spec(PUBLISHED[geometry], TARGETS[geometry])
         assert report.param_errors["c_total"] * 100 == pytest.approx(
             ct_pct, abs=0.005
         )
@@ -428,10 +428,10 @@ class TestCompareToSpec:
         }
         assert report.targets is TARGETS["1W1S"]
 
-    def test_geometry_mismatch_rejected(self):
+    def test_result_compares_as_its_parasitics(self):
         result = extract_all(records_for("1W1S"), CONFIG)[""]
-        with pytest.raises(ValidationError, match="mismatch"):
-            compare_to_spec(result, TARGETS["1W2S"], geometry="1W2S")
+        spec = TARGETS["1W1S"]
+        assert compare_to_spec(result, spec) == compare_to_spec(result.parasitics, spec)
 
     def test_overflowing_error_rejected(self):
         """A value so far from its target that the relative error overflows

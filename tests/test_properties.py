@@ -45,7 +45,7 @@ from ringrc import (
     switching_resistance,
     synthesize_measurements,
 )
-from ringrc import files
+from ringrc import files, reporting
 from ringrc.cli import main
 
 # Text built from the grammar's own pieces, so generated files get past the
@@ -664,3 +664,30 @@ def test_extreme_magnitudes_end_in_a_documented_exit(dies):
     payload = parse_report(text)
     assert emit_report_json(payload) == text
     assert all(np.isfinite(list(_numbers(payload))))
+
+
+#: 11-significant-digit decimal ties and their neighbours, for "%.9e"
+NEAR_TIES = st.builds(lambda k, e: (10 * k + 5) * 10.0**e,
+                      st.integers(10**9, 10**10 - 1), st.integers(-40, 40))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10**9, 10**9).map(lambda k: k / 1000),
+                          NEAR_TIES),
+                min_size=1, max_size=64))
+# ties; products that round onto a half-integer (64.825 * 100 == 6482.5, and
+# 0.23598690935 scaled to ten digits); mantissas that round into the next
+# decade; the smallest subnormal, -0.0 and the largest float
+@example([0.125, 2.675, 1.005, 64.825, 291.755, 0.23598690935, 9.9999999995,
+          9.9999999995e-5, 9.99999999996, 9.99999999996e-5, 5e-324, -0.0,
+          1.7976931348623157e308])
+def test_field_renderer_matches_percent_formatting(values):
+    """The waveform emitters' field renderer writes Python's `%.9e` and
+    `%.2f` of any finite float64, byte for byte."""
+    array = np.array(values, dtype=np.float64)
+    for fmt in ("%.9e", "%.2f"):
+        rows = reporting._fields(array, fmt)
+        assert [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows] == [
+            fmt % value for value in values
+        ]

@@ -301,13 +301,19 @@ class TestWaveformOutputs:
         assert len(polylines) == 3
         assert "quiet step" in svg
 
-    @pytest.mark.parametrize("t_end", [None, 2e-12])
+    # ids name the span, after the segment count when it is not 7; spans of
+    # 1e-100 and 1e-310 s (subnormal times) give three-digit exponents
+    @pytest.mark.parametrize(
+        "segments, t_end",
+        [(7, None), (7, 2e-12), (7, 1e-100), (7, 1e-310), (50, None), (50, 1e-310)],
+        ids=["None", "2e-12", "1e-100", "1e-310", "50-None", "50-1e-310"],
+    )
     @pytest.mark.parametrize("mode", list(CrosstalkMode))
-    def test_matches_per_row_renderers(self, mode, t_end):
+    def test_matches_per_row_renderers(self, mode, segments, t_end):
         """The vectorised emitters are byte-identical to rendering one row
         and one point at a time."""
         result = simulate_step(
-            build_network(W1S, 7),
+            build_network(W1S, segments),
             DrivePattern.for_mode(mode, W1S.v_dd),
             t_end=t_end,
         )
