@@ -26,9 +26,10 @@ takes scalars or per-die arrays alike.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +54,8 @@ class ParasiticSet:
     r_sw: float | None = None
 
     def as_dict(self) -> dict[str, float | None]:
-        return {
-            "c_total": self.c_total,
-            "c_gate": self.c_gate,
-            "c_int": self.c_int,
-            "c_c": self.c_c,
-            "r_sw": self.r_sw,
-        }
+        """Every field by name, in declaration order."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -94,23 +90,13 @@ class ExtractionResult:
 
     @property
     def provenance(self) -> dict[str, tuple[str, ...]]:
-        """Each extracted value's source record labels."""
-        inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = (
-            record_label(self.die, self.geometry, fanout, mode) for fanout, mode in _REQUIRED
-        )
-        pair, coupled = (inp_fo1, inp_fo2), (oop_fo1, quiet_fo1, inp_fo1)
-        return {"r_sw": (inp_fo1,), "c_s": (inp_fo1,), "c_gate": pair, "c_int": pair,
-                "c_total": pair, "c_ground": coupled, "c_coupling": coupled}
+        """Each extracted value's source record labels, by field name."""
+        labels = [record_label(self.die, self.geometry, *pair) for pair in _REQUIRED]
+        return {value.field: tuple([labels[i] for i in value.sources]) for value in VALUES}
 
     @property
     def parasitics(self) -> ParasiticSet:
-        return ParasiticSet(
-            c_total=self.c_total,
-            c_gate=self.c_gate,
-            c_int=self.c_int,
-            c_c=self.c_coupling,
-            r_sw=self.r_sw,
-        )
+        return ParasiticSet(**{value.name: getattr(self, value.field) for value in COMPARED})
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +123,7 @@ class LotExtraction(Mapping[str, ExtractionResult]):
 
     def __getitem__(self, die: str) -> ExtractionResult:
         row = self._rows[die]
-        values = [getattr(self, name).item(row) for name in _VALUES]
+        values = [getattr(self, value.field).item(row) for value in VALUES]
         return ExtractionResult(self.geometry, *values, die=die)
 
     def __iter__(self):
@@ -172,7 +158,7 @@ def _check(holds, error: type, message: str, *values) -> None:
         raise error(message.format(*at))
 
 
-def _in_range(names: tuple[str, ...], values: tuple) -> None:
+def _in_range(names: Sequence[str], values: tuple) -> None:
     """Raise ExtractionDomainError naming the first of values (each a value
     or a column per die) that is not finite and > 0: the measurements were
     so large or small that a formula over- or underflowed (r_sw =
@@ -257,8 +243,35 @@ _REQUIRED = (
     (Fanout.FO1, CrosstalkMode.OUT_OF_PHASE), (Fanout.FO1, CrosstalkMode.QUIET),
 )
 _REQUIRED_CELLS = [_CELLS[pair] for pair in _REQUIRED]
-#: The extracted values, in ExtractionResult's field order.
-_VALUES = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling")
+
+
+class Value(NamedTuple):
+    """One extracted value: its report name, ExtractionResult field, display
+    unit, SI-to-unit scale and the records it is computed from, as
+    indices into _REQUIRED."""
+
+    name: str
+    field: str
+    unit: str
+    scale: float
+    sources: tuple[int, ...]
+
+
+#: Every extracted value, in report order, which is also ExtractionResult's
+#: and LotExtraction's field order. A value with a design target is named
+#: as the ParasiticSet field; its config key is spec.<geometry>.<name>_<unit>.
+VALUES = (
+    Value("r_sw", "r_sw", "ohm", 1.0, (0,)),
+    Value("c_s", "c_s", "fF", 1e15, (0,)),
+    Value("c_gate", "c_gate", "fF", 1e15, (0, 1)),
+    Value("c_int", "c_int", "fF", 1e15, (0, 1)),
+    Value("c_total", "c_total", "fF", 1e15, (0, 1)),
+    Value("c_ground", "c_ground", "fF", 1e15, (2, 3, 0)),
+    Value("c_c", "c_coupling", "fF", 1e15, (2, 3, 0)),
+)
+#: The values with a design target, in ParasiticSet's field order.
+COMPARED = tuple(value for field in fields(ParasiticSet) for value in VALUES
+                 if value.name == field.name)
 
 
 def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
@@ -323,7 +336,7 @@ def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
         c_ground = ground_capacitance(t_o, t_q, r_sw)
         c_coupling = coupling_capacitance(t_o, t_q, r_sw)
         values = r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_coupling
-        _in_range(_VALUES, values)
+        _in_range([value.field for value in VALUES], values)
         return values
 
     # The dies before the first one with a missing record run the formulas
@@ -371,8 +384,8 @@ def compare_to_spec(
         return error
 
     param_errors = {}
-    for name, value in values.as_dict().items():
-        target = spec.as_dict()[name]
+    # both in ParasiticSet's field order
+    for (name, value), target in zip(values.as_dict().items(), spec.as_dict().values()):
         if value is None or target is None:
             continue
         if target == 0.0:

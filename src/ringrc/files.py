@@ -41,7 +41,7 @@ import numpy as np
 
 from .capacitance import CapacitanceSet, CrosstalkMode
 from .errors import ParseError, ValidationError
-from .extraction import ParasiticSet, SpecTable
+from .extraction import COMPARED, ParasiticSet, SpecTable
 from .lumpmodel import LineRC
 from .oscillator import Fanout, Measurements, RoConfig, record_label
 
@@ -60,7 +60,8 @@ _SCALAR_KEYS = (
 )
 _LINE_KEYS = ("r_ohm", "c_ff", "cc_ff")
 _CAP_KEYS = ("c_ta_ff", "c_ba_ff", "c_ft_ff", "c_fb_ff", "c_c_ff")
-_SPEC_KEYS = ("c_total_ff", "c_gate_ff", "c_int_ff", "c_c_ff", "r_sw_ohm")
+#: spec.<geometry>.<key> -> the value it targets, in ParasiticSet's field order
+_SPEC_TARGETS = {f"{value.name}_{value.unit.lower()}": value for value in COMPARED}
 
 REPORT_FORMAT_TAG = "ringrc-report/1"
 
@@ -410,9 +411,7 @@ def parse_config(text: str) -> ConfigFile:
         parts = key.split(".")
         if len(parts) == 3 and parts[0] in ("line", "cap", "spec"):
             section, geometry, leaf = parts
-            allowed = {"line": _LINE_KEYS, "cap": _CAP_KEYS, "spec": _SPEC_KEYS}[
-                section
-            ]
+            allowed = {"line": _LINE_KEYS, "cap": _CAP_KEYS, "spec": _SPEC_TARGETS}[section]
             if leaf not in allowed:
                 warnings.append(
                     f"line {lineno}: unknown key {key!r} ignored; known "
@@ -420,9 +419,12 @@ def parse_config(text: str) -> ConfigFile:
                 )
                 continue
             number = _float(value, key, lineno)
-            if section == "spec" and not number > 0.0:
-                # relative errors against a target need a positive denominator
-                raise ValidationError(f"{key} must be > 0, got {value}")
+            if section == "spec":
+                if not number > 0.0:
+                    # relative errors against a target need a positive denominator
+                    raise ValidationError(f"{key} must be > 0, got {value}")
+                target = _SPEC_TARGETS[leaf]  # stored in SI, under its ParasiticSet field
+                leaf, number = target.name, number * (1.0 / target.scale)
             bucket = {"line": line_raw, "cap": cap_raw, "spec": spec_raw}[section]
             bucket.setdefault(geometry, {})[leaf] = number
         else:
@@ -478,16 +480,6 @@ def parse_config(text: str) -> ConfigFile:
         except ValueError as exc:
             raise ValidationError(f"line.{geometry}: {exc}") from None
 
-    spec_values: dict[str, ParasiticSet] = {}
-    for geometry, fields in spec_raw.items():
-        spec_values[geometry] = ParasiticSet(
-            c_total=_maybe_ff(fields, "c_total_ff"),
-            c_gate=_maybe_ff(fields, "c_gate_ff"),
-            c_int=_maybe_ff(fields, "c_int_ff"),
-            c_c=_maybe_ff(fields, "c_c_ff"),
-            r_sw=fields.get("r_sw_ohm"),
-        )
-
     return ConfigFile(
         n=n,
         m=m,
@@ -495,14 +487,10 @@ def parse_config(text: str) -> ConfigFile:
         threshold_fraction=threshold,
         segments=segments,
         lines=lines,
-        spec=SpecTable(values=spec_values),
+        spec=SpecTable({geometry: ParasiticSet(**fields)
+                        for geometry, fields in spec_raw.items()}),
         warnings=tuple(warnings),
     )
-
-
-def _maybe_ff(fields: dict[str, float], key: str) -> float | None:
-    value = fields.get(key)
-    return None if value is None else value * 1e-15
 
 
 def read_measurements(path: str) -> Measurements:

@@ -1,11 +1,11 @@
 """Report generation: extraction tables, clock binning, model validation.
 
 Three output styles are supported for the tabular reports, and all three
-read one value table (`_VALUES` for extractions, the `BinningReport`
-columns for binning, which text and CSV fill into one row template per
-die). JSON is canonical (SI units, sorted keys, full float precision) so
-that emitting, parsing and re-emitting a report reproduces the bytes
-exactly. Text (the two-decimal femtofarad/ohm tables used in design
+read one value table (`extraction.VALUES` for extractions, the
+`BinningReport` columns for binning, which text and CSV fill into one row
+template per die). JSON is canonical (SI units, sorted keys, full float
+precision) so that emitting, parsing and re-emitting a report reproduces
+the bytes exactly. Text (the two-decimal femtofarad/ohm tables used in design
 reviews; six significant digits for values outside 0.01 to 1e6) and CSV
 (for spreadsheets) show the same values scaled to display units.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .capacitance import AGGRESSOR_STEP, CrosstalkMode
 from .errors import NumericError, ValidationError
-from .extraction import ErrorReport, ExtractionResult, LotExtraction
+from .extraction import COMPARED, VALUES, ErrorReport, ExtractionResult, LotExtraction
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
 from .simulator import (
@@ -40,19 +40,6 @@ from .simulator import (
 WAVEFORM_TOLERANCE = 1e-4
 #: Acceptable window for the distributed-over-lump quiet delay ratio.
 RATIO_WINDOW = (0.35, 0.65)
-
-#: Every extraction value a report shows, in text and CSV row order:
-#: report name -> (ExtractionResult attribute, display unit, SI-to-unit scale).
-#: Comparisons cover the ParasiticSet subset, in its as_dict order.
-_VALUES = {
-    "r_sw": ("r_sw", "ohm", 1.0),
-    "c_s": ("c_s", "fF", 1e15),
-    "c_gate": ("c_gate", "fF", 1e15),
-    "c_int": ("c_int", "fF", 1e15),
-    "c_total": ("c_total", "fF", 1e15),
-    "c_ground": ("c_ground", "fF", 1e15),
-    "c_c": ("c_coupling", "fF", 1e15),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +69,7 @@ def emit_report(
     if fmt == "json":
         geometries = {}
         for geometry, result in results.items():
-            extraction = {
-                name: getattr(result, attr) for name, (attr, _, _) in _VALUES.items()
-            }
+            extraction = {value.name: getattr(result, value.field) for value in VALUES}
             extraction["provenance"] = {
                 name: list(labels) for name, labels in result.provenance.items()
             }
@@ -94,11 +79,8 @@ def emit_report(
                 geometries[geometry]["comparison"] = {
                     "errors": dict(report.param_errors),
                     "delay_product_error": report.delay_product_error,
-                    "targets": {
-                        name: value
-                        for name, value in report.targets.as_dict().items()
-                        if value is not None
-                    },
+                    "targets": {name: value for name, value in report.targets.as_dict().items()
+                                if value is not None},
                 }
         return emit_report_json({"format": REPORT_FORMAT_TAG, "geometries": geometries})
     if fmt == "text":
@@ -114,17 +96,17 @@ def emit_report(
         if fmt == "text":
             out.append(f"\ngeometry {geometry}\n")
             out += [
-                f"  {name:<9} {_shown(getattr(result, attr) * scale)} {unit}\n"
-                for name, (attr, unit, scale) in _VALUES.items()
+                f"  {name:<9} {_shown(getattr(result, field) * scale)} {unit}\n"
+                for name, field, unit, scale, _ in VALUES
             ]
         else:
-            for name, (attr, unit, scale) in _VALUES.items():
+            for name, field, unit, scale, _ in VALUES:
                 target_field = error_field = ""
                 if name in errors:
                     error_field = f"{errors[name] * 100.0:.4f}"
                     target_field = f"{getattr(report.targets, name) * scale:.6g}"
                 out.append(
-                    f"{geometry},{name},{unit},{getattr(result, attr) * scale:.6g},"
+                    f"{geometry},{name},{unit},{getattr(result, field) * scale:.6g},"
                     f"{target_field},{error_field}\n"
                 )
         if report is None:
@@ -134,15 +116,11 @@ def emit_report(
                 f"  {'comparison':<12} {'extracted':>10} {'target':>10}"
                 f" {'error %':>8}\n"
             )
-            for name, extracted in result.parasitics.as_dict().items():
-                if name not in errors:
-                    continue
-                _, unit, scale = _VALUES[name]
-                out.append(
-                    f"  {name + ' (' + unit + ')':<12} {_shown(extracted * scale)}"
-                    f" {_shown(getattr(report.targets, name) * scale)}"
-                    f" {errors[name] * 100.0:>8.2f}\n"
-                )
+            out += [
+                f"  {name + ' (' + unit + ')':<12} {_shown(getattr(result, field) * scale)}"
+                f" {_shown(getattr(report.targets, name) * scale)} {errors[name] * 100.0:>8.2f}\n"
+                for name, field, unit, scale, _ in COMPARED if name in errors
+            ]
         if report.delay_product_error is not None:
             error_pct = report.delay_product_error * 100.0
             out.append(
@@ -398,7 +376,7 @@ def _fields(values: np.ndarray, fmt: str) -> np.ndarray:
     Digits come from the integer mantissa rint(|v| * 10**k), exact unless
     the scaled value, two roundings off at most, lies that close to a
     half-integer. Those values, a wrong exponent guess from log10, and all
-    outside the fast domain (zero, subnormals and |v| >= 1e280 for %.9e,
+    outside the fast domain (subnormals and |v| >= 1e280 for %.9e,
     |v| >= 1e13 for %.2f, non-finite) are formatted by `%` itself.
     """
     quads, suffixes, powers = _digit_tables()
@@ -407,17 +385,22 @@ def _fields(values: np.ndarray, fmt: str) -> np.ndarray:
     decimals = 9 if scientific else 2
     if scientific:
         fast = (a >= 1e-280) & (a < 1e280)
+        zero = a == 0.0
         a = np.where(fast, a, 1.0)
         e = np.floor(np.log10(a)).astype(np.int64)
         scaled = a * powers[_EXP_SPAN + decimals - e]
         # out of range: log10 guessed wrong, or rint carries into the next decade
         fast &= (scaled >= 1e9) & (scaled < 1e10 - 0.5)
+        # ±0.0 is mantissa 0 with exponent 0, the log10 of the 1.0 put in its place
+        fast |= zero
+        scaled[zero] = 0.0
     else:
         fast = a < 1e13
         scaled = np.where(fast, a, 0.0) * 100.0
     fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
     mantissa = np.rint(scaled).astype(np.int64)
-    groups = -(-len(str(mantissa.max(initial=0))) // 4)
+    # four-digit groups; at least the units digit and the decimals, as for a zero
+    groups = -(-len(str(mantissa.max(initial=10**decimals))) // 4)
     words = np.empty((len(values), groups), np.uint32)  # four digits each
     rest = mantissa
     for j in range(groups):

@@ -153,7 +153,7 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
     try:
         cap = np.zeros((n_nodes, n_nodes))
         cond = np.zeros((n_nodes, n_nodes))
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses a shape it cannot address
         raise ValidationError(f"a {n_nodes}-node network is too large to allocate") from None
     nodes = np.arange(n_nodes).reshape(3, n_seg)  # nodes[line, section]
     cap[np.diag_indices(n_nodes)] = line.c / n_seg

@@ -615,24 +615,65 @@ class TestSimulate:
         assert "--t-end-ps must be finite and > 0" in captured.err
         assert "samples" not in captured.out
 
-    def test_unallocatable_segment_count_rejected(self, workspace, capsys):
-        """numpy refuses the 3e7-node matrices up front (6.4 PiB), so no
-        memory is touched; the request is a validation error, not a
-        traceback."""
+    @pytest.mark.parametrize("segments", [10**7, 10**10, 10**20])
+    def test_unallocatable_segment_count_rejected(self, workspace, capsys, segments):
+        """numpy refuses the matrices up front, so no memory is touched:
+        3e7 nodes need 6.4 PiB (MemoryError), 3e10 nodes more bytes than it
+        can address and 3e20 a dimension past its limit (ValueError). The
+        request is a validation error, not a traceback."""
         code = main(
             [
                 "simulate",
                 "--config", workspace["config"],
                 "--geometry", "1W1S",
                 "--mode", "quiet",
-                "--segments", "10000000",
+                "--segments", str(segments),
             ]
         )
         captured = capsys.readouterr()
         assert code == 3
-        assert "30000000-node network" in captured.err
-        assert "too large to allocate" in captured.err
+        assert f"a {3 * segments}-node network is too large to allocate" in captured.err
         assert captured.out == ""
+
+    def test_zero_segments_rejected(self, workspace, capsys):
+        code = main(
+            [
+                "simulate",
+                "--config", workspace["config"],
+                "--geometry", "1W1S",
+                "--mode", "quiet",
+                "--segments", "0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: segments must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_all_zero_waveform(self, workspace, capsys, tmp_path):
+        """A span so short that every voltage is still 0.0 writes zeros
+        and an SVG whose voltage axis runs from 0.00 to 1.00 V."""
+        csv_path, svg_path = tmp_path / "zero.csv", tmp_path / "zero.svg"
+        code = main(
+            [
+                "simulate",
+                "--config", workspace["config"],
+                "--geometry", "1W1S",
+                "--mode", "quiet",
+                "--segments", "1",
+                "--t-end-ps", "1e-298",
+                "--out", str(csv_path),
+                "--svg", str(svg_path),
+            ]
+        )
+        assert code == 0
+        assert "never reaches" in capsys.readouterr().out
+        rows = csv_path.read_text().splitlines()[1:]
+        assert len(rows) == 8192
+        assert {row.partition(",")[2] for row in rows} == {",".join(["0.000000000e+00"] * 3)}
+        labels = [el.text for el in ET.fromstring(svg_path.read_text()).iter()
+                  if el.tag.endswith("text") and el.text.endswith(" V")]
+        assert labels == ["1.00 V", "0.00 V"]
 
     def test_unknown_geometry(self, workspace, capsys):
         code = main(
@@ -694,19 +735,44 @@ class TestValidate:
         assert "overall: FAIL" in out
 
 
-    def test_unallocatable_segment_count_rejected(self, workspace, capsys, tmp_path):
+    @pytest.mark.parametrize("segments", [10**7, 10**10, 10**20])
+    def test_unallocatable_segment_count_rejected(self, workspace, capsys, tmp_path,
+                                                  segments):
         huge = tmp_path / "huge.cfg"
         huge.write_text(
             bundled_text("config_28nm.cfg").replace(
-                "segments = 50", "segments = 10000000"
+                "segments = 50", f"segments = {segments}"
             )
         )
         out = tmp_path / "validation.txt"
         code = main(["validate", "--config", str(huge), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3
-        assert "30000000-node network" in captured.err
+        assert f"a {3 * segments}-node network is too large to allocate" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("line.1W1S.c_ff = 6.6\nline.1W1S.cc_ff = 8.0\n",
+              "cap.1W1S.c_ta_ff = -1\ncap.1W1S.c_ba_ff = 3.0\ncap.1W1S.c_ft_ff = 0.8\n"
+              "cap.1W1S.c_fb_ff = 0.5\ncap.1W1S.c_c_ff = 4.0\n"),
+             "cap.1W1S: c_ta must be finite and >= 0, got -1e-15"),
+            (("line.1W1S.r_ohm = 504", "line.1W1S.r_ohm = -504"),
+             "line.1W1S: r must be finite and > 0, got -504.0"),
+        ],
+        ids=["negative-cap-component", "negative-line-resistance"],
+    )
+    def test_invalid_line_model_rejected(self, workspace, capsys, tmp_path, edit, message):
+        bad = tmp_path / "bad.cfg"
+        text = bundled_text("config_28nm.cfg")
+        assert edit[0] in text
+        bad.write_text(text.replace(*edit))
+        code = main(["validate", "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestBinning:

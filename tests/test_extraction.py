@@ -8,7 +8,9 @@ import pytest
 from ringrc import (
     CrosstalkMode,
     ExtractionDomainError,
+    ExtractionResult,
     Fanout,
+    LotExtraction,
     MeasurementRecord,
     Measurements,
     MissingRecordError,
@@ -27,6 +29,7 @@ from ringrc import (
     stage_delay_from_period,
     switching_resistance,
 )
+from ringrc.extraction import COMPARED, VALUES
 
 CONFIG = RoConfig(n=100, m=64, v_dd=0.9)
 
@@ -377,6 +380,39 @@ TARGETS = {
         c_c=5.51e-15, r_sw=276.0,
     ),
 }
+
+
+class TestValueTable:
+    """extraction.VALUES names every extracted value once; the types it
+    feeds must agree with it."""
+
+    def test_fields_follow_the_table(self):
+        """extract_all builds LotExtraction's columns, and lot[die] its
+        ExtractionResult, positionally in the table's order."""
+        value_fields = [value.field for value in VALUES]
+        assert [f.name for f in dataclasses.fields(ExtractionResult)] == [
+            "geometry", *value_fields, "die"]
+        assert [f.name for f in dataclasses.fields(LotExtraction)] == [
+            "geometry", "die", *value_fields]
+
+    def test_compared_names_are_the_parasitic_set_fields(self):
+        names = [f.name for f in dataclasses.fields(ParasiticSet)]
+        assert [value.name for value in COMPARED] == names
+        assert list(ParasiticSet().as_dict()) == names
+        result = extract_all(records_for("1W1S"), CONFIG)[""]
+        assert result.parasitics.as_dict() == {
+            value.name: getattr(result, value.field) for value in COMPARED}
+
+    def test_provenance_by_source_records(self):
+        rows = Measurements.from_records(rows_for("1W2S", die="D7"))
+        result = extract_all(rows, CONFIG)["D7"]
+        inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = (
+            f"D7/1W2S/{record}" for record in
+            ("FO1/in_phase", "FO2/in_phase", "FO1/out_of_phase", "FO1/quiet"))
+        pair, coupled = (inp_fo1, inp_fo2), (oop_fo1, quiet_fo1, inp_fo1)
+        assert result.provenance == {
+            "r_sw": (inp_fo1,), "c_s": (inp_fo1,), "c_gate": pair, "c_int": pair,
+            "c_total": pair, "c_ground": coupled, "c_coupling": coupled}
 
 
 class TestCompareToSpec:

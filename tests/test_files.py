@@ -11,6 +11,7 @@ import pytest
 from ringrc import (
     CrosstalkMode,
     Fanout,
+    ParasiticSet,
     ParseError,
     ValidationError,
     emit_report_json,
@@ -276,6 +277,20 @@ class TestParseConfig:
         config = parse_config(MINIMAL_CONFIG + "line.1W1S.q_ohm = 5\n")
         assert len(config.warnings) == 1
         assert "r_ohm" in config.warnings[0]
+
+    def test_unknown_spec_key_warns_with_targets_in_order(self):
+        config = parse_config(MINIMAL_CONFIG + "spec.1W1S.c_foo_ff = 1\n")
+        assert config.warnings == (
+            "line 4: unknown key 'spec.1W1S.c_foo_ff' ignored; known spec keys: "
+            "c_total_ff, c_gate_ff, c_int_ff, c_c_ff, r_sw_ohm",)
+
+    def test_spec_keys_set_si_targets(self):
+        """fF targets scale by 1e-15 exactly as written; ohms pass as given."""
+        keys = "c_total_ff = 12.39", "c_gate_ff = 2.54", "c_int_ff = 9.85", "c_c_ff = 7.91"
+        text = MINIMAL_CONFIG + "".join(f"spec.G.{key}\n" for key in keys)
+        spec = parse_config(text + "spec.G.r_sw_ohm = 450\n").spec.for_geometry("G")
+        assert spec == ParasiticSet(c_total=12.39 * 1e-15, c_gate=2.54 * 1e-15,
+                                    c_int=9.85 * 1e-15, c_c=7.91 * 1e-15, r_sw=450.0)
 
     def test_component_capacitance_section(self):
         text = MINIMAL_CONFIG + (

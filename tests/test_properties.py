@@ -678,9 +678,9 @@ NEAR_TIES = st.builds(lambda k, e: (10 * k + 5) * 10.0**e,
                 min_size=1, max_size=64))
 # ties; products that round onto a half-integer (64.825 * 100 == 6482.5, and
 # 0.23598690935 scaled to ten digits); mantissas that round into the next
-# decade; the smallest subnormal, -0.0 and the largest float
+# decade; the smallest subnormal, ±0.0 and the largest float
 @example([0.125, 2.675, 1.005, 64.825, 291.755, 0.23598690935, 9.9999999995,
-          9.9999999995e-5, 9.99999999996, 9.99999999996e-5, 5e-324, -0.0,
+          9.9999999995e-5, 9.99999999996, 9.99999999996e-5, 5e-324, 0.0, -0.0,
           1.7976931348623157e308])
 def test_field_renderer_matches_percent_formatting(values):
     """The waveform emitters' field renderer writes Python's `%.9e` and
