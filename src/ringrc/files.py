@@ -420,11 +420,14 @@ def parse_config(text: str) -> ConfigFile:
                 continue
             number = _float(value, key, lineno)
             if section == "spec":
-                if not number > 0.0:
-                    # relative errors against a target need a positive denominator
-                    raise ValidationError(f"{key} must be > 0, got {value}")
                 target = _SPEC_TARGETS[leaf]  # stored in SI, under its ParasiticSet field
                 leaf, number = target.name, number * (1.0 / target.scale)
+                if not number >= sys.float_info.min:
+                    # relative errors against a target need a positive denominator
+                    raise ValidationError(
+                        f"{key} must be > 0 and, scaled to SI units, a normal "
+                        f"float (>= {sys.float_info.min!r}), got {value}"
+                    )
             bucket = {"line": line_raw, "cap": cap_raw, "spec": spec_raw}[section]
             bucket.setdefault(geometry, {})[leaf] = number
         else:

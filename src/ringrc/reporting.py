@@ -28,13 +28,7 @@ from .errors import NumericError, ValidationError
 from .extraction import COMPARED, VALUES, ErrorReport, ExtractionResult, LotExtraction
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
-from .simulator import (
-    SAMPLES,
-    SimulationResult,
-    VictimStep,
-    build_network,
-    victim_delay,
-)
+from .simulator import SAMPLES, SimulationResult, build_network, victim_delay
 
 #: Largest tolerated oracle-vs-closed-form deviation, as a fraction of the rail.
 WAVEFORM_TOLERANCE = 1e-4
@@ -289,21 +283,27 @@ def validate_geometry(
     response of every crosstalk mode, checks that the simulated threshold
     delays order as in-phase <= quiet <= out-of-phase, and measures the
     distributed over lump quiet delay ratio at the configured segment
-    count.
+    count. A threshold the lump victim starts at leaves that ratio
+    undefined: NumericError.
     """
     net = build_network(line, 1)
     modes = net.modes()
     max_dev, delays = {}, {}
     for mode in AGGRESSOR_STEP:
-        victim = VictimStep.of(net, DrivePattern.for_mode(mode, line.v_dd), modes)
-        values = victim.sample()
-        analytic = step_response_victim(mode, line, np.arange(SAMPLES) * victim.dt)
-        max_dev[mode] = float(np.max(np.abs(values - analytic))) / line.v_dd
-        delays[mode] = victim.crossing(threshold_fraction * line.v_dd, values)
+        result = SimulationResult.of(net, DrivePattern.for_mode(mode, line.v_dd), modes=modes)
+        analytic = step_response_victim(mode, line, np.arange(SAMPLES) * result.dt)
+        max_dev[mode] = float(np.max(np.abs(result.sample() - analytic))) / line.v_dd
+        delays[mode] = result.crossing(threshold_fraction * line.v_dd)
+    t_lump = delays[CrosstalkMode.QUIET]
+    if not t_lump > 0.0:
+        raise NumericError(
+            f"threshold_fraction = {threshold_fraction!r}: the lump victim starts at or "
+            f"above the threshold (quiet delay {t_lump!r} s), so the distributed/lump "
+            f"delay ratio is undefined"
+        )
     # the lump quiet delay is already in hand: simulate only the segmented line
     t_dist = victim_delay(line, CrosstalkMode.QUIET, segments, threshold_fraction)
-    ratio = t_dist / delays[CrosstalkMode.QUIET]
-    return GeometryValidation(geometry, max_dev, delays, segments, ratio)
+    return GeometryValidation(geometry, max_dev, delays, segments, t_dist / t_lump)
 
 
 def run_validation(

@@ -13,27 +13,28 @@ C = L L^T and eigh(L^-1 G L^-T) = Q diag(lambda) Q^T, every node voltage
 is V_inf - sum_k r_k exp(-lambda_k t), with residues r_k taken from the
 mode shapes L^-T Q and the drive projected onto them.
 
-Threshold delays (victim_delay) sample the victim alone, a block of the
-waveform grid at a time, up to the first block that reaches the threshold;
-they share simulate_step's sampler and equal its crossing bit for bit.
+SimulationResult, the one result type, holds the rates, the residues (far
+end x mode) and the grid step, and samples the waveforms on first read. Its
+crossing samples the victim's row alone, a block of the grid at a time, up
+to the first block that reaches the threshold, bit for bit as the waveform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .capacitance import CrosstalkMode
-from .errors import NoCrossingError, ValidationError
+from .errors import NoCrossingError, NumericError, ValidationError
 from .lumpmodel import DrivePattern, LineRC, bisect_crossing
 
 #: Default simulation span, in units of the slowest time constant.
 T_END_FACTOR = 30.0
 #: Samples in every simulated waveform, spread uniformly over [0, t_end].
 SAMPLES = 8192
-#: Samples per block of a crossing scan. The bundled lines cross half swing at
-#: sample ~160 of the quiet 50-segment network, within the first block.
+#: Samples per block of a crossing scan (the bundled lines cross in the first).
 _SCAN_BLOCK = 256
 
 
@@ -72,12 +73,26 @@ class NetworkStateSpace:
         """Decay rates (ascending) and node-space mode shapes L^-T Q.
 
         Raises:
-            ValueError: if C or the total conductance (including the
-                sources) is not positive definite, i.e. the network is
-                not passive and has no settled step response.
+            NumericError: if the eigensolve fails or overflows, or the slowest
+                rate rounds to <= 0: the network is too ill-conditioned.
+            ValueError: if a rate is below zero by more than rounding: the
+                network is not passive and has no settled step response.
         """
-        l_inv = np.linalg.inv(np.linalg.cholesky(self.capacitance))
-        rates, q = np.linalg.eigh(l_inv @ self._g_total() @ l_inv.T)
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(self.capacitance))
+            with np.errstate(over="ignore", invalid="ignore"):
+                reduced = l_inv @ self._g_total() @ l_inv.T
+            if not np.isfinite(reduced).all():
+                raise np.linalg.LinAlgError("L^-1 G L^-T is not finite")
+            rates, q = np.linalg.eigh(reduced)
+            if not np.isfinite(rates).all():
+                raise np.linalg.LinAlgError("a decay rate is not finite")
+            if 0.0 >= rates[0] >= -self.node_count * np.finfo(float).eps * rates[-1]:
+                raise np.linalg.LinAlgError(f"the slowest rate {float(rates[0])!r} rounds to <= 0")
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"the {self.node_count}-node network cannot be solved in double precision: {exc}"
+            ) from None
         if not rates[0] > 0.0:
             raise ValueError(
                 f"network is not passive: decay rate {rates[0]!r} is not > 0"
@@ -121,18 +136,65 @@ class Waveform:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Far-end waveforms of the three lines, sampled from their exact
-    response: line i is residues[i].sum() - residues[i] @ exp(-rates t)."""
+    """The exact step response at the three far ends: line i is
+    residues[i].sum() - residues[i] @ exp(-rates t), on a grid of SAMPLES
+    points spaced dt. The waveforms are sampled on first access; the
+    victim's row alone can be sampled block by block (sample, crossing)."""
 
-    line_a: Waveform
-    line_b: Waveform
-    line_c: Waveform
     rates: np.ndarray
     residues: np.ndarray
+    dt: float
 
-    @property
-    def victim(self) -> Waveform:
-        return self.line_b
+    @classmethod
+    def of(cls, net: NetworkStateSpace, drive: DrivePattern,
+           t_end: float | None = None, modes: tuple | None = None) -> SimulationResult:
+        """The response of net to drive over [0, t_end], by default
+        T_END_FACTOR slowest time constants. modes, if given, is net.modes(),
+        so that several drives share one eigensolve. Raises ValueError if
+        t_end is not > 0, and whatever net.modes() raises."""
+        rates, shapes = net.modes() if modes is None else modes
+        residues = shapes[list(net.observed)] * (shapes.T @ net._source_vector(drive) / rates)
+        if t_end is None:
+            t_end = T_END_FACTOR / rates[0]
+        if not t_end > 0.0:
+            raise ValueError("t_end must be > 0")
+        return cls(rates, residues, t_end / (SAMPLES - 1))
+
+    @cached_property
+    def _waveforms(self) -> tuple[Waveform, Waveform, Waveform]:
+        values = _sample(self.rates, self.residues, np.arange(SAMPLES) * self.dt)
+        return tuple(
+            Waveform(self.dt, np.ascontiguousarray(values[:, i]), label)
+            for i, label in enumerate(("line_a", "line_b", "line_c"))
+        )
+
+    line_a = property(lambda self: self._waveforms[0])
+    line_b = victim = property(lambda self: self._waveforms[1])
+    line_c = property(lambda self: self._waveforms[2])
+
+    def sample(self, first: int = 0, stop: int = SAMPLES) -> np.ndarray:
+        """The victim's grid samples first .. stop - 1, equal bit for bit
+        to victim.values[first:stop]."""
+        return _sample(self.rates, self.residues[1:2], np.arange(first, stop) * self.dt)[:, 0]
+
+    def crossing(self, threshold: float) -> float:
+        """First time the victim reaches the threshold: the first sample at
+        or above it, found a block of the grid at a time, brackets the
+        crossing, and bisection locates it to float precision.
+
+        Raises:
+            NoCrossingError: if no sample reaches the threshold.
+        """
+        for first in range(0, SAMPLES, _SCAN_BLOCK):
+            block = self.sample(first, min(first + _SCAN_BLOCK, SAMPLES))
+            above = np.flatnonzero(block >= threshold)
+            if len(above):
+                i = first + int(above[0])
+                if i == 0:
+                    return 0.0
+                return bisect_crossing(self.rates, self.residues[1], threshold,
+                                       (i - 1) * self.dt, i * self.dt)
+        raise NoCrossingError(f"victim never reaches {threshold!r} V")
 
 
 def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
@@ -196,106 +258,24 @@ def _sample(rates: np.ndarray, residues: np.ndarray, times: np.ndarray) -> np.nd
 def simulate_step(
     net: NetworkStateSpace, drive: DrivePattern, t_end: float | None = None
 ) -> SimulationResult:
-    """Sample the exact step response from an all-zero initial state.
-
-    Args:
-        net: network from build_network().
-        drive: constant source amplitudes applied for t >= 0.
-        t_end: span to sample (seconds). Defaults to T_END_FACTOR times
-            the slowest network time constant.
-
-    Returns:
-        SimulationResult with SAMPLES uniformly spaced samples over
-        [0, t_end] per far-end waveform. The output is deterministic for
-        identical inputs.
-
-    Raises:
-        ValueError: if t_end is not positive or the network is not passive.
-    """
-    rates, shapes = net.modes()
-    residues = shapes[list(net.observed)] * (shapes.T @ net._source_vector(drive) / rates)
-    if t_end is None:
-        t_end = T_END_FACTOR / rates[0]
-    if not t_end > 0.0:
-        raise ValueError("t_end must be > 0")
-    dt = t_end / (SAMPLES - 1)
-    values = _sample(rates, residues, np.arange(SAMPLES) * dt)
-    return SimulationResult(
-        line_a=Waveform(dt, np.ascontiguousarray(values[:, 0]), "line_a"),
-        line_b=Waveform(dt, np.ascontiguousarray(values[:, 1]), "line_b"),
-        line_c=Waveform(dt, np.ascontiguousarray(values[:, 2]), "line_c"),
-        rates=rates,
-        residues=residues,
-    )
-
-
-@dataclass(frozen=True)
-class VictimStep:
-    """The victim's row (1 x mode) of simulate_step's residues, sampled on
-    a grid of SAMPLES points spaced dt, bit for bit as simulate_step does."""
-
-    rates: np.ndarray
-    residues: np.ndarray
-    dt: float
-
-    @classmethod
-    def of(cls, net: NetworkStateSpace, drive: DrivePattern, modes: tuple) -> VictimStep:
-        """On simulate_step's default grid, from modes = net.modes()."""
-        rates, shapes = modes
-        residues = shapes[[net.observed[1]]] * (shapes.T @ net._source_vector(drive) / rates)
-        return cls(rates, residues, T_END_FACTOR / rates[0] / (SAMPLES - 1))
-
-    def sample(self, first: int = 0, stop: int = SAMPLES) -> np.ndarray:
-        """Grid samples first .. stop - 1."""
-        return _sample(self.rates, self.residues, np.arange(first, stop) * self.dt)[:, 0]
-
-    def crossing(self, threshold: float, values: np.ndarray | None = None) -> float:
-        """First time the victim reaches the threshold: the first sample at
-        or above it, among `values` (the whole grid) or else the blocks of
-        the grid up to the first that reaches it, brackets the crossing, and
-        bisection locates it to float precision.
-
-        Raises:
-            NoCrossingError: if no sample reaches the threshold.
-        """
-        blocks = [(0, values)] if values is not None else (
-            (first, self.sample(first, min(first + _SCAN_BLOCK, SAMPLES)))
-            for first in range(0, SAMPLES, _SCAN_BLOCK)
-        )
-        for first, block in blocks:
-            above = np.flatnonzero(block >= threshold)
-            if len(above):
-                i = first + int(above[0])
-                if i == 0:
-                    return 0.0
-                lo, hi = (i - 1) * self.dt, i * self.dt
-                return bisect_crossing(self.rates, self.residues[0], threshold, lo, hi)
-        raise NoCrossingError(f"victim never reaches {threshold!r} V")
+    """The exact step response from an all-zero initial state, sampled at
+    SAMPLES uniformly spaced times over [0, t_end]: SimulationResult.of."""
+    return SimulationResult.of(net, drive, t_end)
 
 
 def crossing_time(result: SimulationResult, threshold: float) -> float:
-    """First time the victim reaches the threshold within the simulated span.
-
-    Raises:
-        NoCrossingError: if no sample reaches the threshold.
-    """
-    victim = VictimStep(result.rates, result.residues[1:2], result.victim.dt)
-    return victim.crossing(threshold, result.victim.values)
+    """result.crossing(threshold): the first time the victim reaches the
+    threshold within the simulated span (NoCrossingError if it never does)."""
+    return result.crossing(threshold)
 
 
-def victim_delay(
-    line: LineRC,
-    mode: CrosstalkMode,
-    segments: int = 1,
-    threshold_fraction: float = 0.5,
-) -> float:
-    """Simulated time for the victim to reach the threshold voltage: bit
-    for bit crossing_time(simulate_step(build_network(line, segments),
-    drive), threshold_fraction * line.v_dd), raising where that raises."""
+def victim_delay(line: LineRC, mode: CrosstalkMode, segments: int = 1,
+                 threshold_fraction: float = 0.5) -> float:
+    """Simulated time for the victim to reach the threshold voltage,
+    threshold_fraction * line.v_dd, on the default span."""
     net = build_network(line, segments)
-    drive = DrivePattern.for_mode(mode, line.v_dd)
-    victim = VictimStep.of(net, drive, net.modes())
-    return victim.crossing(threshold_fraction * line.v_dd)
+    result = SimulationResult.of(net, DrivePattern.for_mode(mode, line.v_dd))
+    return result.crossing(threshold_fraction * line.v_dd)
 
 
 def quiet_delay_ratio(

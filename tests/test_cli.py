@@ -10,6 +10,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -1069,6 +1070,59 @@ class TestTopLevel:
         assert code == 0
         assert "warning:" in captured.err
         assert "colour" in captured.err
+
+
+SIMULATE_1W1S = ("simulate", "--geometry", "1W1S", "--mode", "quiet")
+UNSOLVABLE = "network cannot be solved in double precision: "
+TARGET_UNDERFLOWS = ("must be > 0 and, scaled to SI units, a normal float "
+                     "(>= 2.2250738585072014e-308), got 1e-310")
+#: One finite config value the oracle or the comparison cannot use, the
+#: command that meets it, its exit code and the start of its error line.
+EXTREME_VALUES = {
+    "c_ff-validate": ("line.1W1S.c_ff", "1e-20", ("validate",), 4,
+                      f"the 3-node {UNSOLVABLE}Matrix is not positive definite"),
+    "c_ff-simulate": ("line.1W1S.c_ff", "1e-20", (*SIMULATE_1W1S, "--segments", "2"), 4,
+                      f"the 6-node {UNSOLVABLE}Matrix is not positive definite"),
+    "cc_ff-validate": ("line.1W1S.cc_ff", "1e20", ("validate",), 4,
+                       f"the 3-node {UNSOLVABLE}Matrix is not positive definite"),
+    "r_ohm-validate": ("line.1W1S.r_ohm", "1e-300", ("validate",), 4,
+                       f"the 3-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+    "r_ohm-simulate": ("line.1W1S.r_ohm", "1e-300", (*SIMULATE_1W1S, "--segments", "1"), 4,
+                       f"the 3-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+    "c_total_ff-report": ("spec.1W1S.c_total_ff", "1e-310", ("report",), 3,
+                          f"spec.1W1S.c_total_ff {TARGET_UNDERFLOWS}"),
+    "r_sw_ohm-report": ("spec.1W1S.r_sw_ohm", "1e-310", ("report",), 3,
+                        f"spec.1W1S.r_sw_ohm {TARGET_UNDERFLOWS}"),
+    "threshold-validate": ("threshold_fraction", "1e-300", ("validate",), 4,
+                           "threshold_fraction = 1e-300: the lump victim starts at or above "
+                           "the threshold (quiet delay 0.0 s)"),
+}
+
+
+class TestExtremeConfigValues:
+    @pytest.mark.parametrize("case", sorted(EXTREME_VALUES))
+    def test_documented_exit_code(self, workspace, capsys, tmp_path, case):
+        """Each value gives its exit code and one error line: no traceback,
+        no warning and no output file."""
+        key, value, command, code, message = EXTREME_VALUES[case]
+        text = bundled_text("config_28nm.cfg")
+        lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
+        assert len(lines) == text.count("\n") - 1
+        config = tmp_path / "extreme.cfg"
+        config.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        out = tmp_path / "out.txt"
+        argv = [*command, "--config", str(config), "--out", str(out)]
+        if command[0] == "report":
+            argv += ["--measurements", workspace["measurements"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert caught == []
+        assert not out.exists()
 
 
 def call(argv, capsys):

@@ -29,6 +29,7 @@ from ringrc import (
     quiet_delay_ratio,
     run_validation,
     simulate_step,
+    simulator,
     step_response_victim,
     validate_geometry,
     waveform_csv,
@@ -252,6 +253,16 @@ class TestValidation:
         got = validate_geometry(geometry, line, segments=20)
         assert got == want
         assert list(got.max_dev) == list(want.max_dev)
+
+    def test_samples_only_the_victim_row(self, monkeypatch):
+        """Validation reads neither a three-line waveform nor the traced
+        simulate_step: it samples the victim's row alone."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("three-line sampling")
+
+        monkeypatch.setattr(simulator.SimulationResult, "_waveforms", property(refuse))
+        monkeypatch.setattr(simulator, "simulate_step", refuse)
+        assert validate_geometry("1W1S", W1S, segments=3).waveforms_ok
 
     def test_run_validation_orders_geometries(self):
         lines = {

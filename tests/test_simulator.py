@@ -1,6 +1,7 @@
 """Tests for the state-space transient oracle."""
 
 import importlib.resources
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ringrc import (
     LineRC,
     NetworkStateSpace,
     NoCrossingError,
+    NumericError,
     ValidationError,
     build_network,
     crossing_time,
@@ -26,7 +28,8 @@ from ringrc import (
     victim_delay,
 )
 from ringrc.files import parse_config
-from ringrc.simulator import SAMPLES, VictimStep
+from ringrc.lumpmodel import bisect_crossing
+from ringrc.simulator import SAMPLES, SimulationResult
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
 BUNDLED_LINES = parse_config(
@@ -296,6 +299,42 @@ class TestSimulateStep:
         with pytest.raises(ValueError, match="not passive"):
             simulate_step(net, DrivePattern(1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "line, segments, reason",
+        [
+            (LineRC(r=504.0, c=1e-35, c_c=8e-15, v_dd=0.9), 1, "Matrix is not positive definite"),
+            (LineRC(r=1e-300, c=6.6e-15, c_c=8e-15, v_dd=0.9), 1, "L^-1 G L^-T is not finite"),
+            (LineRC(r=8e-295, c=6.6e-15, c_c=8e-15, v_dd=0.9), 1, "a decay rate is not finite"),
+            (LineRC(r=504.0, c=1e-30, c_c=8e-15, v_dd=0.9), 2, "the slowest rate -"),
+        ],
+        ids=["cholesky-fails", "reduced-overflows", "rate-overflows", "rate-rounds-negative"],
+    )
+    def test_unsolvable_network_is_a_numeric_error(self, line, segments, reason):
+        """Finite line models beyond double precision, each failing at its
+        own step of the eigensolve, raise NumericError without a warning."""
+        net = build_network(line, segments)
+        unsolvable = "network cannot be solved in double precision: " + re.escape(reason)
+        with pytest.raises(NumericError, match=unsolvable):
+            simulate_step(net, DrivePattern(1.0, 1.0, 1.0))
+
+    def test_result_samples_waveforms_on_first_read(self):
+        """The constructor stores rates, residues and dt only; the three
+        waveforms are sampled once, when one of them is first read."""
+        net = build_network(W1S, 3)
+        drive = DrivePattern.for_mode(CrosstalkMode.OUT_OF_PHASE, W1S.v_dd)
+        result = SimulationResult.of(net, drive, modes=net.modes())
+        assert vars(result).keys() == {"rates", "residues", "dt"}
+        assert result.crossing(0.5 * W1S.v_dd) == victim_delay(W1S, CrosstalkMode.OUT_OF_PHASE, 3)
+        assert vars(result).keys() == {"rates", "residues", "dt"}
+        line_a = result.line_a
+        assert result.victim is result.line_b and result.line_a is line_a
+        want = simulate_step(net, drive)
+        assert result.dt == want.dt
+        assert np.array_equal(result.residues, want.residues)
+        for got, wf in zip((line_a, result.line_b, result.line_c),
+                           (want.line_a, want.line_b, want.line_c)):
+            assert np.array_equal(got.values, wf.values)
+
     def test_asymmetric_network_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             NetworkStateSpace(
@@ -390,6 +429,21 @@ def crossing_or_none(delay):
         return None
 
 
+def reference_crossing(result, threshold):
+    """The crossing read off the full victim waveform: the first sample at or
+    above the threshold, bisected against the sample before it; None if no
+    sample reaches it."""
+    above = np.flatnonzero(result.victim.values >= threshold)
+    if not len(above):
+        return None
+    i = int(above[0])
+    if i == 0:
+        return 0.0
+    return bisect_crossing(
+        result.rates, result.residues[1], threshold, (i - 1) * result.dt, i * result.dt
+    )
+
+
 # r, c and c_c each over several decades
 RANDOM_LINES = st.builds(
     lambda r, c, cc, v_dd: LineRC(r=10.0**r, c=10.0**c, c_c=10.0**cc, v_dd=v_dd),
@@ -415,13 +469,12 @@ class TestVictimDelay:
     @example(W1S, 50, CrosstalkMode.QUIET, 0.5)
     @example(W1S, 7, CrosstalkMode.OUT_OF_PHASE, JUST_BELOW_ONE)
     def test_equals_full_waveform_crossing(self, line, segments, mode, fraction):
-        """The victim-only block scan returns exactly the full simulation's
-        crossing, and raises NoCrossingError in exactly the same cases."""
+        """The victim-only block scan returns exactly the crossing read off
+        the full waveform, and raises NoCrossingError in exactly the cases
+        where no sample of it reaches the threshold."""
         net = build_network(line, segments)
         drive = DrivePattern.for_mode(mode, line.v_dd)
-        want = crossing_or_none(
-            lambda: crossing_time(simulate_step(net, drive), fraction * line.v_dd)
-        )
+        want = reference_crossing(simulate_step(net, drive), fraction * line.v_dd)
         got = crossing_or_none(lambda: victim_delay(line, mode, segments, fraction))
         assert got == want
 
@@ -439,11 +492,12 @@ class TestVictimDelay:
         net = build_network(W1S, segments)
         drive = DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd)
         result = simulate_step(net, drive)
-        victim = VictimStep.of(net, drive, net.modes())
-        assert np.array_equal(victim.sample(), result.victim.values)
+        assert np.array_equal(result.sample(), result.victim.values)
+        assert np.array_equal(result.sample(250, 260), result.victim.values[250:260])
         for index in (1, 255, 256, 257, 512, 4000, SAMPLES - 1):
             threshold = result.victim.values[index]
-            assert victim.crossing(threshold) == crossing_time(result, threshold)
+            assert result.crossing(threshold) == reference_crossing(result, threshold)
+            assert crossing_time(result, threshold) == result.crossing(threshold)
 
 
 class TestDistributedScaling:
