@@ -35,7 +35,7 @@ from .reporting import (
     waveform_csv,
     waveform_svg,
 )
-from .simulator import build_network, crossing_time, simulate_step
+from .simulator import SAMPLES, build_network, crossing_time, simulate_step
 
 _MODE_NAMES = tuple(sorted(m.value for m in CrosstalkMode))
 
@@ -172,6 +172,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if t_end is not None and not (math.isfinite(t_end) and t_end > 0.0):
         raise ValidationError(
             f"--t-end-ps must be finite and > 0, got {args.t_end_ps!r}"
+        )
+    if t_end is not None and not t_end / (SAMPLES - 1) > 0.0:
+        raise ValidationError(
+            f"--t-end-ps {args.t_end_ps!r} is too short: its grid step "
+            f"(the span over {SAMPLES - 1}) rounds to 0 s"
         )
     net = build_network(line, segments)
     drive = DrivePattern.for_mode(mode, config.v_dd)

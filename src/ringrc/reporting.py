@@ -10,8 +10,26 @@ reviews; six significant digits for values outside 0.01 to 1e6) and CSV
 (for spreadsheets) show the same values scaled to display units.
 
 The waveform CSV ("%.9e" per value) and SVG (points to 0.01 px, "%.2f")
-are written by one numpy field renderer, `_fields`, as NUL-padded byte
-arrays; their bytes equal Python's `%` formatting of every value.
+come from two numpy kernels, `_scientific` and `_fixed`, whose bytes equal
+Python's `%` formatting of every value. Each writes every field of a
+(rows x columns) table as a few whole uint32 words, gathered from digit
+tables, into one row buffer; NUL fills what a field does not use, and one
+`translate` of the buffer's bytes drops it. Digits come from the integer
+mantissa rint(|v| * 10**k) (k = 9 - floor(log10|v|) for "%.9e", 2 for
+"%.2f"), exact unless the scaled value, two roundings off at most, lies
+that close to a half-integer. Those values, a wrong exponent guess,
+subnormals and |v| >= 1e280 for "%.9e", |v| >= 1e13 for "%.2f", and
+non-finite values are formatted by `%` itself and written into the row.
+
+The tables are built on first use, not at import, mostly by numpy
+arithmetic on "%04d" of 0..9999 (four ASCII bytes), and indexed per field:
+- "%.9e": the sign and the first two digits around the point ("\0d.d" or
+  "-d.d", from 200 entries), two lookups in the "%04d" table for the next
+  eight, and "e%+03d" of the exponent, 8 bytes with the separator in byte 5.
+- "%.2f": a sign word, the digits above the tens four to a word, then
+  "TU.dd" (tens, units, point, two decimals) with the separator in 8
+  bytes. Each of these has a zero-padded and a blanked variant, used where
+  no digit is above it, so that leading zeros are NUL from the lookup.
 """
 
 from __future__ import annotations
@@ -355,93 +373,102 @@ def format_validation_text(outcome: ValidationOutcome) -> str:
 # waveform output
 
 
-#: Decimal exponents the field renderer's tables cover.
+#: Decimal exponents the "%.9e" tables cover.
 _EXP_SPAN = 300
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """"%04d" of 0..9999 as one uint32 of ASCII each, then "e%+03d" padded
-    to five bytes and the correctly rounded 10.0**e for |e| <= _EXP_SPAN."""
+def _tables() -> tuple[np.ndarray, ...]:
+    """The word tables of the module docstring, built as bytes so that byte
+    order does not matter, and the correctly rounded 10.0**e, |e| <= _EXP_SPAN."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+    blanks = quads * np.logical_or.accumulate(quads > ord("0"), axis=1)  # "%4d", NUL blanks
+    low = np.zeros((2, 10_000, 8), np.uint8)  # "TU.dd", then blanked down to the units
+    low[..., [0, 1, 3, 4]], low[..., 2] = quads, ord(".")
+    low[1, :, 0] = blanks[:, 0]
+    head = [b"%s%d.%d" % (sign, d // 10, d % 10) for sign in (b"", b"-") for d in range(100)]
     exponents = range(-_EXP_SPAN, _EXP_SPAN + 1)
-    suffixes = np.array(["e%+03d" % e for e in exponents], dtype="S5").view(np.uint8)
-    return (np.frombuffer("".join(["%04d" % i for i in range(10_000)]).encode(), np.uint32),
-            suffixes.reshape(-1, 5), np.array([float(f"1e{e}") for e in exponents]))
+    return (np.concatenate([quads, blanks]).view(np.uint32).ravel(),
+            np.array(head, "S4").view(np.uint32),
+            np.array([b"e%+03d" % e for e in exponents], "S8").view(np.uint64),
+            low.view(np.uint64).ravel(), np.array([float(f"1e{e}") for e in exponents]))
 
 
-def _fields(values: np.ndarray, fmt: str) -> np.ndarray:
-    """Python's `fmt % v`, for fmt "%.9e" or "%.2f", of each float64 in
-    the 1-d array `values`, one NUL-padded row of ASCII per value.
+def _finish(rows: np.ndarray, tail: np.ndarray, values: np.ndarray, fast: np.ndarray,
+            fmt: bytes, separators: bytes) -> np.ndarray:
+    """rows, the tail words and then separators (byte 5) in each field's last
+    two words, and `fmt % v` over each field not fast, widened if need be."""
+    *fields, width = rows.shape
+    np.ndarray(fields, np.uint64, rows, 4 * width - 8, rows.strides[:-1])[...] = tail
+    rows.view(np.uint8)[..., -3] = np.frombuffer(separators, np.uint8)
+    if fast.all():
+        return rows
+    slow = np.nonzero(~fast)
+    texts = np.array([fmt % v + separators[column:column + 1]
+                      for v, column in zip(values[slow].tolist(), slow[1].tolist())])
+    if texts.itemsize > 4 * width:  # a "%.2f" of 1e13 or more
+        rows = np.pad(rows, ((0, 0), (0, 0), (-(-texts.itemsize // 4) - width, 0)))
+    width = rows.shape[-1]
+    rows[slow] = texts.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width)
+    return rows
 
-    Digits come from the integer mantissa rint(|v| * 10**k), exact unless
-    the scaled value, two roundings off at most, lies that close to a
-    half-integer. Those values, a wrong exponent guess from log10, and all
-    outside the fast domain (subnormals and |v| >= 1e280 for %.9e,
-    |v| >= 1e13 for %.2f, non-finite) are formatted by `%` itself.
-    """
-    quads, suffixes, powers = _digit_tables()
+
+def _scientific(values: np.ndarray, separators: bytes) -> np.ndarray:
+    """"%.9e" of each value (rows x columns) and its column's separator, as
+    five uint32 words per field: sign and d.d, two quads, exponent."""
+    quads, head, suffix, _, powers = _tables()
     a = np.abs(values)
-    scientific = fmt == "%.9e"
-    decimals = 9 if scientific else 2
-    if scientific:
-        fast = (a >= 1e-280) & (a < 1e280)
-        zero = a == 0.0
-        a = np.where(fast, a, 1.0)
-        e = np.floor(np.log10(a)).astype(np.int64)
-        scaled = a * powers[_EXP_SPAN + decimals - e]
-        # out of range: log10 guessed wrong, or rint carries into the next decade
-        fast &= (scaled >= 1e9) & (scaled < 1e10 - 0.5)
-        # ±0.0 is mantissa 0 with exponent 0, the log10 of the 1.0 put in its place
-        fast |= zero
-        scaled[zero] = 0.0
-    else:
-        fast = a < 1e13
-        scaled = np.where(fast, a, 0.0) * 100.0
+    fast = (a >= 1e-280) & (a < 1e280)
+    e = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.intp)
+    scaled = np.where(fast, a, 0.0) * powers[_EXP_SPAN + 9 - e]
+    # out of range: log10 guessed wrong, or rint carries into the next decade;
+    # ±0.0 is mantissa 0 with exponent 0, the log10 of the 1.0 put in its place
+    fast = fast & (scaled >= 1e9) & (scaled < 1e10 - 0.5) | (a == 0.0)
     fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
     mantissa = np.rint(scaled).astype(np.int64)
-    # four-digit groups; at least the units digit and the decimals, as for a zero
-    groups = -(-len(str(mantissa.max(initial=10**decimals))) // 4)
-    words = np.empty((len(values), groups), np.uint32)  # four digits each
-    rest = mantissa
-    for j in range(groups):
-        place = 10 ** (4 * (groups - 1 - j))
-        words[:, j] = quads.take(rest // place)
-        rest = rest % place
-    digits = words.view(np.uint8)
-    # blank the leading zeros: every integer digit but the units, above the mantissa
-    places = 10 ** np.arange(4 * groups - 1, decimals, -1)
-    digits[:, :-decimals - 1][mantissa[:, None] < places] = 0
-    sign = np.signbit(values).view(np.uint8)[:, None] * np.uint8(ord("-"))
-    point = np.full((len(values), 1), ord("."), np.uint8)
-    parts = [sign, digits[:, :-decimals], point, digits[:, -decimals:]]
-    if scientific:
-        parts.append(suffixes.take(_EXP_SPAN + e, axis=0))
-    out = np.concatenate(parts, axis=1)
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        texts = np.array([fmt % x for x in values[slow].tolist()], dtype=bytes)
-        width = out.shape[1]
-        if texts.itemsize > width:  # a "%.2f" of 1e13 or more
-            out, width = np.pad(out, ((0, 0), (0, texts.itemsize - width))), texts.itemsize
-        out[slow] = texts.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-    return out
+    high = mantissa // 10**8  # numpy's // by a scalar needs no hardware division; % does
+    low = (mantissa - high * 10**8).astype(np.int32)
+    middle = low // 10_000
+    rows = np.empty((*values.shape, 5), np.uint32)
+    # a field the fallback rewrites may have three leading digits: clip them
+    rows[..., 0] = head.take(high + 100 * np.signbit(values), mode="clip")
+    rows[..., 1], rows[..., 2] = quads[middle], quads[low - middle * 10_000]
+    return _finish(rows, suffix[_EXP_SPAN + e], values, fast, b"%.9e", separators)
 
 
-def _join(fields: list[np.ndarray], separators: bytes) -> str:
-    """One line per row: each field's row and then its separator byte, with
-    the NUL filler dropped."""
-    parts = [part for field, separator in zip(fields, separators)
-             for part in (field, np.full((len(field), 1), separator, np.uint8))]
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+def _fixed(values: np.ndarray, separators: bytes) -> np.ndarray:
+    """"%.2f" of each value (rows x columns) and its column's separator, as
+    uint32 words: the sign, the digits above the tens by fours, "TU.dd"."""
+    lead, _, _, low, _ = _tables()
+    a = np.abs(values)
+    fast = a < 1e13
+    scaled = np.where(fast, a, 0.0) * 100.0
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
+    mantissa = np.rint(scaled).astype(np.int64)
+    groups = (len(str(mantissa.max(initial=0))) - 1) // 4
+    rows = np.empty((*values.shape, groups + 3), np.uint32)
+    rows[..., 0] = np.signbit(values) * np.uint32(ord("-"))
+    above = 0  # the digits above each word: none above the first
+    for j in range(groups + 1):  # each word above the tens, then "TU.dd"
+        digits = mantissa // 10 ** (4 * (groups - j))
+        index = digits - 10_000 * above + 10_000 * (above == 0)  # blanked if none above
+        if j < groups:
+            rows[..., 1 + j], above = lead[index], digits
+    return _finish(rows, low[index], values, fast, b"%.2f", separators)
+
+
+def _text(rows: np.ndarray) -> str:
+    """The bytes of rows, NUL padding dropped."""
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def waveform_csv(result: SimulationResult) -> str:
     """Render a simulation result as a four-column CSV (time plus the
     far-end voltage of each line), every value as "%.9e"."""
     lines = (result.line_a, result.line_b, result.line_c)
-    columns = [result.line_a.times] + [line.values for line in lines]
-    body = _join([_fields(column, "%.9e") for column in columns], b",,,\n")
-    return "time_s,line_a_v,line_b_v,line_c_v\n" + body
+    table = np.column_stack([result.line_a.times] + [line.values for line in lines])
+    return "time_s,line_a_v,line_b_v,line_c_v\n" + _text(_scientific(table, b",,,\n"))
 
 
 def waveform_svg(result: SimulationResult, title: str = "") -> str:
@@ -451,11 +478,10 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     plot_w = width - left - right
     plot_h = height - top - bottom
 
+    lines = (result.line_a, result.line_b, result.line_c)
     times = result.line_a.times
     t_max = float(times[-1]) if len(times) > 1 else 1.0
-    all_values = np.concatenate(
-        [result.line_a.values, result.line_b.values, result.line_c.values]
-    )
+    all_values = np.concatenate([line.values for line in lines])
     v_min = min(0.0, float(np.min(all_values)))
     v_max = float(np.max(all_values))
     if v_max <= v_min:
@@ -465,7 +491,13 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     def y(v):
         return top + plot_h * (1.0 - (v - v_min) / span)
 
-    x_fields = _fields(left + plot_w * (times / t_max), "%.2f")
+    # x, then each line's y: the x words are rendered once for all three
+    points = _fixed(
+        np.column_stack([left + plot_w * (times / t_max)] + [y(line.values) for line in lines]),
+        b",   ",
+    )
+    # one item per field; row by row, columns 0 and idx + 1 are a polyline's points
+    fields = points.view(f"V{points.itemsize * points.shape[-1]}")[..., 0]
     # by hand: xml.sax.saxutils.escape would import urllib.request at startup
     escaped_title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
@@ -488,14 +520,11 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
         f' font-family="monospace">{v_min:.2f} V</text>',
     ]
     colors = {"line_a": "#6a6a6a", "line_b": "#c03030", "line_c": "#3060b0"}
-    for idx, waveform in enumerate(
-        (result.line_a, result.line_b, result.line_c)
-    ):
-        points = _join([x_fields, _fields(y(waveform.values), "%.2f")], b", ")[:-1]
+    for idx, waveform in enumerate(lines):
         color = colors[waveform.label]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f' points="{points}"/>'
+            f' points="{_text(fields[:, 0:idx + 2:idx + 1])[:-1]}"/>'
         )
         parts.append(
             f'<text x="{left + plot_w - 120:.1f}" y="{top + 14 + 14 * idx:.1f}"'

@@ -150,10 +150,24 @@ class SimulationResult:
            t_end: float | None = None, modes: tuple | None = None) -> SimulationResult:
         """The response of net to drive over [0, t_end], by default
         T_END_FACTOR slowest time constants. modes, if given, is net.modes(),
-        so that several drives share one eigensolve. Raises ValueError if
-        t_end is not > 0, and whatever net.modes() raises."""
+        so that several drives share one eigensolve.
+
+        Raises:
+            NumericError: if the residues, or twice their absolute sum (a
+                bound on every partial sum the sampler forms), overflow.
+            ValueError: if t_end is not > 0.
+            Whatever net.modes() raises.
+        """
         rates, shapes = net.modes() if modes is None else modes
-        residues = shapes[list(net.observed)] * (shapes.T @ net._source_vector(drive) / rates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residues = shapes[list(net.observed)] * (shapes.T @ net._source_vector(drive) / rates)
+            bound = 2.0 * np.abs(residues).sum(axis=1)
+        if not np.isfinite(bound).all():
+            peak = max(abs(drive.v_s1), abs(drive.v_s2), abs(drive.v_s3))
+            raise NumericError(
+                f"the {net.node_count}-node network's response to a {peak!r} V step "
+                f"overflows double precision"
+            )
         if t_end is None:
             t_end = T_END_FACTOR / rates[0]
         if not t_end > 0.0:

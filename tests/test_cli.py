@@ -616,6 +616,32 @@ class TestSimulate:
         assert "--t-end-ps must be finite and > 0" in captured.err
         assert "samples" not in captured.out
 
+    def test_span_without_grid_step_rejected(self, workspace, capsys, tmp_path):
+        """A span whose grid step rounds to 0 s is a validation error: one
+        error line, no traceback, no warning and no output file."""
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [
+                    "simulate",
+                    "--config", workspace["config"],
+                    "--geometry", "1W1S",
+                    "--mode", "quiet",
+                    "--t-end-ps", "1e-308",
+                    "--out", str(out),
+                ]
+            )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            "error: --t-end-ps 1e-308 is too short: its grid step "
+            "(the span over 8191) rounds to 0 s\n"
+        )
+        assert captured.out == ""
+        assert caught == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("segments", [10**7, 10**10, 10**20])
     def test_unallocatable_segment_count_rejected(self, workspace, capsys, segments):
         """numpy refuses the matrices up front, so no memory is touched:
@@ -1074,6 +1100,7 @@ class TestTopLevel:
 
 SIMULATE_1W1S = ("simulate", "--geometry", "1W1S", "--mode", "quiet")
 UNSOLVABLE = "network cannot be solved in double precision: "
+RESPONSE_OVERFLOWS = "network's response to a 1e+307 V step overflows double precision"
 TARGET_UNDERFLOWS = ("must be > 0 and, scaled to SI units, a normal float "
                      "(>= 2.2250738585072014e-308), got 1e-310")
 #: One finite config value the oracle or the comparison cannot use, the
@@ -1093,6 +1120,9 @@ EXTREME_VALUES = {
                           f"spec.1W1S.c_total_ff {TARGET_UNDERFLOWS}"),
     "r_sw_ohm-report": ("spec.1W1S.r_sw_ohm", "1e-310", ("report",), 3,
                         f"spec.1W1S.r_sw_ohm {TARGET_UNDERFLOWS}"),
+    "v_dd-simulate": ("v_dd", "1e307", (*SIMULATE_1W1S, "--segments", "2"), 4,
+                      f"the 6-node {RESPONSE_OVERFLOWS}"),
+    "v_dd-validate": ("v_dd", "1e307", ("validate",), 4, f"the 3-node {RESPONSE_OVERFLOWS}"),
     "threshold-validate": ("threshold_fraction", "1e-300", ("validate",), 4,
                            "threshold_fraction = 1e-300: the lump victim starts at or above "
                            "the threshold (quiet delay 0.0 s)"),

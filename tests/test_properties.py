@@ -669,25 +669,33 @@ def test_extreme_magnitudes_end_in_a_documented_exit(dies):
 #: 11-significant-digit decimal ties and their neighbours, for "%.9e"
 NEAR_TIES = st.builds(lambda k, e: (10 * k + 5) * 10.0**e,
                       st.integers(10**9, 10**10 - 1), st.integers(-40, 40))
+#: half-cent ties for "%.2f", up to and past its 1e13 fast range
+CENT_TIES = st.builds(lambda k, e: (2 * k + 1) * 0.005 * 10.0**e,
+                      st.integers(0, 10**6), st.integers(0, 14))
+FIELD = st.one_of(st.floats(), st.floats(-1e16, 1e16),
+                  st.integers(-10**9, 10**9).map(lambda k: k / 1000), NEAR_TIES, CENT_TIES)
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.integers(-10**9, 10**9).map(lambda k: k / 1000),
-                          NEAR_TIES),
-                min_size=1, max_size=64))
+@given(st.lists(st.tuples(FIELD, FIELD, FIELD, FIELD), min_size=1, max_size=16),
+       st.sampled_from([b",,,\n", b",   "]))
 # ties; products that round onto a half-integer (64.825 * 100 == 6482.5, and
 # 0.23598690935 scaled to ten digits); mantissas that round into the next
-# decade; the smallest subnormal, ±0.0 and the largest float
-@example([0.125, 2.675, 1.005, 64.825, 291.755, 0.23598690935, 9.9999999995,
-          9.9999999995e-5, 9.99999999996, 9.99999999996e-5, 5e-324, 0.0, -0.0,
-          1.7976931348623157e308])
-def test_field_renderer_matches_percent_formatting(values):
-    """The waveform emitters' field renderer writes Python's `%.9e` and
-    `%.2f` of any finite float64, byte for byte."""
-    array = np.array(values, dtype=np.float64)
-    for fmt in ("%.9e", "%.2f"):
-        rows = reporting._fields(array, fmt)
-        assert [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows] == [
-            fmt % value for value in values
-        ]
+# decade; the smallest subnormal and normal, ±0.0 and the largest float;
+# three-digit exponents; "%.2f" at four-digit group edges, from 1e6 and from
+# 1e13; non-finite values
+@example([(0.125, 2.675, 1.005, 64.825), (291.755, 0.23598690935, 9.9999999995, 9.9999999995e-5),
+          (9.99999999996, 9.99999999996e-5, 5e-324, 2.2250738585072014e-308),
+          (0.0, -0.0, 1.7976931348623157e308, -1e-300), (1.5e100, 99.995, 99.99, 100.0),
+          (-999999.995, 1e6, 12345678.9, -1234567890123.45),
+          (9999999999999.99, 1e13, -12345678901234.5, 1e300),
+          (float("inf"), float("-inf"), float("nan"), 7e-310)], b",,,\n")
+def test_field_renderer_matches_percent_formatting(rows, separators):
+    """The waveform emitters' two kernels write Python's `%.9e` and `%.2f`
+    of any float64, each followed by its column's separator, byte for byte."""
+    table = np.array(rows, dtype=np.float64)
+    for kernel, fmt in ((reporting._scientific, "%.9e"), (reporting._fixed, "%.2f")):
+        assert reporting._text(kernel(table, separators)) == "".join(
+            fmt % value + separator
+            for row in rows for value, separator in zip(row, separators.decode())
+        )
