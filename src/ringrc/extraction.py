@@ -85,18 +85,14 @@ class ExtractionResult:
     c_int: float
     c_total: float
     c_ground: float
-    c_coupling: float
+    c_c: float
     die: str = ""
 
     @property
     def provenance(self) -> dict[str, tuple[str, ...]]:
-        """Each extracted value's source record labels, by field name."""
+        """Each extracted value's source record labels, by value name."""
         labels = [record_label(self.die, self.geometry, *pair) for pair in _REQUIRED]
-        return {value.field: tuple([labels[i] for i in value.sources]) for value in VALUES}
-
-    @property
-    def parasitics(self) -> ParasiticSet:
-        return ParasiticSet(**{value.name: getattr(self, value.field) for value in COMPARED})
+        return {value.name: tuple([labels[i] for i in value.sources]) for value in VALUES}
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +111,7 @@ class LotExtraction(Mapping[str, ExtractionResult]):
     c_int: np.ndarray
     c_total: np.ndarray
     c_ground: np.ndarray
-    c_coupling: np.ndarray
+    c_c: np.ndarray
 
     @cached_property
     def _rows(self) -> dict[str, int]:
@@ -123,7 +119,7 @@ class LotExtraction(Mapping[str, ExtractionResult]):
 
     def __getitem__(self, die: str) -> ExtractionResult:
         row = self._rows[die]
-        values = [getattr(self, value.field).item(row) for value in VALUES]
+        values = [getattr(self, value.name).item(row) for value in VALUES]
         return ExtractionResult(self.geometry, *values, die=die)
 
     def __iter__(self):
@@ -246,12 +242,11 @@ _REQUIRED_CELLS = [_CELLS[pair] for pair in _REQUIRED]
 
 
 class Value(NamedTuple):
-    """One extracted value: its report name, ExtractionResult field, display
-    unit, SI-to-unit scale and the records it is computed from, as
-    indices into _REQUIRED."""
+    """One extracted value: its name (in every report, and as the field of
+    ExtractionResult and LotExtraction), display unit, SI-to-unit scale and
+    the records it is computed from, as indices into _REQUIRED."""
 
     name: str
-    field: str
     unit: str
     scale: float
     sources: tuple[int, ...]
@@ -261,13 +256,13 @@ class Value(NamedTuple):
 #: and LotExtraction's field order. A value with a design target is named
 #: as the ParasiticSet field; its config key is spec.<geometry>.<name>_<unit>.
 VALUES = (
-    Value("r_sw", "r_sw", "ohm", 1.0, (0,)),
-    Value("c_s", "c_s", "fF", 1e15, (0,)),
-    Value("c_gate", "c_gate", "fF", 1e15, (0, 1)),
-    Value("c_int", "c_int", "fF", 1e15, (0, 1)),
-    Value("c_total", "c_total", "fF", 1e15, (0, 1)),
-    Value("c_ground", "c_ground", "fF", 1e15, (2, 3, 0)),
-    Value("c_c", "c_coupling", "fF", 1e15, (2, 3, 0)),
+    Value("r_sw", "ohm", 1.0, (0,)),
+    Value("c_s", "fF", 1e15, (0,)),
+    Value("c_gate", "fF", 1e15, (0, 1)),
+    Value("c_int", "fF", 1e15, (0, 1)),
+    Value("c_total", "fF", 1e15, (0, 1)),
+    Value("c_ground", "fF", 1e15, (2, 3, 0)),
+    Value("c_c", "fF", 1e15, (2, 3, 0)),
 )
 #: The values with a design target, in ParasiticSet's field order.
 COMPARED = tuple(value for field in fields(ParasiticSet) for value in VALUES
@@ -334,9 +329,9 @@ def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
         t_q = stage_delay_from_period(config, quiet_fo1)
         _in_range(("r_sw", "stage delay t_o", "stage delay t_q"), (r_sw, t_o, t_q))
         c_ground = ground_capacitance(t_o, t_q, r_sw)
-        c_coupling = coupling_capacitance(t_o, t_q, r_sw)
-        values = r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_coupling
-        _in_range([value.field for value in VALUES], values)
+        c_c = coupling_capacitance(t_o, t_q, r_sw)
+        values = r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_c
+        _in_range([value.name for value in VALUES], values)
         return values
 
     # The dies before the first one with a missing record run the formulas
@@ -367,14 +362,13 @@ def compare_to_spec(
     values: ParasiticSet | ExtractionResult,
     spec: ParasiticSet,
 ) -> ErrorReport:
-    """Relative errors of extracted (or published) values against targets.
+    """Relative errors of extracted (or published) values against targets,
+    read by the COMPARED names, which both types share.
 
     The delay-product error compares r_sw * c_total between the two sets
     and is None when either side lacks one of the factors. An error that
     overflows (a value ~1e300 times its target) raises NumericError.
     """
-    if isinstance(values, ExtractionResult):
-        values = values.parasitics
 
     def relative(name: str, value: float, target: float) -> float:
         error = abs(value - target) / target
@@ -384,8 +378,8 @@ def compare_to_spec(
         return error
 
     param_errors = {}
-    # both in ParasiticSet's field order
-    for (name, value), target in zip(values.as_dict().items(), spec.as_dict().values()):
+    for name in (value.name for value in COMPARED):
+        value, target = getattr(values, name), getattr(spec, name)
         if value is None or target is None:
             continue
         if target == 0.0:

@@ -63,7 +63,13 @@ _CAP_KEYS = ("c_ta_ff", "c_ba_ff", "c_ft_ff", "c_fb_ff", "c_c_ff")
 #: spec.<geometry>.<key> -> the value it targets, in ParasiticSet's field order
 _SPEC_TARGETS = {f"{value.name}_{value.unit.lower()}": value for value in COMPARED}
 
-REPORT_FORMAT_TAG = "ringrc-report/1"
+#: Smallest threshold_fraction: the oracle's waveforms carry rounding of up to
+#: ~2.4e-15 of v_dd (2.7e-16 at t = 0), which must not decide a crossing.
+THRESHOLD_FLOOR = 1e-9
+
+REPORT_FORMAT_TAG = "ringrc-report/2"
+#: The tags parse_report reads; a /1 document differs only in c_c's provenance key.
+_READABLE_TAGS = ("ringrc-report/1", REPORT_FORMAT_TAG)
 
 
 def _float(token: str, what: str, lineno: int) -> float:
@@ -395,9 +401,11 @@ def parse_config(text: str) -> ConfigFile:
 
     entry = take("threshold_fraction")
     threshold = 0.5 if entry is None else _float(entry[0], "threshold_fraction", entry[1])
-    if not 0.0 < threshold < 1.0:
+    if not THRESHOLD_FLOOR <= threshold < 1.0:
         raise ValidationError(
-            f"threshold_fraction must be in (0, 1), got {threshold!r}"
+            f"threshold_fraction must be in [{THRESHOLD_FLOOR!r}, 1), got {threshold!r}; "
+            f"below {THRESHOLD_FLOOR!r} of v_dd a simulated crossing would be set by "
+            f"rounding, which reaches ~1e-15 of v_dd, not by the line"
         )
     entry = take("segments")
     segments = 50 if entry is None else _int(entry[0], "segments", entry[1])
@@ -545,13 +553,14 @@ def emit_report_json(payload: dict) -> str:
 
 
 def parse_report(text: str) -> dict:
+    """The payload of a JSON report carrying one of the readable tags."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}", exc.lineno) from None
-    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT_TAG:
+    if not isinstance(payload, dict) or payload.get("format") not in _READABLE_TAGS:
         raise ParseError(
-            f"missing or unsupported format tag; expected {REPORT_FORMAT_TAG!r}",
+            f"missing or unsupported format tag; expected {' or '.join(map(repr, _READABLE_TAGS))}",
             None,
         )
     return payload

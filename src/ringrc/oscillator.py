@@ -14,6 +14,7 @@ distinct pull-up / pull-down currents t_s = C V (1/I_dp + 1/I_dn).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -59,6 +60,9 @@ class RoConfig:
             raise ValueError(f"n must be >= 3, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if 2 * self.n * self.m > sys.float_info.max:  # an int-float comparison is exact
+            raise ValueError(f"2 * n * m must not exceed the largest float, "
+                             f"{sys.float_info.max!r}: the period algebra divides by it")
         if not (math.isfinite(self.v_dd) and self.v_dd > 0.0):
             raise ValueError(f"v_dd must be finite and > 0, got {self.v_dd!r}")
 

@@ -81,7 +81,7 @@ def emit_report(
     if fmt == "json":
         geometries = {}
         for geometry, result in results.items():
-            extraction = {value.name: getattr(result, value.field) for value in VALUES}
+            extraction = {value.name: getattr(result, value.name) for value in VALUES}
             extraction["provenance"] = {
                 name: list(labels) for name, labels in result.provenance.items()
             }
@@ -108,17 +108,17 @@ def emit_report(
         if fmt == "text":
             out.append(f"\ngeometry {geometry}\n")
             out += [
-                f"  {name:<9} {_shown(getattr(result, field) * scale)} {unit}\n"
-                for name, field, unit, scale, _ in VALUES
+                f"  {name:<9} {_shown(getattr(result, name) * scale)} {unit}\n"
+                for name, unit, scale, _ in VALUES
             ]
         else:
-            for name, field, unit, scale, _ in VALUES:
+            for name, unit, scale, _ in VALUES:
                 target_field = error_field = ""
                 if name in errors:
                     error_field = f"{errors[name] * 100.0:.4f}"
                     target_field = f"{getattr(report.targets, name) * scale:.6g}"
                 out.append(
-                    f"{geometry},{name},{unit},{getattr(result, field) * scale:.6g},"
+                    f"{geometry},{name},{unit},{getattr(result, name) * scale:.6g},"
                     f"{target_field},{error_field}\n"
                 )
         if report is None:
@@ -129,9 +129,9 @@ def emit_report(
                 f" {'error %':>8}\n"
             )
             out += [
-                f"  {name + ' (' + unit + ')':<12} {_shown(getattr(result, field) * scale)}"
+                f"  {name + ' (' + unit + ')':<12} {_shown(getattr(result, name) * scale)}"
                 f" {_shown(getattr(report.targets, name) * scale)} {errors[name] * 100.0:>8.2f}\n"
-                for name, field, unit, scale, _ in COMPARED if name in errors
+                for name, unit, scale, _ in COMPARED if name in errors
             ]
         if report.delay_product_error is not None:
             error_pct = report.delay_product_error * 100.0

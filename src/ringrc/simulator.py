@@ -224,25 +224,34 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
         raise ValueError(f"segments must be >= 1, got {segments}")
     n_seg = segments
     n_nodes = 3 * n_seg
-    g_seg = 1.0 / (line.r / n_seg)
-    cc_seg = line.c_c / n_seg
+    # before any float arithmetic on the count, which overflows past ~1.8e308
     try:
         cap = np.zeros((n_nodes, n_nodes))
         cond = np.zeros((n_nodes, n_nodes))
     except (MemoryError, ValueError):  # numpy refuses a shape it cannot address
-        raise ValidationError(f"a {n_nodes}-node network is too large to allocate") from None
+        digits = str(n_nodes)
+        count = digits if len(digits) <= 21 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+        raise ValidationError(f"a {count}-node network is too large to allocate") from None
+    r_seg = line.r / n_seg
+    if not r_seg > 0.0:
+        raise NumericError(f"the {n_nodes}-node network cannot be solved in double precision: "
+                           f"its section resistance {line.r!r} / {n_seg} rounds to 0 ohm")
+    g_seg = 1.0 / r_seg
+    cc_seg = line.c_c / n_seg
     nodes = np.arange(n_nodes).reshape(3, n_seg)  # nodes[line, section]
     cap[np.diag_indices(n_nodes)] = line.c / n_seg
-    # series resistances, then A-B and B-C coupling (line B sums in that order)
-    for matrix, i, j, value in (
-        (cond, nodes[:, :-1], nodes[:, 1:], g_seg),
-        (cap, nodes[0], nodes[1], cc_seg),
-        (cap, nodes[1], nodes[2], cc_seg),
-    ):
-        matrix[i, i] += value
-        matrix[j, j] += value
-        matrix[i, j] -= value
-        matrix[j, i] -= value
+    # series resistances, then A-B and B-C coupling (line B sums in that order);
+    # a sum that overflows stays inf, which modes() refuses as NumericError
+    with np.errstate(over="ignore"):
+        for matrix, i, j, value in (
+            (cond, nodes[:, :-1], nodes[:, 1:], g_seg),
+            (cap, nodes[0], nodes[1], cc_seg),
+            (cap, nodes[1], nodes[2], cc_seg),
+        ):
+            matrix[i, i] += value
+            matrix[j, j] += value
+            matrix[i, j] -= value
+            matrix[j, i] -= value
     src_g = np.zeros(n_nodes)
     src_g[nodes[:, 0]] = g_seg
     src_line = np.full(n_nodes, -1, dtype=int)

@@ -114,7 +114,7 @@ class TestAcceptance:
         details = []
         ok = True
         for geometry in ("1W1S", "1W2S"):
-            got = extractions[geometry].parasitics.as_dict()
+            got = vars(extractions[geometry])
             want = PUBLISHED[geometry].as_dict()
             for name, bound in gates.items():
                 err = abs(got[name] - want[name]) / want[name]
@@ -232,7 +232,7 @@ class TestAcceptance:
             worst_coupled = max(
                 worst_coupled,
                 abs(result.c_ground - load) / load,
-                abs(result.c_coupling - truth.c_c) / truth.c_c,
+                abs(result.c_c - truth.c_c) / truth.c_c,
             )
         ok = worst_exact <= 1e-9 and worst_coupled <= 0.15
         _report(
@@ -317,7 +317,7 @@ class TestAcceptance:
             c_int=3.0 * c_total / 4.0,
             c_total=c_total,
             c_ground=c_total / 2.0,
-            c_coupling=c_total / 2.0,
+            c_c=c_total / 2.0,
         )
 
         report = monitor_binning(lot)

@@ -662,6 +662,18 @@ class TestSimulate:
         assert f"a {3 * segments}-node network is too large to allocate" in captured.err
         assert captured.out == ""
 
+    def test_segment_count_past_the_float_range_rejected(self, workspace, capsys, tmp_path):
+        """A count whose float conversion overflows is refused like any
+        other unallocatable count, its node count shown by leading digits."""
+        out = tmp_path / "w.csv"
+        code = main([*SIMULATE_1W1S, "--config", workspace["config"],
+                     "--segments", HUGE_SEGMENTS, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: a 3.00e+310-node network is too large to allocate\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_zero_segments_rejected(self, workspace, capsys):
         code = main(
             [
@@ -1103,6 +1115,11 @@ UNSOLVABLE = "network cannot be solved in double precision: "
 RESPONSE_OVERFLOWS = "network's response to a 1e+307 V step overflows double precision"
 TARGET_UNDERFLOWS = ("must be > 0 and, scaled to SI units, a normal float "
                      "(>= 2.2250738585072014e-308), got 1e-310")
+#: Integer literals whose float conversion overflows: 2 n m = 1.28e309 for
+#: n = 1e307 with the bundled m, and 1e310 segments.
+HUGE_N, HUGE_SEGMENTS = "1" + "0" * 307, "1" + "0" * 310
+PERIOD_SCALE_OVERFLOWS = ("2 * n * m must not exceed the largest float, "
+                          "1.7976931348623157e+308: the period algebra divides by it")
 #: One finite config value the oracle or the comparison cannot use, the
 #: command that meets it, its exit code and the start of its error line.
 EXTREME_VALUES = {
@@ -1116,6 +1133,11 @@ EXTREME_VALUES = {
                        f"the 3-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
     "r_ohm-simulate": ("line.1W1S.r_ohm", "1e-300", (*SIMULATE_1W1S, "--segments", "1"), 4,
                        f"the 3-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+    "r_ohm-conductance": ("line.1W2S.r_ohm", "2.2250738585072014e-308",
+                          ("simulate", "--geometry", "1W2S", "--mode", "quiet", "--segments", "3"),
+                          4, f"the 9-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+    "r_ohm-sections": ("line.1W1S.r_ohm", "5e-324", (*SIMULATE_1W1S, "--segments", "2"), 4,
+                       f"the 6-node {UNSOLVABLE}its section resistance 5e-324 / 2 rounds to 0 ohm"),
     "c_total_ff-report": ("spec.1W1S.c_total_ff", "1e-310", ("report",), 3,
                           f"spec.1W1S.c_total_ff {TARGET_UNDERFLOWS}"),
     "r_sw_ohm-report": ("spec.1W1S.r_sw_ohm", "1e-310", ("report",), 3,
@@ -1123,9 +1145,14 @@ EXTREME_VALUES = {
     "v_dd-simulate": ("v_dd", "1e307", (*SIMULATE_1W1S, "--segments", "2"), 4,
                       f"the 6-node {RESPONSE_OVERFLOWS}"),
     "v_dd-validate": ("v_dd", "1e307", ("validate",), 4, f"the 3-node {RESPONSE_OVERFLOWS}"),
-    "threshold-validate": ("threshold_fraction", "1e-300", ("validate",), 4,
-                           "threshold_fraction = 1e-300: the lump victim starts at or above "
-                           "the threshold (quiet delay 0.0 s)"),
+    "threshold-validate": ("threshold_fraction", "1e-300", ("validate",), 3,
+                           "threshold_fraction must be in [1e-09, 1), got 1e-300; below 1e-09 "
+                           "of v_dd a simulated crossing would be set by rounding"),
+    "n-report": ("n", HUGE_N, ("report",), 3, PERIOD_SCALE_OVERFLOWS),
+    "n-extract": ("n", HUGE_N, ("extract",), 3, PERIOD_SCALE_OVERFLOWS),
+    "n-binning": ("n", HUGE_N, ("binning", "--geometry", "1W1S"), 3, PERIOD_SCALE_OVERFLOWS),
+    "segments-validate": ("segments", HUGE_SEGMENTS, ("validate",), 3,
+                          "a 3.00e+310-node network is too large to allocate"),
 }
 
 
@@ -1142,7 +1169,7 @@ class TestExtremeConfigValues:
         config.write_text("\n".join(lines) + f"\n{key} = {value}\n")
         out = tmp_path / "out.txt"
         argv = [*command, "--config", str(config), "--out", str(out)]
-        if command[0] == "report":
+        if command[0] in ("report", "extract", "binning"):
             argv += ["--measurements", workspace["measurements"]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

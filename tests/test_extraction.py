@@ -60,7 +60,7 @@ EXPECTED = {
         "c_int": 9.591363715277778e-15,
         "c_total": 12.638869791666668e-15,
         "c_ground": 6.596614097537509e-15,
-        "c_coupling": 7.9463817539935295e-15,
+        "c_c": 7.9463817539935295e-15,
     },
     "1W2S": {
         "r_sw": 417.02577219272155,
@@ -69,7 +69,7 @@ EXPECTED = {
         "c_int": 8.520156874999998e-15,
         "c_total": 12.362470364583329e-15,
         "c_ground": 6.233072949014764e-15,
-        "c_coupling": 8.190755122278585e-15,
+        "c_c": 8.190755122278585e-15,
     },
 }
 
@@ -173,7 +173,7 @@ class TestScalarFormulas:
         got = extract_one(scaled)
         want = EXPECTED["1W1S"]
         assert got.r_sw == pytest.approx(want["r_sw"] * k, rel=1e-9)
-        for name in ("c_s", "c_gate", "c_int", "c_ground", "c_coupling"):
+        for name in ("c_s", "c_gate", "c_int", "c_ground", "c_c"):
             assert getattr(got, name) == pytest.approx(want[name], rel=1e-9, abs=0.0)
 
     def test_wider_spacing_couples_less_at_common_resistance(self):
@@ -184,7 +184,7 @@ class TestScalarFormulas:
         t_q = stage_delay_from_period(CONFIG, 66.22e-9)
         cc_wide = coupling_capacitance(t_o, t_q, r)
         assert cc_wide == pytest.approx(6.766992124247137e-15, rel=1e-12, abs=0.0)
-        assert cc_wide < EXPECTED["1W1S"]["c_coupling"]
+        assert cc_wide < EXPECTED["1W1S"]["c_c"]
 
 
 class TestExtractAll:
@@ -196,10 +196,11 @@ class TestExtractAll:
             assert getattr(result, name) == pytest.approx(want, rel=1e-9, abs=0.0), name
 
     def test_parasitics_view(self):
+        """A result holds every compared value under its ParasiticSet name."""
         result = extract_all(records_for("1W1S"), CONFIG)[""]
-        para = result.parasitics
+        para = ParasiticSet(**{value.name: getattr(result, value.name) for value in COMPARED})
         assert para.c_total == result.c_total
-        assert para.c_c == result.c_coupling
+        assert para.c_c == result.c_c
         assert para.r_sw == result.r_sw
 
     def test_provenance_labels(self):
@@ -209,8 +210,8 @@ class TestExtractAll:
             "1W1S/FO1/in_phase",
             "1W1S/FO2/in_phase",
         )
-        assert "1W1S/FO1/quiet" in result.provenance["c_coupling"]
-        assert "1W1S/FO1/out_of_phase" in result.provenance["c_coupling"]
+        assert "1W1S/FO1/quiet" in result.provenance["c_c"]
+        assert "1W1S/FO1/out_of_phase" in result.provenance["c_c"]
 
     def test_rsw_from_fo1_in_phase_current(self):
         """r_sw of every die in a lot is the charge-balance resistance of
@@ -230,7 +231,7 @@ class TestExtractAll:
                            and r.mode is CrosstalkMode.IN_PHASE]
             assert result.r_sw == switching_resistance(in_phase.i_eff, CONFIG.v_dd)
             assert result.provenance["r_sw"] == (in_phase.label(),)
-            assert result.provenance["c_coupling"][-1] == in_phase.label()
+            assert result.provenance["c_c"][-1] == in_phase.label()
         assert len(set(results.r_sw.tolist())) == 3
 
     def test_missing_record_is_named(self):
@@ -279,7 +280,7 @@ class TestExtractAll:
         results = extract_all(Measurements.from_records(rows), CONFIG)
         assert results.die.tolist() == ["", "D1", "D2"] == list(results)
         assert results.geometry == "1W1S" and len(results) == 3
-        for name in ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling"):
+        for name in ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_c"):
             column = getattr(results, name)
             assert column.dtype == np.float64
             assert column.tolist() == [getattr(results[die], name) for die in results]
@@ -387,21 +388,23 @@ class TestValueTable:
     feeds must agree with it."""
 
     def test_fields_follow_the_table(self):
-        """extract_all builds LotExtraction's columns, and lot[die] its
-        ExtractionResult, positionally in the table's order."""
-        value_fields = [value.field for value in VALUES]
+        """Every value has one name: the value fields of ExtractionResult and
+        LotExtraction (which extract_all and lot[die] fill positionally) and
+        the provenance keys are the table's names, in its order."""
+        names = [value.name for value in VALUES]
         assert [f.name for f in dataclasses.fields(ExtractionResult)] == [
-            "geometry", *value_fields, "die"]
+            "geometry", *names, "die"]
         assert [f.name for f in dataclasses.fields(LotExtraction)] == [
-            "geometry", "die", *value_fields]
+            "geometry", "die", *names]
+        assert list(extract_all(records_for("1W1S"), CONFIG)[""].provenance) == names
 
     def test_compared_names_are_the_parasitic_set_fields(self):
         names = [f.name for f in dataclasses.fields(ParasiticSet)]
         assert [value.name for value in COMPARED] == names
         assert list(ParasiticSet().as_dict()) == names
         result = extract_all(records_for("1W1S"), CONFIG)[""]
-        assert result.parasitics.as_dict() == {
-            value.name: getattr(result, value.field) for value in COMPARED}
+        assert ParasiticSet(**{name: getattr(result, name) for name in names}).as_dict() == {
+            name: getattr(result, name) for name in names}
 
     def test_provenance_by_source_records(self):
         rows = Measurements.from_records(rows_for("1W2S", die="D7"))
@@ -412,7 +415,7 @@ class TestValueTable:
         pair, coupled = (inp_fo1, inp_fo2), (oop_fo1, quiet_fo1, inp_fo1)
         assert result.provenance == {
             "r_sw": (inp_fo1,), "c_s": (inp_fo1,), "c_gate": pair, "c_int": pair,
-            "c_total": pair, "c_ground": coupled, "c_coupling": coupled}
+            "c_total": pair, "c_ground": coupled, "c_c": coupled}
 
 
 class TestCompareToSpec:
@@ -467,7 +470,8 @@ class TestCompareToSpec:
     def test_result_compares_as_its_parasitics(self):
         result = extract_all(records_for("1W1S"), CONFIG)[""]
         spec = TARGETS["1W1S"]
-        assert compare_to_spec(result, spec) == compare_to_spec(result.parasitics, spec)
+        para = ParasiticSet(**{value.name: getattr(result, value.name) for value in COMPARED})
+        assert compare_to_spec(result, spec) == compare_to_spec(para, spec)
 
     def test_overflowing_error_rejected(self):
         """A value so far from its target that the relative error overflows

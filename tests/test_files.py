@@ -4,6 +4,7 @@ import dataclasses
 import importlib.resources
 import json
 import os
+import pathlib
 import re
 
 import pytest
@@ -361,6 +362,17 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=re.escape(key)):
             parse_config(MINIMAL_CONFIG + extra + "\n")
 
+    def test_threshold_floor(self):
+        """A threshold below 1e-9 of v_dd would put the crossing where the
+        oracle's rounding decides it; the message says so."""
+        config = parse_config(MINIMAL_CONFIG + "threshold_fraction = 1e-9\n")
+        assert config.threshold_fraction == 1e-9
+        for value in ("9.99e-10", "1e-300", "5e-324"):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"threshold_fraction must be in [1e-09, 1), got {float(value)!r}; "
+                    "below 1e-09 of v_dd a simulated crossing would be set by rounding")):
+                parse_config(MINIMAL_CONFIG + f"threshold_fraction = {value}\n")
+
     def test_small_stage_count_rejected(self):
         with pytest.raises(ValidationError, match="n must be"):
             parse_config("n = 2\nm = 64\nv_dd = 0.9\n")
@@ -471,6 +483,20 @@ class TestReportJson:
         text = json.dumps({"format": "something-else/9"})
         with pytest.raises(ParseError, match=REPORT_FORMAT_TAG):
             parse_report(text)
+
+    def test_reads_schema_1_and_2_only(self):
+        """A stored ringrc-report/1 document, which keys the coupling
+        capacitance's provenance c_coupling, still parses; the next tag
+        does not."""
+        assert REPORT_FORMAT_TAG == "ringrc-report/2"
+        v2 = (pathlib.Path(__file__).with_name("golden") / "report.json").read_text()
+        v1 = v2.replace('"ringrc-report/2"', '"ringrc-report/1"').replace(
+            '"c_c": [', '"c_coupling": [')
+        assert '"c_coupling": [' in v1
+        assert parse_report(v1)["format"] == "ringrc-report/1"
+        assert parse_report(v2)["format"] == "ringrc-report/2"
+        with pytest.raises(ParseError, match="expected 'ringrc-report/1' or 'ringrc-report/2'"):
+            parse_report(v2.replace('"ringrc-report/2"', '"ringrc-report/3"'))
 
     def test_non_object(self):
         with pytest.raises(ParseError, match="format tag"):

@@ -1,6 +1,7 @@
 """Tests for the ring-oscillator forward model."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ class TestPeriodAlgebra:
             with pytest.raises(ValueError, match="v_dd must be finite"):
                 RoConfig(n=100, m=64, v_dd=v_dd)
 
+    def test_period_scale_fits_a_float(self):
+        """2 n m is compared with the largest float as an integer, so the
+        bound is exact, and a larger product is refused before any period
+        algebra would overflow converting it."""
+        m = int(sys.float_info.max) // 6
+        assert RoConfig(n=3, m=m, v_dd=0.9).period_scale <= sys.float_info.max
+        with pytest.raises(ValueError, match=r"^2 \* n \* m must not exceed the largest float"):
+            RoConfig(n=3, m=m + 1, v_dd=0.9)
+        with pytest.raises(ValueError, match="largest float"):
+            RoConfig(n=10**307, m=64, v_dd=0.9)
+
     def test_invalid_stage_delay(self):
         with pytest.raises(ValueError):
             osc_frequency(100, 0.0)
@@ -220,7 +232,7 @@ class TestSynthesis:
         assert result.r_sw == pytest.approx(truth.r_sw, rel=1e-9)
         assert result.c_gate == pytest.approx(truth.c_gate, rel=1e-9)
         assert result.c_int == pytest.approx(truth.c_int, rel=1e-9)
-        assert result.c_coupling == pytest.approx(truth.c_c, rel=1e-9)
+        assert result.c_c == pytest.approx(truth.c_c, rel=1e-9)
         # the coupled-delay pair sees the single-gate stage load
         assert result.c_ground == pytest.approx(
             truth.c_int + truth.c_gate, rel=1e-9

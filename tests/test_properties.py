@@ -1,9 +1,12 @@
 """Property-based tests: parser robustness, the lump oracle on random lines
 and report emission."""
 
+import contextlib
 import importlib.resources
+import io
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -573,7 +576,7 @@ def test_lot_extraction_equals_each_die_alone(dies, random):
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-EXTRACTED = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_coupling")
+EXTRACTED = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_c")
 
 
 def _scalar_extraction(rows):
@@ -664,6 +667,73 @@ def test_extreme_magnitudes_end_in_a_documented_exit(dies):
     payload = parse_report(text)
     assert emit_report_json(payload) == text
     assert all(np.isfinite(list(_numbers(payload))))
+
+
+#: The bundled config's lines and, for each numeric key, the line that sets it.
+BUNDLED_CONFIG = importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg")
+CONFIG_LINES = BUNDLED_CONFIG.read_text().splitlines()
+KEY_LINES = {line.split("=")[0].strip(): index for index, line in enumerate(CONFIG_LINES)
+             if "=" in line}
+INTEGER_KEYS = ("n", "m", "segments")
+#: Integer literals of every size up to 1e400, and small counts one by one.
+INTEGERS = st.builds(lambda digit, exponent: digit * 10**exponent,
+                     st.integers(1, 9), st.integers(0, 400)) | st.integers(0, 100)
+#: One config key, one at a time, at a magnitude of its own. Segment counts
+#: from 64 to 1e7 are left out: such a network solves for seconds or
+#: allocates gigabytes, and its exit code is that of the counts around it.
+SETTINGS = st.one_of(
+    st.tuples(st.sampled_from(sorted(set(KEY_LINES) - set(INTEGER_KEYS))), MAGNITUDES.map(repr)),
+    st.tuples(st.sampled_from(["n", "m"]), INTEGERS.map(str)),
+    st.tuples(st.just("segments"), INTEGERS.filter(lambda k: not 64 <= k < 10**7).map(str)),
+)
+COMMANDS = st.just(("validate",)) | st.just(("report",)) | st.builds(
+    lambda geometry, mode, segments: ("simulate", "--geometry", geometry, "--mode", mode,
+                                      "--segments", str(segments)),
+    st.sampled_from(["1W1S", "1W2S"]), st.sampled_from([m.value for m in CrosstalkMode]),
+    st.integers(1, 3))
+
+
+@settings(deadline=None, max_examples=500)
+@given(SETTINGS, COMMANDS)
+# 2 n m past the largest float; a node count past it; a threshold below rounding
+@example(("n", "1" + "0" * 307), ("report",))
+@example(("segments", "1" + "0" * 310), ("validate",))
+@example(("threshold_fraction", "1e-300"), ("validate",))
+# a section conductance whose sum overflows; a section resistance that rounds to 0
+@example(("line.1W2S.r_ohm", "2.2250738585072014e-308"),
+         ("simulate", "--geometry", "1W2S", "--mode", "quiet", "--segments", "3"))
+@example(("line.1W2S.r_ohm", "5e-324"),
+         ("simulate", "--geometry", "1W2S", "--mode", "quiet", "--segments", "2"))
+def test_every_config_key_at_any_magnitude_ends_in_a_documented_exit(setting, command):
+    """Any one numeric config key at any magnitude makes `validate`,
+    `simulate` and `report` exit 0, 3 or 4, with no traceback and no
+    warning. A failure prints one `error:` line and writes no file; the
+    one file a nonzero exit leaves is validate's report of a failed check."""
+    key, value = setting
+    lines = list(CONFIG_LINES)
+    lines[KEY_LINES[key]] = f"{key} = {value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = pathlib.Path(tmp, "c.cfg"), pathlib.Path(tmp, "out")
+        config.write_text("\n".join(lines) + "\n")
+        argv = [*command, "--config", str(config), "--out", str(out)]
+        if command[0] == "report":
+            argv += ["--measurements", str(BUNDLED_CONFIG.with_name("measurements_28nm.csv"))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = stderr.getvalue()
+        assert caught == []
+        assert code in (0, 3, 4)
+        if err.startswith("error: "):
+            assert code and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == f"wrote {out}\n"
+            assert code == 0 or command[0] == "validate" and code == 3
+            text = out.read_text()
+            assert (code == 3) == text.endswith("overall: FAIL\n")
 
 
 #: 11-significant-digit decimal ties and their neighbours, for "%.9e"

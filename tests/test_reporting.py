@@ -53,7 +53,7 @@ def make_result(geometry="1W1S", die_r=504.0, c_total=12.6e-15):
         c_int=c_total - c_gate,
         c_total=c_total,
         c_ground=c_total / 2.0,
-        c_coupling=8.0e-15,
+        c_c=8.0e-15,
     )
 
 
@@ -185,7 +185,7 @@ class TestExtractionReport:
         result = ExtractionResult(
             geometry="1W1S", r_sw=4.5e-286, c_s=7.08854e273, c_gate=-3.4e-12,
             c_int=0.01e-15, c_total=999999.994e-15, c_ground=1e6 * 1e-15,
-            c_coupling=0.009e-15,
+            c_c=0.009e-15,
         )
         spec = ParasiticSet(c_total=12.5e-15, r_sw=450.0)
         text = emit_report({"1W1S": result}, {"1W1S": compare_to_spec(result, spec)})
@@ -263,6 +263,14 @@ class TestValidation:
         monkeypatch.setattr(simulator.SimulationResult, "_waveforms", property(refuse))
         monkeypatch.setattr(simulator, "simulate_step", refuse)
         assert validate_geometry("1W1S", W1S, segments=3).waveforms_ok
+
+    def test_threshold_the_lump_starts_at_is_a_numeric_error(self):
+        """parse_config keeps such thresholds out; called directly, the
+        1W2S lump's quiet delay at 1e-300 of v_dd is 0.0 and the ratio is
+        refused rather than divided by it."""
+        with pytest.raises(NumericError, match=r"^threshold_fraction = 1e-300: the lump "
+                           r"victim starts at or above the threshold \(quiet delay 0\.0 s\)"):
+            validate_geometry("1W2S", BUNDLED_LINES["1W2S"], 3, threshold_fraction=1e-300)
 
     def test_run_validation_orders_geometries(self):
         lines = {

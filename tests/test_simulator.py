@@ -181,6 +181,22 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError, match="30000000-node network"):
             build_network(W1S, 10_000_000)
 
+    def test_section_resistance_rounding_to_zero_is_a_numeric_error(self):
+        """r / segments below the smallest subnormal would divide by zero;
+        the network is one double precision cannot solve."""
+        line = LineRC(r=5e-324, c=6.6e-15, c_c=8e-15, v_dd=0.9)
+        with pytest.raises(NumericError, match=r"^the 6-node network cannot be solved in double "
+                           r"precision: its section resistance 5e-324 / 2 rounds to 0 ohm$"):
+            build_network(line, 2)
+
+    def test_count_past_the_float_range_is_a_validation_error(self):
+        """A count whose float conversion overflows is refused by the
+        allocation that precedes all float arithmetic, and the message
+        gives its node count by its leading digits."""
+        with pytest.raises(ValidationError,
+                           match=r"^a 3\.00e\+310-node network is too large to allocate$"):
+            build_network(W1S, 10**310)
+
 
 class TestSimulateStep:
     def test_uncoupled_line_matches_rc_charging(self):
