@@ -213,10 +213,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         if not len(rows):
             raise ValidationError(f"no measurements for geometry {geometry!r}")
         ro_config = config.ro_config(geometry)
-        (result,) = extract_all(rows, ro_config).values()
+        result = extract_all(rows, ro_config)
         results[geometry] = result
         if args.with_comparison:
-            comparisons[geometry] = compare_to_spec(result, config.spec.for_geometry(geometry))
+            targets = config.spec.for_geometry(geometry)
+            comparisons[geometry] = compare_to_spec(result.one(), targets)
     _emit(emit_report(results, comparisons, fmt=args.format), args.out)
     return 0
 
@@ -241,11 +242,11 @@ def _cmd_binning(args: argparse.Namespace) -> int:
             "die label '<blank>' clashes with the label given to unlabelled rows"
         )
     ro_config = config.ro_config(args.geometry)
-    results = extract_all(lot, ro_config)
-    die = results.die.copy()
+    result = extract_all(lot, ro_config)
+    die = result.die.copy()
     die[die == ""] = "<blank>"
-    per_die = dataclasses.replace(results, die=die)
-    _emit(emit_binning(monitor_binning(per_die), fmt=args.format), args.out)
+    labelled = dataclasses.replace(result, die=die)
+    _emit(emit_binning(monitor_binning(labelled), fmt=args.format), args.out)
     return 0
 
 

@@ -26,9 +26,8 @@ takes scalars or per-die arrays alike.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,34 +73,11 @@ class SpecTable:
             ) from None
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    """Full extraction for one geometry and die."""
-
-    geometry: str
-    r_sw: float
-    c_s: float
-    c_gate: float
-    c_int: float
-    c_total: float
-    c_ground: float
-    c_c: float
-    die: str = ""
-
-    @property
-    def provenance(self) -> dict[str, tuple[str, ...]]:
-        """Each extracted value's source record labels, by value name."""
-        labels = [record_label(self.die, self.geometry, *pair) for pair in _REQUIRED]
-        return {value.name: tuple([labels[i] for i in value.sources]) for value in VALUES}
-
-
 @dataclass(frozen=True, eq=False)
-class LotExtraction(Mapping[str, ExtractionResult]):
-    """One geometry's extraction over a lot, column by column: the die
-    labels in sorted order and one float64 column per extracted value,
-    named as ExtractionResult's fields. As a mapping it takes a die label
-    to that die's ExtractionResult, built when it is looked up (the index
-    from label to row on the first lookup)."""
+class ExtractionResult:
+    """One geometry's extraction, column by column: the die labels ("" if
+    unlabelled) in sorted order and one float64 column per extracted
+    value, named as in VALUES. One die is the length-1 case."""
 
     geometry: str
     die: np.ndarray
@@ -113,20 +89,24 @@ class LotExtraction(Mapping[str, ExtractionResult]):
     c_ground: np.ndarray
     c_c: np.ndarray
 
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {d: row for row, d in enumerate(self.die.tolist())}
+    def _only_die(self) -> str:
+        if len(self.die) != 1:
+            raise ValueError(f"the {self.geometry} extraction holds {len(self.die)} dies, "
+                             f"not one")
+        return self.die[0]
 
-    def __getitem__(self, die: str) -> ExtractionResult:
-        row = self._rows[die]
-        values = [getattr(self, value.name).item(row) for value in VALUES]
-        return ExtractionResult(self.geometry, *values, die=die)
+    def one(self) -> dict[str, float]:
+        """The one die's values by name; ValueError unless there is one die."""
+        self._only_die()
+        return {value.name: getattr(self, value.name).item() for value in VALUES}
 
-    def __iter__(self):
-        return iter(self.die.tolist())
-
-    def __len__(self) -> int:
-        return len(self.die)
+    @property
+    def provenance(self) -> dict[str, tuple[str, ...]]:
+        """The one die's source record labels by value name; ValueError
+        unless there is one die."""
+        die = self._only_die()
+        labels = [record_label(die, self.geometry, *pair) for pair in _REQUIRED]
+        return {value.name: tuple([labels[i] for i in value.sources]) for value in VALUES}
 
 
 @dataclass(frozen=True)
@@ -154,15 +134,16 @@ def _check(holds, error: type, message: str, *values) -> None:
         raise error(message.format(*at))
 
 
-def _in_range(names: Sequence[str], values: tuple) -> None:
+def _in_range(names: Sequence[str], values: Iterable, units: Sequence[str]) -> None:
     """Raise ExtractionDomainError naming the first of values (each a value
-    or a column per die) that is not finite and > 0: the measurements were
-    so large or small that a formula over- or underflowed (r_sw =
-    v_dd / (2 i_eff) is 0 for i_eff = 1e308 A)."""
-    for name, value in zip(names, values):
+    or a column per die, in its unit) that is not finite and > 0: the
+    measurements were so large or small that a formula over- or underflowed
+    (r_sw = v_dd / (2 i_eff) is 0 for i_eff = 1e308 A), or its value in
+    that unit overflows."""
+    for name, value, unit in zip(names, values, units):
         _check((value > 0.0) & (value < np.inf), ExtractionDomainError,
                f"{name} = {{!r}}: the measurements over- or underflow its formula"
-               f" (it must be finite and > 0)", value)
+               f" (it must be finite and > 0 in {unit})", value)
 
 
 def switching_resistance(i_eff: float, v_dd: float) -> float:
@@ -242,9 +223,9 @@ _REQUIRED_CELLS = [_CELLS[pair] for pair in _REQUIRED]
 
 
 class Value(NamedTuple):
-    """One extracted value: its name (in every report, and as the field of
-    ExtractionResult and LotExtraction), display unit, SI-to-unit scale and
-    the records it is computed from, as indices into _REQUIRED."""
+    """One extracted value: its name (in every report, and as the column of
+    ExtractionResult), display unit, SI-to-unit scale and the records it is
+    computed from, as indices into _REQUIRED."""
 
     name: str
     unit: str
@@ -253,7 +234,7 @@ class Value(NamedTuple):
 
 
 #: Every extracted value, in report order, which is also ExtractionResult's
-#: and LotExtraction's field order. A value with a design target is named
+#: column order. A value with a design target is named
 #: as the ParasiticSet field; its config key is spec.<geometry>.<name>_<unit>.
 VALUES = (
     Value("r_sw", "ohm", 1.0, (0,)),
@@ -269,16 +250,16 @@ COMPARED = tuple(value for field in fields(ParasiticSet) for value in VALUES
                  if value.name == field.name)
 
 
-def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
+def extract_all(measurements: Measurements, config: RoConfig) -> ExtractionResult:
     """Extract every die of one geometry's records, running the formulas
     once over per-die columns; one die is the length-1 case.
 
     Each die needs in-phase FO1 and FO2, out-of-phase and quiet FO1
     records; r_sw comes from the FO1 in-phase current, whose purely
-    capacitive load the charge balance assumes. Returns the dies' values
-    as columns, a mapping from each die label ("" if unlabelled), in
-    sorted order, to its ExtractionResult. A failing lot raises what its first
-    failing die raises alone, naming the die when there are several.
+    capacitive load the charge balance assumes. Every value must be finite
+    and > 0 in its display unit. Returns one ExtractionResult of the dies'
+    values as columns, in sorted die order. A failing lot raises what its
+    first failing die raises alone, naming the die when there are several.
     """
     if not len(measurements):
         raise ValidationError("no records given")
@@ -327,11 +308,15 @@ def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
         c_int = interconnect_capacitance(inp_fo1, inp_fo2, r_sw, config)
         t_o = stage_delay_from_period(config, oop_fo1)
         t_q = stage_delay_from_period(config, quiet_fo1)
-        _in_range(("r_sw", "stage delay t_o", "stage delay t_q"), (r_sw, t_o, t_q))
+        _in_range(("r_sw", "stage delay t_o", "stage delay t_q"), (r_sw, t_o, t_q),
+                  ("ohm", "s", "s"))
         c_ground = ground_capacitance(t_o, t_q, r_sw)
         c_c = coupling_capacitance(t_o, t_q, r_sw)
         values = r_sw, c_s, c_gate, c_int, c_gate + c_int, c_ground, c_c
-        _in_range([value.name for value in VALUES], values)
+        # every report shows the values in display units: those must be finite too
+        _in_range([value.name for value in VALUES],
+                  (x * value.scale for x, value in zip(values, VALUES)),
+                  [value.unit for value in VALUES])
         return values
 
     # The dies before the first one with a missing record run the formulas
@@ -355,31 +340,30 @@ def extract_all(measurements: Measurements, config: RoConfig) -> LotExtraction:
                                  f"({fanout.value}, {mode.value}) is missing")
 
     columns = np.array(values).reshape(len(values), -1)
-    return LotExtraction(geometries.pop(), np.array(dies, dtype=object), *columns)
+    return ExtractionResult(geometries.pop(), np.array(dies, dtype=object), *columns)
 
 
-def compare_to_spec(
-    values: ParasiticSet | ExtractionResult,
-    spec: ParasiticSet,
-) -> ErrorReport:
-    """Relative errors of extracted (or published) values against targets,
-    read by the COMPARED names, which both types share.
+def compare_to_spec(values: Mapping[str, float | None], spec: ParasiticSet) -> ErrorReport:
+    """Relative errors of values by name (an extraction's `one()`, or a
+    ParasiticSet's `as_dict()`) against targets, for the COMPARED names.
 
     The delay-product error compares r_sw * c_total between the two sets
     and is None when either side lacks one of the factors. An error that
-    overflows (a value ~1e300 times its target) raises NumericError.
+    is not finite in percent (a value ~1e300 times its target) raises
+    NumericError.
     """
 
     def relative(name: str, value: float, target: float) -> float:
         error = abs(value - target) / target
-        if error == np.inf:
+        if not error * 100.0 < np.inf:
             raise NumericError(f"{name} = {value!r} is too far from its target "
-                               f"{target!r} for a finite relative error")
+                               f"{target!r} for a finite error in percent")
         return error
 
+    targets = spec.as_dict()
     param_errors = {}
     for name in (value.name for value in COMPARED):
-        value, target = getattr(values, name), getattr(spec, name)
+        value, target = values.get(name), targets[name]
         if value is None or target is None:
             continue
         if target == 0.0:
@@ -387,9 +371,9 @@ def compare_to_spec(
         param_errors[name] = relative(name, value, target)
 
     delay_error = None
-    if None not in (values.r_sw, values.c_total, spec.r_sw, spec.c_total):
-        delay_error = relative("r_sw * c_total", values.r_sw * values.c_total,
-                               spec.r_sw * spec.c_total)
+    r_sw, c_total = values.get("r_sw"), values.get("c_total")
+    if None not in (r_sw, c_total, spec.r_sw, spec.c_total):
+        delay_error = relative("r_sw * c_total", r_sw * c_total, spec.r_sw * spec.c_total)
 
     return ErrorReport(
         param_errors=param_errors,

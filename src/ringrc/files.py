@@ -520,8 +520,14 @@ def write_text_atomic(path: str, text: str) -> None:
 
     The file gets the mode open(path, "w") would leave: an existing file
     keeps its permission bits, and a new one gets 0o666 less the umask,
-    which the kernel applies when it creates the temporary.
+    which the kernel applies when it creates the temporary. As with open,
+    a symbolic link stays a link and its target (created if missing) gets
+    the text.
     """
+    # only a link as the last component changes where os.replace writes;
+    # realpath would lstat every component of every path
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
     try:

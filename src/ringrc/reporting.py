@@ -43,7 +43,7 @@ import numpy as np
 
 from .capacitance import AGGRESSOR_STEP, CrosstalkMode
 from .errors import NumericError, ValidationError
-from .extraction import COMPARED, VALUES, ErrorReport, ExtractionResult, LotExtraction
+from .extraction import COMPARED, VALUES, ErrorReport, ExtractionResult
 from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
 from .simulator import SAMPLES, SimulationResult, build_network, victim_delay
@@ -58,10 +58,10 @@ RATIO_WINDOW = (0.35, 0.65)
 # extraction reports
 
 
-def _shown(value: float) -> str:
-    """A text-report value in display units, ten columns wide: two decimals
-    from 0.01 up to 1e6, six significant digits outside that range."""
-    return f"{value:>10.2f}" if 0.01 <= abs(value) < 1e6 else f"{value:>10.6g}"
+def _shown(value: float, width: int = 10) -> str:
+    """A text-report value in display units, right-aligned to width: two
+    decimals from 0.01 up to 1e6, six significant digits outside that range."""
+    return f"{value:>{width}.2f}" if 0.01 <= abs(value) < 1e6 else f"{value:>{width}.6g}"
 
 
 def emit_report(
@@ -69,7 +69,8 @@ def emit_report(
     comparisons: Mapping[str, ErrorReport] | None = None,
     fmt: str = "text",
 ) -> str:
-    """Render extraction results as text, CSV or canonical JSON.
+    """Render one-die extraction results, by geometry, as text, CSV or
+    canonical JSON.
 
     JSON stores SI values; a comparison block appears for each geometry
     with an error report, holding the errors and the report's targets.
@@ -78,10 +79,11 @@ def emit_report(
     target and error fields of those rows and leaves the others empty.
     """
     comparisons = comparisons or {}
+    values = {geometry: result.one() for geometry, result in results.items()}
     if fmt == "json":
         geometries = {}
         for geometry, result in results.items():
-            extraction = {value.name: getattr(result, value.name) for value in VALUES}
+            extraction = values[geometry]
             extraction["provenance"] = {
                 name: list(labels) for name, labels in result.provenance.items()
             }
@@ -102,13 +104,13 @@ def emit_report(
     else:
         raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
     for geometry in sorted(results):
-        result = results[geometry]
+        result = values[geometry]
         report = comparisons.get(geometry)
         errors = {} if report is None else report.param_errors
         if fmt == "text":
             out.append(f"\ngeometry {geometry}\n")
             out += [
-                f"  {name:<9} {_shown(getattr(result, name) * scale)} {unit}\n"
+                f"  {name:<9} {_shown(result[name] * scale)} {unit}\n"
                 for name, unit, scale, _ in VALUES
             ]
         else:
@@ -118,7 +120,7 @@ def emit_report(
                     error_field = f"{errors[name] * 100.0:.4f}"
                     target_field = f"{getattr(report.targets, name) * scale:.6g}"
                 out.append(
-                    f"{geometry},{name},{unit},{getattr(result, name) * scale:.6g},"
+                    f"{geometry},{name},{unit},{result[name] * scale:.6g},"
                     f"{target_field},{error_field}\n"
                 )
         if report is None:
@@ -129,14 +131,15 @@ def emit_report(
                 f" {'error %':>8}\n"
             )
             out += [
-                f"  {name + ' (' + unit + ')':<12} {_shown(getattr(result, name) * scale)}"
-                f" {_shown(getattr(report.targets, name) * scale)} {errors[name] * 100.0:>8.2f}\n"
+                f"  {name + ' (' + unit + ')':<12} {_shown(result[name] * scale)}"
+                f" {_shown(getattr(report.targets, name) * scale)}"
+                f" {_shown(errors[name] * 100.0, 8)}\n"
                 for name, unit, scale, _ in COMPARED if name in errors
             ]
         if report.delay_product_error is not None:
             error_pct = report.delay_product_error * 100.0
             out.append(
-                f"  delay product (r_sw x c_total) error: {error_pct:.2f} %\n"
+                f"  delay product (r_sw x c_total) error: {_shown(error_pct, 0)} %\n"
                 if fmt == "text"
                 else f"{geometry},delay_product,,,,{error_pct:.4f}\n"
             )
@@ -169,7 +172,7 @@ class BinningReport:
     improvement: np.ndarray
 
 
-def monitor_binning(lot: LotExtraction) -> BinningReport:
+def monitor_binning(lot: ExtractionResult) -> BinningReport:
     """Derive per-die clock scaling from one geometry's extracted lot,
     read column by column.
 
@@ -178,19 +181,26 @@ def monitor_binning(lot: LotExtraction) -> BinningReport:
 
     Raises:
         ValidationError: if the lot has no dies.
-        NumericError: if a die's scale against the slowest is not finite.
+        NumericError: if a column the reports show is not finite in its
+            display unit: the slowest die's proxy in ps, or a die's gain
+            against the slowest in percent.
     """
-    if not lot:
+    if not len(lot.die):
         raise ValidationError("no dies to bin")
     die, r_sw, c_total = lot.die, lot.r_sw, lot.c_total
-    with np.errstate(over="ignore"):  # an infinite proxy fails the check below
+    with np.errstate(over="ignore"):  # an infinite proxy fails the checks below
         proxy = r_sw * c_total
-    fastest = int(np.argmin(proxy))
-    slowest, low = float(proxy.max()), float(proxy[fastest])
-    if not (low > 0.0 and slowest / low < np.inf):
+    fastest, slowest_die = int(np.argmin(proxy)), int(np.argmax(proxy))
+    slowest, low = float(proxy[slowest_die]), float(proxy[fastest])
+    if not slowest * 1e12 < np.inf:
+        raise NumericError(
+            f"die {die[slowest_die]}: delay proxy r_sw * c_total = {slowest!r} s "
+            f"is not finite in ps"
+        )
+    if not (low > 0.0 and slowest / low * 100.0 < np.inf):
         raise NumericError(
             f"die {die[fastest]}: delay proxy r_sw * c_total = {low!r} s "
-            f"has no finite clock scale against the slowest die's {slowest!r} s"
+            f"has no finite clock gain (%) against the slowest die's {slowest!r} s"
         )
     order = np.lexsort((die, -proxy))
     proxy = proxy[order]

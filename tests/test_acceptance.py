@@ -16,8 +16,8 @@ from ringrc import (
     CapacitanceSet,
     CrosstalkMode,
     DrivePattern,
+    ExtractionResult,
     LineRC,
-    LotExtraction,
     ParasiticSet,
     RoConfig,
     SynthesisTruth,
@@ -86,7 +86,7 @@ def extractions():
         results[geometry] = extract_all(
             records.where("geometry", geometry),
             config.ro_config(geometry),
-        )[""]
+        ).one()
     return results
 
 
@@ -103,7 +103,7 @@ class TestAcceptance:
         details = []
         ok = True
         for geometry, target in (("1W1S", 504.0), ("1W2S", 417.0)):
-            got = extractions[geometry].r_sw
+            got = extractions[geometry]["r_sw"]
             err = abs(got - target) / target
             ok = ok and err <= 0.01
             details.append(f"{geometry} {got:.2f} ohm ({err * 100:.3f}% vs {target:.0f})")
@@ -114,7 +114,7 @@ class TestAcceptance:
         details = []
         ok = True
         for geometry in ("1W1S", "1W2S"):
-            got = vars(extractions[geometry])
+            got = extractions[geometry]
             want = PUBLISHED[geometry].as_dict()
             for name, bound in gates.items():
                 err = abs(got[name] - want[name]) / want[name]
@@ -139,7 +139,7 @@ class TestAcceptance:
         ok = True
         for label, source, param, targets in checks:
             for geometry, target_pct in zip(("1W1S", "1W2S"), targets):
-                report = compare_to_spec(source[geometry], TARGETS[geometry])
+                report = compare_to_spec(source[geometry].as_dict(), TARGETS[geometry])
                 if param == "delay":
                     got_pct = report.delay_product_error * 100.0
                 else:
@@ -221,18 +221,18 @@ class TestAcceptance:
                 c_c=float(rng.uniform(lo, hi)),
             )
             records = synthesize_measurements(truth, CONFIG)
-            result = extract_all(records, CONFIG)[""]
+            result = extract_all(records, CONFIG).one()
             for got, want in (
-                (result.r_sw, truth.r_sw),
-                (result.c_gate, truth.c_gate),
-                (result.c_int, truth.c_int),
+                (result["r_sw"], truth.r_sw),
+                (result["c_gate"], truth.c_gate),
+                (result["c_int"], truth.c_int),
             ):
                 worst_exact = max(worst_exact, abs(got - want) / want)
             load = truth.c_int + truth.c_gate
             worst_coupled = max(
                 worst_coupled,
-                abs(result.c_ground - load) / load,
-                abs(result.c_c - truth.c_c) / truth.c_c,
+                abs(result["c_ground"] - load) / load,
+                abs(result["c_c"] - truth.c_c) / truth.c_c,
             )
         ok = worst_exact <= 1e-9 and worst_coupled <= 0.15
         _report(
@@ -308,7 +308,7 @@ class TestAcceptance:
 
     def test_criterion_9_binning_arithmetic(self):
         c_total = np.array([1.0, 0.8])
-        lot = LotExtraction(
+        lot = ExtractionResult(
             geometry="1W1S",
             die=np.array(["slow", "fast"], dtype=object),
             r_sw=np.ones(2),

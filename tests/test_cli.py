@@ -916,7 +916,7 @@ class TestBinning:
 
     def test_one_extraction_per_die(self, workspace, capsys, tmp_path, monkeypatch):
         """One extract_all call gets exactly the geometry's records, in
-        file order, and returns one result per die in sorted die order."""
+        file order, and returns every die's values in sorted die order."""
         rows = lot_rows([("D2", 0.8), ("D1", 1.0), ("D3", 1.1)])
         rows += lot_rows([("D1", 1.0)], geometry="1W2S")
         rows = rows[1::2] + rows[::2]
@@ -926,7 +926,7 @@ class TestBinning:
 
         def spy(records, config, **kwargs):
             results = real(records, config, **kwargs)
-            calls.append((list(records), list(results)))
+            calls.append((list(records), results.die.tolist()))
             return results
 
         monkeypatch.setattr(cli, "extract_all", spy)
@@ -1043,23 +1043,27 @@ class TestBinning:
         assert captured.err == "error: line 8: t_osc must be finite and > 0, got -8.166e-08\n"
         assert not out.exists()
 
-    def test_lot_builds_no_per_die_results(self, workspace, capsys, tmp_path, monkeypatch):
-        """binning reads the lot's columns from parse to report: no
-        ExtractionResult is built for any die."""
+    def test_lot_is_one_result(self, workspace, capsys, tmp_path, monkeypatch):
+        """binning extracts the whole lot into one ExtractionResult of
+        columns, whatever the die count, and reports from it."""
         dies = [(f"D{k}", 1.0 + 0.01 * k) for k in range(20)] + [("", 0.9)]
         lot = write_lot(tmp_path / "lot.csv", lot_rows(dies))
         argv = ["binning", "--config", workspace["config"], "--measurements", lot,
                 "--geometry", "1W1S", "--format", "csv"]
         assert main(argv) == 0
         want = capsys.readouterr().out
+        built = []
+        real = extraction.ExtractionResult
 
-        def per_die_result(*args, **kwargs):
-            raise AssertionError("an ExtractionResult was built")
+        def counted(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(extraction, "ExtractionResult", per_die_result)
+        monkeypatch.setattr(extraction, "ExtractionResult", counted)
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out == want
+        assert [len(result.die) for result in built] == [len(dies)]
         assert out.count("\n") == 1 + len(dies)
         assert "\n<blank>,1W1S," in out
 

@@ -10,7 +10,6 @@ from ringrc import (
     ExtractionDomainError,
     ExtractionResult,
     Fanout,
-    LotExtraction,
     MeasurementRecord,
     Measurements,
     MissingRecordError,
@@ -89,9 +88,8 @@ def records_for(geometry):
 
 
 def extract_one(rows, config=CONFIG):
-    """The extraction of a list of one die's records."""
-    (result,) = extract_all(Measurements.from_records(rows), config).values()
-    return result
+    """The values of a list of one die's records, by name."""
+    return extract_all(Measurements.from_records(rows), config).one()
 
 
 class TestScalarFormulas:
@@ -172,9 +170,9 @@ class TestScalarFormulas:
         ]
         got = extract_one(scaled)
         want = EXPECTED["1W1S"]
-        assert got.r_sw == pytest.approx(want["r_sw"] * k, rel=1e-9)
+        assert got["r_sw"] == pytest.approx(want["r_sw"] * k, rel=1e-9)
         for name in ("c_s", "c_gate", "c_int", "c_ground", "c_c"):
-            assert getattr(got, name) == pytest.approx(want[name], rel=1e-9, abs=0.0)
+            assert got[name] == pytest.approx(want[name], rel=1e-9, abs=0.0)
 
     def test_wider_spacing_couples_less_at_common_resistance(self):
         """Evaluated at the same switching resistance, the double-spacing
@@ -190,21 +188,22 @@ class TestScalarFormulas:
 class TestExtractAll:
     @pytest.mark.parametrize("geometry", ["1W1S", "1W2S"])
     def test_full_extraction(self, geometry):
-        result = extract_all(records_for(geometry), CONFIG)[""]
+        result = extract_all(records_for(geometry), CONFIG)
         assert result.geometry == geometry
+        values = result.one()
         for name, want in EXPECTED[geometry].items():
-            assert getattr(result, name) == pytest.approx(want, rel=1e-9, abs=0.0), name
+            assert values[name] == pytest.approx(want, rel=1e-9, abs=0.0), name
 
     def test_parasitics_view(self):
         """A result holds every compared value under its ParasiticSet name."""
-        result = extract_all(records_for("1W1S"), CONFIG)[""]
-        para = ParasiticSet(**{value.name: getattr(result, value.name) for value in COMPARED})
-        assert para.c_total == result.c_total
-        assert para.c_c == result.c_c
-        assert para.r_sw == result.r_sw
+        values = extract_all(records_for("1W1S"), CONFIG).one()
+        para = ParasiticSet(**{value.name: values[value.name] for value in COMPARED})
+        assert para.c_total == values["c_total"]
+        assert para.c_c == values["c_c"]
+        assert para.r_sw == values["r_sw"]
 
     def test_provenance_labels(self):
-        result = extract_all(records_for("1W1S"), CONFIG)[""]
+        result = extract_all(records_for("1W1S"), CONFIG)
         assert result.provenance["r_sw"] == ("1W1S/FO1/in_phase",)
         assert result.provenance["c_gate"] == (
             "1W1S/FO1/in_phase",
@@ -224,14 +223,16 @@ class TestExtractAll:
                                             + 0.01 * list(CrosstalkMode).index(r.mode)))
                 for r in rows_for("1W1S", die=die)
             ]
-        results = extract_all(Measurements.from_records(rows), CONFIG)
-        assert len(results) == 3
-        for die, result in results.items():
+        lot = Measurements.from_records(rows)
+        results = extract_all(lot, CONFIG)
+        assert results.die.tolist() == ["D1", "D2", "D3"]
+        for die, r_sw in zip(results.die, results.r_sw.tolist()):
             (in_phase,) = [r for r in rows if r.die == die and r.fanout is Fanout.FO1
                            and r.mode is CrosstalkMode.IN_PHASE]
-            assert result.r_sw == switching_resistance(in_phase.i_eff, CONFIG.v_dd)
-            assert result.provenance["r_sw"] == (in_phase.label(),)
-            assert result.provenance["c_c"][-1] == in_phase.label()
+            assert r_sw == switching_resistance(in_phase.i_eff, CONFIG.v_dd)
+            provenance = extract_all(lot.where("die", die), CONFIG).provenance
+            assert provenance["r_sw"] == (in_phase.label(),)
+            assert provenance["c_c"][-1] == in_phase.label()
         assert len(set(results.r_sw.tolist())) == 3
 
     def test_missing_record_is_named(self):
@@ -263,43 +264,60 @@ class TestExtractAll:
         assert str(info.value).count("D1/1W1S/FO1/quiet") == 2
 
     def test_dies_extract_apart(self):
-        """A table of several dies gives each die the result it gets alone,
-        keyed by die label in sorted order."""
-        rows = rows_for("1W1S", die="D2") + rows_for("1W1S", die="D1")
+        """In a table of several dies, each die's row holds the values it
+        gets alone, and the dies come in sorted label order."""
+        slower = [r._replace(t_osc=r.t_osc * 1.1) for r in rows_for("1W1S", die="D2")]
+        rows = slower + rows_for("1W1S", die="D1")
         results = extract_all(Measurements.from_records(rows), CONFIG)
-        assert list(results) == ["D1", "D2"]
-        for die, result in results.items():
-            alone = extract_one(rows_for("1W1S", die=die))
-            assert result == alone
-            assert result.provenance["r_sw"] == (f"{die}/1W1S/FO1/in_phase",)
+        assert results.die.tolist() == ["D1", "D2"]
+        assert results.c_gate[0] < results.c_gate[1]
+        for row, die in enumerate(results.die):
+            alone = extract_all(Measurements.from_records([r for r in rows if r.die == die]),
+                                CONFIG)
+            assert alone.die.tolist() == [die]
+            assert {value.name: getattr(results, value.name)[row] for value in VALUES} == (
+                alone.one())
+            assert alone.provenance["r_sw"] == (f"{die}/1W1S/FO1/in_phase",)
 
-    def test_lot_is_columns_behind_a_mapping(self):
-        """A lot's result holds one column per value in sorted die order;
-        looking a die up builds that die's ExtractionResult."""
+    def test_columns_come_in_sorted_die_order(self):
+        """A result holds the geometry, the die labels in sorted order and
+        one float64 column per value, a row per die."""
         rows = rows_for("1W1S", die="D2") + rows_for("1W1S", die="") + rows_for("1W1S", die="D1")
         results = extract_all(Measurements.from_records(rows), CONFIG)
-        assert results.die.tolist() == ["", "D1", "D2"] == list(results)
-        assert results.geometry == "1W1S" and len(results) == 3
-        for name in ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_c"):
-            column = getattr(results, name)
-            assert column.dtype == np.float64
-            assert column.tolist() == [getattr(results[die], name) for die in results]
-        assert results == dict(results.items())
-        assert "D3" not in results and results.get("D3") is None
-        with pytest.raises(KeyError):
-            results["D3"]
+        assert results.geometry == "1W1S"
+        assert results.die.tolist() == ["", "D1", "D2"]
+        for value in VALUES:
+            column = getattr(results, value.name)
+            assert column.dtype == np.float64 and column.shape == (3,)
+        d1 = extract_all(Measurements.from_records(rows_for("1W1S", die="D1")), CONFIG)
+        assert results.c_c[1] == d1.c_c[0]
 
-    def test_lot_looks_dies_up_after_replace(self):
-        """A lot answers lookups, len and iteration as extract_all returns
-        it and after dataclasses.replace gives it new die labels."""
+    def test_one_reads_the_only_die(self):
+        """one() gives each column's only element by name, and it and the
+        provenance refuse a result of no dies or of two."""
+        result = extract_all(records_for("1W2S"), CONFIG)
+        values = result.one()
+        assert values == {value.name: getattr(result, value.name)[0] for value in VALUES}
+        assert all(type(v) is float for v in values.values())
+        rows = rows_for("1W1S", die="D1") + rows_for("1W1S", die="D2")
+        two = extract_all(Measurements.from_records(rows), CONFIG)
+        empty = ExtractionResult("1W1S", np.array([], dtype=object),
+                                 *[np.array([])] * len(VALUES))
+        for many, count in ((two, 2), (empty, 0)):
+            with pytest.raises(ValueError, match=f"holds {count} dies, not one"):
+                many.one()
+            with pytest.raises(ValueError, match=f"holds {count} dies, not one"):
+                many.provenance
+
+    def test_replace_keeps_the_columns(self):
+        """dataclasses.replace with new die labels keeps every column."""
         rows = rows_for("1W1S", die="D2") + rows_for("1W1S", die="D1")
         lot = extract_all(Measurements.from_records(rows), CONFIG)
-        assert list(lot) == ["D1", "D2"] and len(lot) == 2
-        assert lot["D2"].r_sw == lot.r_sw[1]
         relabelled = dataclasses.replace(lot, die=np.array(["E1", "E2"], dtype=object))
-        assert list(relabelled) == ["E1", "E2"] and len(relabelled) == 2
-        assert relabelled["E2"] == dataclasses.replace(lot["D2"], die="E2")
-        assert "D1" not in relabelled and "E1" not in lot
+        assert relabelled.die.tolist() == ["E1", "E2"] and lot.die.tolist() == ["D1", "D2"]
+        assert relabelled.geometry == lot.geometry
+        for value in VALUES:
+            assert getattr(relabelled, value.name) is getattr(lot, value.name)
 
     def test_lot_errors_name_the_first_failing_die(self):
         """In a lot, the error raised is the one the first failing die in
@@ -354,6 +372,19 @@ class TestExtractAll:
         with pytest.raises(ExtractionDomainError, match="^c_s = inf: "):
             extract_one(rows)
 
+    def test_values_are_finite_in_display_units(self):
+        """A capacitance finite in farads but not in femtofarads (here
+        c_s ~ 8.7e295 F) is a domain error too, alone and in a lot, so no
+        report shows it as inf."""
+        rows = [r._replace(t_osc=r.t_osc * 1.2e157, i_eff=r.i_eff * 1.1e153)
+                for r in rows_for("1W1S")]
+        with pytest.raises(ExtractionDomainError, match=r"^c_s = inf: .* in fF\)$"):
+            extract_one(rows)
+        lot = Measurements.from_records(rows_for("1W1S", die="A")
+                                        + [r._replace(die="B") for r in rows])
+        with pytest.raises(ExtractionDomainError, match="^die B: c_s = inf: "):
+            extract_all(lot, CONFIG)
+
 
 # Published values for the same structures: this chain's results and an
 # earlier single-oscillator method, with the shared design targets.
@@ -388,27 +419,27 @@ class TestValueTable:
     feeds must agree with it."""
 
     def test_fields_follow_the_table(self):
-        """Every value has one name: the value fields of ExtractionResult and
-        LotExtraction (which extract_all and lot[die] fill positionally) and
-        the provenance keys are the table's names, in its order."""
+        """Every value has one name: the value fields of ExtractionResult
+        (which extract_all fills positionally), the keys of one() and the
+        provenance keys are the table's names, in its order."""
         names = [value.name for value in VALUES]
         assert [f.name for f in dataclasses.fields(ExtractionResult)] == [
-            "geometry", *names, "die"]
-        assert [f.name for f in dataclasses.fields(LotExtraction)] == [
             "geometry", "die", *names]
-        assert list(extract_all(records_for("1W1S"), CONFIG)[""].provenance) == names
+        result = extract_all(records_for("1W1S"), CONFIG)
+        assert list(result.one()) == names
+        assert list(result.provenance) == names
 
     def test_compared_names_are_the_parasitic_set_fields(self):
         names = [f.name for f in dataclasses.fields(ParasiticSet)]
         assert [value.name for value in COMPARED] == names
         assert list(ParasiticSet().as_dict()) == names
-        result = extract_all(records_for("1W1S"), CONFIG)[""]
-        assert ParasiticSet(**{name: getattr(result, name) for name in names}).as_dict() == {
-            name: getattr(result, name) for name in names}
+        result = extract_all(records_for("1W1S"), CONFIG).one()
+        assert ParasiticSet(**{name: result[name] for name in names}).as_dict() == {
+            name: result[name] for name in names}
 
     def test_provenance_by_source_records(self):
         rows = Measurements.from_records(rows_for("1W2S", die="D7"))
-        result = extract_all(rows, CONFIG)["D7"]
+        result = extract_all(rows, CONFIG)
         inp_fo1, inp_fo2, oop_fo1, quiet_fo1 = (
             f"D7/1W2S/{record}" for record in
             ("FO1/in_phase", "FO2/in_phase", "FO1/out_of_phase", "FO1/quiet"))
@@ -427,7 +458,7 @@ class TestCompareToSpec:
         ],
     )
     def test_published_errors(self, geometry, ct_pct, rsw_pct, delay_pct):
-        report = compare_to_spec(PUBLISHED[geometry], TARGETS[geometry])
+        report = compare_to_spec(PUBLISHED[geometry].as_dict(), TARGETS[geometry])
         assert report.param_errors["c_total"] * 100 == pytest.approx(
             ct_pct, abs=0.005
         )
@@ -446,7 +477,7 @@ class TestCompareToSpec:
         ],
     )
     def test_prior_method_errors(self, geometry, ct_pct, rsw_pct, delay_pct):
-        report = compare_to_spec(PRIOR_METHOD[geometry], TARGETS[geometry])
+        report = compare_to_spec(PRIOR_METHOD[geometry].as_dict(), TARGETS[geometry])
         assert report.param_errors["c_total"] * 100 == pytest.approx(
             ct_pct, abs=0.005
         )
@@ -460,7 +491,7 @@ class TestCompareToSpec:
         assert "c_gate" not in report.param_errors
 
     def test_extraction_result_input(self):
-        result = extract_all(records_for("1W1S"), CONFIG)[""]
+        result = extract_all(records_for("1W1S"), CONFIG).one()
         report = compare_to_spec(result, TARGETS["1W1S"])
         assert set(report.param_errors) == {
             "c_total", "c_gate", "c_int", "c_c", "r_sw",
@@ -468,29 +499,38 @@ class TestCompareToSpec:
         assert report.targets is TARGETS["1W1S"]
 
     def test_result_compares_as_its_parasitics(self):
-        result = extract_all(records_for("1W1S"), CONFIG)[""]
+        result = extract_all(records_for("1W1S"), CONFIG).one()
         spec = TARGETS["1W1S"]
-        para = ParasiticSet(**{value.name: getattr(result, value.name) for value in COMPARED})
-        assert compare_to_spec(result, spec) == compare_to_spec(para, spec)
+        para = ParasiticSet(**{value.name: result[value.name] for value in COMPARED})
+        assert compare_to_spec(result, spec) == compare_to_spec(para.as_dict(), spec)
 
     def test_overflowing_error_rejected(self):
         """A value so far from its target that the relative error overflows
         is a numeric error naming the value, not an infinite error."""
         with pytest.raises(NumericError, match=r"^c_total = 1e\+300 is too far"):
-            compare_to_spec(ParasiticSet(c_total=1e300), ParasiticSet(c_total=1e-14))
-        far = ParasiticSet(c_total=1e-14, r_sw=1e300)
+            compare_to_spec({"c_total": 1e300}, ParasiticSet(c_total=1e-14))
+        far = {"c_total": 1e-14, "r_sw": 1e300}
         with pytest.raises(NumericError, match=r"^r_sw = 1e\+300 is too far"):
             compare_to_spec(far, ParasiticSet(c_total=1e-14, r_sw=1e-300))
+
+    def test_error_must_be_finite_in_percent(self):
+        """Reports show errors in percent: an error finite as a fraction but
+        not times 100 is a numeric error too, for a value and the delay product."""
+        with pytest.raises(NumericError, match=r"^c_gate = 1e\+307 is too far .* percent$"):
+            compare_to_spec({"c_gate": 1e307}, ParasiticSet(c_gate=1.0))
+        with pytest.raises(NumericError, match=r"^r_sw \* c_total = 1e\+207 is too far"):
+            compare_to_spec({"r_sw": 1e200, "c_total": 1e7},
+                            ParasiticSet(r_sw=1e-100, c_total=1.0))
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             compare_to_spec(
-                ParasiticSet(c_total=1e-15), ParasiticSet(c_total=0.0)
+                ParasiticSet(c_total=1e-15).as_dict(), ParasiticSet(c_total=0.0)
             )
 
     def test_delay_product_needs_both_factors(self):
         report = compare_to_spec(
-            ParasiticSet(c_total=12e-15), TARGETS["1W1S"]
+            ParasiticSet(c_total=12e-15).as_dict(), TARGETS["1W1S"]
         )
         assert report.delay_product_error is None
 

@@ -90,8 +90,8 @@ class TestParseMeasurements:
         records = parse_measurements(bundled("measurements_28nm.csv").read_text())
         config = parse_config(bundled("config_28nm.cfg").read_text())
         subset = records.where("geometry", "1W1S")
-        result = extract_all(subset, config.ro_config("1W1S"))[""]
-        assert result.r_sw == pytest.approx(504.7672462142457, rel=1e-12)
+        result = extract_all(subset, config.ro_config("1W1S")).one()
+        assert result["r_sw"] == pytest.approx(504.7672462142457, rel=1e-12)
 
     def test_unknown_mode_reports_line(self):
         text = (
@@ -448,6 +448,27 @@ class TestFileIo:
         assert path.read_text() == "second\n"
         # no temporary droppings left behind
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_atomic_write_through_a_symlink(self, tmp_path):
+        """As with open(path, "w"), a symbolic link stays a link and its
+        target gets the text and keeps its mode; a dangling link creates its
+        target. The temporary goes next to the target, and none is left."""
+        (tmp_path / "reports").mkdir()
+        target, link = tmp_path / "reports" / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        write_text_atomic(str(link), "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+        dangling = tmp_path / "dangling.txt"
+        dangling.symlink_to("reports/made.txt")
+        write_text_atomic(str(dangling), "made\n")
+        assert dangling.is_symlink()
+        assert (tmp_path / "reports" / "made.txt").read_text() == "made\n"
+        assert sorted(os.listdir(tmp_path / "reports")) == ["made.txt", "target.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["dangling.txt", "link.txt", "reports"]
 
     def test_atomic_write_failure_leaves_no_temporary(self, tmp_path):
         target = tmp_path / "taken"

@@ -228,16 +228,16 @@ class TestSynthesis:
             c_c=c_c,
         )
         records = synthesize_measurements(truth, CONFIG)
-        result = extract_all(records, CONFIG)[""]
-        assert result.r_sw == pytest.approx(truth.r_sw, rel=1e-9)
-        assert result.c_gate == pytest.approx(truth.c_gate, rel=1e-9)
-        assert result.c_int == pytest.approx(truth.c_int, rel=1e-9)
-        assert result.c_c == pytest.approx(truth.c_c, rel=1e-9)
+        result = extract_all(records, CONFIG).one()
+        assert result["r_sw"] == pytest.approx(truth.r_sw, rel=1e-9)
+        assert result["c_gate"] == pytest.approx(truth.c_gate, rel=1e-9)
+        assert result["c_int"] == pytest.approx(truth.c_int, rel=1e-9)
+        assert result["c_c"] == pytest.approx(truth.c_c, rel=1e-9)
         # the coupled-delay pair sees the single-gate stage load
-        assert result.c_ground == pytest.approx(
+        assert result["c_ground"] == pytest.approx(
             truth.c_int + truth.c_gate, rel=1e-9
         )
-        assert result.c_total == pytest.approx(
+        assert result["c_total"] == pytest.approx(
             truth.c_int + truth.c_gate, rel=1e-9
         )
 
@@ -261,8 +261,7 @@ class TestSynthesis:
             records = synthesize_measurements(
                 truth, CONFIG, noise_sigma=0.01, rng=rng
             )
-            result = extract_all(records, CONFIG)[""]
-            estimates.append(result.c_gate)
+            estimates.append(extract_all(records, CONFIG).one()["c_gate"])
         estimates = np.array(estimates)
         rel_std = float(np.std(estimates) / truth.c_gate)
         rel_bias = float(abs(np.mean(estimates) - truth.c_gate) / truth.c_gate)

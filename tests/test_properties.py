@@ -5,6 +5,7 @@ import contextlib
 import importlib.resources
 import io
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -18,7 +19,6 @@ from ringrc import (
     ExtractionResult,
     Fanout,
     LineRC,
-    LotExtraction,
     Measurements,
     NumericError,
     ParasiticSet,
@@ -204,8 +204,8 @@ FINITE = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False)
 LABELS = st.text("ABDSW12_-<> ", max_size=6)
 #: CSV display unit -> scale from the SI value the JSON holds.
 UNIT_SCALE = {"ohm": 1.0, "fF": 1e15}
-#: ExtractionResult fields after the geometry: seven values and the die
-#: (which fixes the provenance labels).
+#: One die's ExtractionResult after the geometry: its seven values and its
+#: label (which fixes the provenance labels).
 RESULT_FIELDS = st.tuples(*[FINITE] * 7, LABELS)
 #: Per geometry: no comparison, or the ParasiticSet targets (full, partial
 #: or empty).
@@ -223,10 +223,12 @@ def test_extraction_report_round_trips(drawn):
     extracted cell and text value row is the JSON value in display units."""
     results, comparisons = {}, {}
     for geometry, (fields, target_values) in drawn.items():
-        results[geometry] = ExtractionResult(geometry, *fields)
+        *values, die = fields
+        results[geometry] = ExtractionResult(geometry, np.array([die], dtype=object),
+                                             *np.array(values)[:, None])
         if target_values is not None:
             spec = ParasiticSet(*target_values)
-            comparisons[geometry] = compare_to_spec(results[geometry], spec)
+            comparisons[geometry] = compare_to_spec(results[geometry].one(), spec)
     text = emit_report(results, comparisons, "json")
     payload = parse_report(text)
     assert emit_report_json(payload) == text
@@ -271,8 +273,8 @@ def test_binning_report_round_trips(dies):
     matching JSON field in display units."""
     r_sw, c_total = np.array(list(dies.values())).T
     zeros = np.zeros(len(dies))
-    lot = LotExtraction("1W1S", np.array(list(dies), dtype=object), r_sw, zeros, zeros,
-                        zeros, c_total, zeros, zeros)
+    lot = ExtractionResult("1W1S", np.array(list(dies), dtype=object), r_sw, zeros, zeros,
+                           zeros, c_total, zeros, zeros)
     report = monitor_binning(lot)
     text = emit_binning(report, "json")
     payload = parse_report(text)
@@ -537,9 +539,9 @@ def _die_rows(die, truth, noise, defect):
     st.randoms(use_true_random=False),
 )
 def test_lot_extraction_equals_each_die_alone(dies, random):
-    """Extracting a lot gives every die, bit for bit, the result it gets
-    alone; a failing lot raises, prefixed with the die, the error of the
-    first die in sorted order that fails alone."""
+    """Extracting a lot gives every die's row, bit for bit, the values of
+    its own one-die result; a failing lot raises, prefixed with the die,
+    the error of the first die in sorted order that fails alone."""
     rows = []
     for die, (r_sw, c_gate, c_int, cc_ratio, noise, defect) in dies.items():
         truth = SynthesisTruth(
@@ -554,7 +556,7 @@ def test_lot_extraction_equals_each_die_alone(dies, random):
     alone = {}
     for die in sorted(dies):
         try:
-            alone[die] = extract_all(lot.where("die", die), CONFIG)[die]
+            alone[die] = extract_all(lot.where("die", die), CONFIG)
         except (NumericError, ValidationError) as exc:
             alone[die] = exc
     failures = [die for die in sorted(dies) if isinstance(alone[die], Exception)]
@@ -568,12 +570,13 @@ def test_lot_extraction_equals_each_die_alone(dies, random):
         assert str(exc) == f"{prefix}{want}"
     else:
         assert not failures
-        assert list(results) == sorted(dies)
-        for die, result in results.items():
-            assert result == alone[die]
+        assert results.die.tolist() == sorted(dies)
+        for row, die in enumerate(results.die):
+            got = np.array([getattr(results, name)[row] for name in EXTRACTED])
+            assert alone[die].die.tolist() == [die]
+            assert got.tobytes() == np.array(list(alone[die].one().values())).tobytes()
             want = _scalar_extraction([r for r in rows if r.die == die])
-            got = [getattr(result, name) for name in EXTRACTED]
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 EXTRACTED = ("r_sw", "c_s", "c_gate", "c_int", "c_total", "c_ground", "c_c")
@@ -634,17 +637,37 @@ def _numbers(node):
         yield node
 
 
+def _extreme_die(t_in_fo1, t_in_fo2, t_oop_fo1, t_quiet_fo1, i_eff):
+    """An EXTREME_DIE of these periods (s) and one current (A) for every record."""
+    cells = {(1, 0): t_oop_fo1, (2, 0): t_quiet_fo1, (3, 0): t_in_fo2}
+    return t_in_fo1, i_eff, {**cells, **{(record, 1): i_eff for record in (1, 2, 3)}}
+
+
+#: Finite values past their display unit: capacitances past the largest
+#: float in fF (a), errors past it in percent (b), a delay proxy past it in ps (c).
+PAST_FF = _extreme_die(1e150, 1.5e150, 1.2e150, 1.1e150, 1e150)
+PAST_PERCENT = _extreme_die(1e148, 1.24e148, 1.08e148, 1.01e148, 5.76e148)
+PAST_PS = _extreme_die(1e301, 1.24e301, 1.08e-8, 1.01e-8, 1e-4)
+#: A whole `inf` or `nan` token, as Python's and numpy's formatting print them.
+NON_FINITE = re.compile(r"\b(?:inf|nan)\b", re.IGNORECASE)
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.lists(EXTREME_DIE, min_size=1, max_size=2))
+@given(st.lists(EXTREME_DIE, min_size=1, max_size=2), st.sampled_from(["extract", "report"]))
 # a relative error against a target overflows; a delay proxy underflows
-@example([(1.0, 1e299, {})])
+@example([(1.0, 1e299, {})], "report")
 @example([(81.66e-9, 891.5e-6, {}),
-          (1e-318, 4.5e299, {(1, 0): 88.39e-9, (2, 0): 82.31e-9})])
-def test_extreme_magnitudes_end_in_a_documented_exit(dies):
-    """Periods and currents anywhere in the float range make `report` on
-    one die and `binning` on a 2-die lot exit 0, 3 or 4, never raise; on
-    exit 0 every reported value is finite and the JSON round-trips, and
-    otherwise no report is written."""
+          (1e-318, 4.5e299, {(1, 0): 88.39e-9, (2, 0): 82.31e-9})], "report")
+# finite values past their display unit; a 2-die lot runs `binning` whatever the command
+@example([PAST_FF], "extract")
+@example([PAST_PERCENT], "report")
+@example([PAST_PS, PAST_PS], "report")
+def test_extreme_magnitudes_end_in_a_documented_exit(dies, command):
+    """Periods and currents anywhere in the float range make `extract` or
+    `report` on one die and `binning` on a 2-die lot exit 0, 3 or 4 with no
+    warning, the same code in text, CSV and JSON. On exit 0 no report shows
+    an inf or nan and the JSON round-trips; otherwise one `error:` line is
+    printed and no report is written."""
     lines = ["units: tosc=s current=A", "columns: die geometry fanout mode tosc ieff"]
     for index, (t_scale, i_scale, cells) in enumerate(dies):
         for record, (fanout, mode, t_ratio, i_ratio) in enumerate(RATIOS):
@@ -653,20 +676,33 @@ def test_extreme_magnitudes_end_in_a_documented_exit(dies):
             t_osc, i_eff = np.clip(values, 5e-324, np.finfo(float).max).tolist()
             lines.append(f"D{index},1W1S,{fanout},{mode},{t_osc!r},{i_eff!r}")
     config = importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg")
+    command = [command] if len(dies) == 1 else ["binning", "--geometry", "1W1S"]
+    codes, texts = set(), {}
     with tempfile.TemporaryDirectory() as tmp:
-        measurements, out = pathlib.Path(tmp, "m.csv"), pathlib.Path(tmp, "r.json")
+        measurements = pathlib.Path(tmp, "m.csv")
         measurements.write_text("\n".join(lines) + "\n")
-        command = ["report"] if len(dies) == 1 else ["binning", "--geometry", "1W1S"]
-        code = main([*command, "--config", str(config), "--measurements",
-                     str(measurements), "--format", "json", "--out", str(out)])
-        assert code in (0, 3, 4)
-        if code:
-            assert not out.exists()
-            return
-        text = out.read_text()
-    payload = parse_report(text)
-    assert emit_report_json(payload) == text
-    assert all(np.isfinite(list(_numbers(payload))))
+        for fmt in ("text", "csv", "json"):
+            out = pathlib.Path(tmp, f"r.{fmt}")
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main([*command, "--config", str(config), "--measurements",
+                             str(measurements), "--format", fmt, "--out", str(out)])
+            assert caught == []
+            codes.add(code)
+            if code:
+                assert stderr.getvalue().startswith("error: ")
+                assert stderr.getvalue().count("\n") == 1
+                assert not out.exists()
+            else:
+                texts[fmt] = out.read_text()
+    assert len(codes) == 1 and codes <= {0, 3, 4}, codes
+    if codes == {0}:
+        assert not any(NON_FINITE.search(text) for text in texts.values())
+        payload = parse_report(texts["json"])
+        assert emit_report_json(payload) == texts["json"]
+        assert all(np.isfinite(list(_numbers(payload))))
 
 
 #: The bundled config's lines and, for each numeric key, the line that sets it.

@@ -13,7 +13,6 @@ from ringrc import (
     ExtractionResult,
     GeometryValidation,
     LineRC,
-    LotExtraction,
     NumericError,
     ParasiticSet,
     ValidationError,
@@ -35,6 +34,7 @@ from ringrc import (
     waveform_csv,
     waveform_svg,
 )
+from ringrc.extraction import VALUES
 from ringrc.files import parse_config
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
@@ -43,24 +43,23 @@ BUNDLED_LINES = parse_config(
 ).lines
 
 
+def one_die(geometry="1W1S", **values):
+    """The ExtractionResult of one unlabelled die with these values (SI)."""
+    return ExtractionResult(geometry, np.array([""], dtype=object),
+                            *[np.array([values[value.name]]) for value in VALUES])
+
+
 def make_result(geometry="1W1S", die_r=504.0, c_total=12.6e-15):
     c_gate = c_total / 4.0
-    return ExtractionResult(
-        geometry=geometry,
-        r_sw=die_r,
-        c_s=c_total / 2.0,
-        c_gate=c_gate,
-        c_int=c_total - c_gate,
-        c_total=c_total,
-        c_ground=c_total / 2.0,
-        c_c=8.0e-15,
-    )
+    return one_die(geometry, r_sw=die_r, c_s=c_total / 2.0, c_gate=c_gate,
+                   c_int=c_total - c_gate, c_total=c_total, c_ground=c_total / 2.0,
+                   c_c=8.0e-15)
 
 
 def make_lot(dies, geometry="1W1S"):
-    """A LotExtraction of die label -> (r_sw, c_total), in the given order."""
+    """An ExtractionResult of die label -> (r_sw, c_total), in the given order."""
     r_sw, c_total = np.array(list(dies.values()), dtype=np.float64).reshape(-1, 2).T
-    return LotExtraction(
+    return ExtractionResult(
         geometry, np.array(list(dies), dtype=object), r_sw, c_total / 2.0, c_total / 4.0,
         0.75 * c_total, c_total, c_total / 2.0, np.full(len(dies), 8.0e-15),
     )
@@ -138,7 +137,7 @@ class TestExtractionReport:
             )
         }
         self.comparisons = {
-            "1W1S": compare_to_spec(self.results["1W1S"], self.targets["1W1S"])
+            "1W1S": compare_to_spec(self.results["1W1S"].one(), self.targets["1W1S"])
         }
 
     def test_text_contains_rows_and_comparison(self):
@@ -182,13 +181,13 @@ class TestExtractionReport:
     def test_text_shows_extremes_in_significant_digits(self):
         """Values from 0.01 up to 1e6 display units keep two decimals; the
         rest print six significant digits, not 0.00 or hundreds of digits."""
-        result = ExtractionResult(
-            geometry="1W1S", r_sw=4.5e-286, c_s=7.08854e273, c_gate=-3.4e-12,
+        result = one_die(
+            "1W1S", r_sw=4.5e-286, c_s=7.08854e273, c_gate=-3.4e-12,
             c_int=0.01e-15, c_total=999999.994e-15, c_ground=1e6 * 1e-15,
             c_c=0.009e-15,
         )
         spec = ParasiticSet(c_total=12.5e-15, r_sw=450.0)
-        text = emit_report({"1W1S": result}, {"1W1S": compare_to_spec(result, spec)})
+        text = emit_report({"1W1S": result}, {"1W1S": compare_to_spec(result.one(), spec)})
         shown = {cells[0]: cells[1:] for cells in map(str.split, text.splitlines())
                  if cells and cells[-1] in ("ohm", "fF")}
         assert shown == {
@@ -203,6 +202,23 @@ class TestExtractionReport:
         compared = [line for line in text.splitlines() if line.startswith("  r_sw (ohm)")]
         assert compared[0].split()[2:4] == ["4.5e-286", "450.00"]
         assert "\n  r_sw        4.5e-286 ohm\n" in text  # still ten columns wide
+
+    def test_text_errors_follow_the_value_rule(self):
+        """The comparison's error column and the delay-product error keep two
+        decimals from 0.01 up to 1e6 percent and print six significant
+        digits outside that range, not 0.00 or dozens of digits."""
+        result = make_result(die_r=4.5e11, c_total=12.5e-15)
+        spec = ParasiticSet(c_total=12.5e-15, c_gate=3.125e-15 * 1.00001, r_sw=450.0)
+        text = emit_report({"1W1S": result}, {"1W1S": compare_to_spec(result.one(), spec)})
+        assert text.endswith(
+            "  c_total (fF)      12.50      12.50        0\n"
+            "  c_gate (fF)        3.12       3.13 0.00099999\n"
+            "  r_sw (ohm)      4.5e+11     450.00    1e+11\n"
+            "  delay product (r_sw x c_total) error: 1e+11 %\n"
+        )
+        # inside the range: two decimals, as before
+        assert "  delay product (r_sw x c_total) error: 12.90 %\n" in emit_report(
+            {"1W1S": make_result()}, {"1W1S": compare_to_spec(make_result().one(), spec)})
 
 
 class TestValidation:
