@@ -228,17 +228,34 @@ def published_out_of_phase_response(line: LineRC, t):
 def bisect_crossing(
     rates: np.ndarray, residues: np.ndarray, threshold: float, lo: float, hi: float
 ) -> float:
-    """Bisect V(t) = residues.sum() - residues @ exp(-rates * t) on [lo, hi],
+    """Locate V(t) = residues.sum() - residues @ exp(-rates * t) on [lo, hi],
     where V(lo) < threshold <= V(hi) and V crosses the threshold once, down
     to adjacent floats; returns the upper end, the first time V >= threshold.
+    A safeguarded Newton search (Numerical Recipes' rtsafe) from the secant
+    guess: each point narrows the bracket; a Newton step that leaves it, or
+    is not under half the step before last, bisects instead; each Newton
+    point aims four ulps past the root, so both ends close in on it.
     """
-    v_inf = residues.sum()
+    v_inf, slopes = residues.sum(), rates * residues
+
+    def excess(t: float) -> tuple[float, float]:  # V(t) - threshold, V'(t)
+        decay = np.exp(-rates * t)
+        return float(v_inf - residues @ decay) - threshold, float(slopes @ decay)
+
+    below, above = excess(lo)[0], excess(hi)[0]
+    t = lo + (hi - lo) * (below / (below - above)) if below < 0.0 <= above else lo
+    steps = (hi - lo, hi - lo)  # the last two steps, older first
     while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if v_inf - residues @ np.exp(-rates * mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        f, slope = excess(t)
+        lo, hi = (lo, t) if f >= 0.0 else (t, hi)
+        newton = t - f / slope if slope > 0.0 else math.nan
+        past = newton + math.copysign(4.0 * math.ulp(newton), newton - t)
+        newton = past if lo < past < hi else newton
+        if not (lo < newton < hi and abs(newton - t) <= 0.5 * steps[0]):
+            newton = 0.5 * (lo + hi)
+        steps, t = (steps[1], abs(newton - t)), newton
     return hi
 
 
@@ -250,7 +267,7 @@ def threshold_delay(
     The response starts at 0 and crosses once (out-of-phase first dips
     below 0 when C_c > C). 1 - V/v_dd is at most (|w| + |1 - w|) e^(-t/
     tau_coupled) <= (5/3) e^(-t/tau_coupled), so the crossing lies in
-    [0, tau_coupled * ln(5 / (3 (1 - f)))], bisected to float resolution.
+    [0, tau_coupled * ln(5 / (3 (1 - f)))], located to float resolution.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")

@@ -58,10 +58,11 @@ RATIO_WINDOW = (0.35, 0.65)
 # extraction reports
 
 
-def _shown(value: float, width: int = 10) -> str:
-    """A text-report value in display units, right-aligned to width: two
+def _shown(value: float, width: int = 10, decimals: int = 2) -> str:
+    """A report value in display units, right-aligned to width: fixed
     decimals from 0.01 up to 1e6, six significant digits outside that range."""
-    return f"{value:>{width}.2f}" if 0.01 <= abs(value) < 1e6 else f"{value:>{width}.6g}"
+    return (f"{value:>{width}.{decimals}f}" if 0.01 <= abs(value) < 1e6
+            else f"{value:>{width}.6g}")
 
 
 def emit_report(
@@ -117,7 +118,7 @@ def emit_report(
             for name, unit, scale, _ in VALUES:
                 target_field = error_field = ""
                 if name in errors:
-                    error_field = f"{errors[name] * 100.0:.4f}"
+                    error_field = _shown(errors[name] * 100.0, 0, 4)
                     target_field = f"{getattr(report.targets, name) * scale:.6g}"
                 out.append(
                     f"{geometry},{name},{unit},{result[name] * scale:.6g},"
@@ -141,7 +142,7 @@ def emit_report(
             out.append(
                 f"  delay product (r_sw x c_total) error: {_shown(error_pct, 0)} %\n"
                 if fmt == "text"
-                else f"{geometry},delay_product,,,,{error_pct:.4f}\n"
+                else f"{geometry},delay_product,,,,{_shown(error_pct, 0, 4)}\n"
             )
     return "".join(out)
 

@@ -7,11 +7,14 @@ into N identical segments (resistance r/N in series, c/N to ground and
 c_c/N of coupling per segment) to approximate a distributed line; N = 1
 reproduces the single-lump topology of the analytic model.
 
-C and G are symmetric with C positive definite: a symmetric-definite
-generalized eigenproblem (Golub & Van Loan, Matrix Computations). With
-C = L L^T and eigh(L^-1 G L^-T) = Q diag(lambda) Q^T, every node voltage
-is V_inf - sum_k r_k exp(-lambda_k t), with residues r_k taken from the
-mode shapes L^-T Q and the drive projected onto them.
+Each line is a resistor chain, so G = A^T D A is an RC tree (Rubinstein,
+Penfield & Horowitz, IEEE TCAD 1983): A is the branch-node incidence,
+(A v)_i = v_i - v_(i-1) along a line, D the branch conductances. A^-1 is a
+running sum along each line, so M = D^-1/2 A^-T C A^-1 D^-1/2 is two running
+sums over C, eigh(M) = W diag(1/lambda) W^T solves the pencil with the slow
+modes exact to the last bit, and A^-1 D^-1/2 W sqrt(lambda) are the
+C-normalized mode shapes. Every node voltage is V_inf - sum_k r_k
+exp(-lambda_k t), with residues r_k from the shapes and the projected drive.
 
 SimulationResult, the one result type, holds the rates, the residues (far
 end x mode) and the grid step, and samples the waveforms on first read. Its
@@ -40,78 +43,88 @@ _SCAN_BLOCK = 256
 
 @dataclass
 class NetworkStateSpace:
-    """Dense state-space matrices of the segmented three-line network.
+    """State-space matrices C dV/dt = b - G V of the segmented three-line
+    network, nodes in line-major order (line A's sections, then B's, C's).
 
-    capacitance and conductance are symmetric (node x node) matrices;
-    source_conductance[i] is the conductance from node i to its driving
-    source (zero except at each line's near-end node) and source_line[i]
-    names which drive amplitude feeds node i (-1 for none). observed
-    holds the far-end node index of lines A, B, C.
+    capacitance is the symmetric (node x node) C; branches[i] is the
+    conductance of the resistor that feeds node i from the node upstream
+    (from the line's source at each line's first node), so that
+    G = A^T diag(branches) A and b holds branches[i] times the drive at
+    each line's first node. observed holds the far-end nodes of A, B, C.
     """
 
     capacitance: np.ndarray
-    conductance: np.ndarray
-    source_conductance: np.ndarray
-    source_line: np.ndarray
-    observed: tuple[int, int, int]
+    branches: np.ndarray
 
     def __post_init__(self):
-        c, g = self.capacitance, self.conductance
+        c = self.capacitance
         # exactly: eigh reads one triangle, so any asymmetry would silently
         # solve a different network
-        if not np.array_equal(c, c.T) or not np.array_equal(g, g.T):
-            raise ValueError("network matrices must be symmetric")
+        if not np.array_equal(c, c.T):
+            raise ValueError("capacitance matrix must be symmetric")
         offdiag = np.abs(c).sum(axis=1) - np.abs(np.diag(c))
         if np.any(np.diag(c) < offdiag - 1e-30):
             raise ValueError("capacitance matrix is not diagonally dominant")
+        if not np.all(self.branches > 0.0):
+            raise ValueError(f"network is not passive: branch conductance "
+                             f"{float(self.branches.min())!r} is not > 0")
 
     @property
     def node_count(self) -> int:
         return self.capacitance.shape[0]
 
+    @property
+    def observed(self) -> tuple[int, int, int]:
+        return tuple(range(self.node_count // 3 - 1, self.node_count, self.node_count // 3))
+
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Decay rates (ascending) and node-space mode shapes L^-T Q.
+        """Decay rates (ascending) and C-normalized node-space mode shapes.
 
         Raises:
-            NumericError: if the eigensolve fails or overflows, or the slowest
-                rate rounds to <= 0: the network is too ill-conditioned.
-            ValueError: if a rate is below zero by more than rounding: the
-                network is not passive and has no settled step response.
+            NumericError: if the reduced matrix or a rate is not finite, or
+                the fastest mode's time constant is below the rounding of the
+                slowest: the network is too ill-conditioned.
         """
+        n, g = self.node_count, self.branches
         try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(self.capacitance))
             with np.errstate(over="ignore", invalid="ignore"):
-                reduced = l_inv @ self._g_total() @ l_inv.T
-            if not np.isfinite(reduced).all():
-                raise np.linalg.LinAlgError("L^-1 G L^-T is not finite")
-            rates, q = np.linalg.eigh(reduced)
+                # A^-T C A^-1 sums C downstream of each node; it keeps C's scale,
+                # the branches enter relative to the largest, which scales the rates
+                sums = self.capacitance.reshape(3, n // 3, 3, n // 3)[:, ::-1, :, ::-1]
+                sums = sums.cumsum(axis=3).cumsum(axis=1)[:, ::-1, :, ::-1].reshape(n, n)
+                scale = np.sqrt(g.max() / g)
+                reduced = scale[:, None] * sums * scale
+                if not np.isfinite(reduced).all():
+                    raise np.linalg.LinAlgError("the tree-reduced capacitance is not finite")
+                taus, w = np.linalg.eigh(reduced)  # 1 / rate, times g.max()
+                if not taus[0] > n * np.finfo(float).eps * taus[-1]:
+                    raise np.linalg.LinAlgError(
+                        "the fastest time constant is below the rounding of the slowest")
+                rates = g.max() / taus[::-1]
             if not np.isfinite(rates).all():
                 raise np.linalg.LinAlgError("a decay rate is not finite")
-            if 0.0 >= rates[0] >= -self.node_count * np.finfo(float).eps * rates[-1]:
-                raise np.linalg.LinAlgError(f"the slowest rate {float(rates[0])!r} rounds to <= 0")
         except np.linalg.LinAlgError as exc:
             raise NumericError(
-                f"the {self.node_count}-node network cannot be solved in double precision: {exc}"
+                f"the {n}-node network cannot be solved in double precision: {exc}"
             ) from None
-        if not rates[0] > 0.0:
-            raise ValueError(
-                f"network is not passive: decay rate {rates[0]!r} is not > 0"
-            )
-        return rates, l_inv.T @ q
+        shapes = scale[:, None] * w[:, ::-1] / np.sqrt(taus[::-1])
+        return rates, shapes.reshape(3, -1, n).cumsum(axis=1).reshape(n, n)
 
     def time_constants(self) -> tuple[float, float]:
         """(fastest, slowest) time constants of the C^-1 G pencil."""
         rates, _ = self.modes()
         return 1.0 / rates[-1], 1.0 / rates[0]
 
-    def _g_total(self) -> np.ndarray:
-        return self.conductance + np.diag(self.source_conductance)
+    @property
+    def conductance(self) -> np.ndarray:
+        """G = A^T diag(branches) A, each line's source grounded."""
+        sections = self.node_count // 3
+        incidence = np.kron(np.eye(3), np.eye(sections) - np.eye(sections, k=-1))
+        return incidence.T @ (self.branches[:, None] * incidence)
 
     def _source_vector(self, drive: DrivePattern) -> np.ndarray:
-        amps = np.array([drive.v_s1, drive.v_s2, drive.v_s3])
-        b = np.zeros(self.node_count)
-        mask = self.source_line >= 0
-        b[mask] = self.source_conductance[mask] * amps[self.source_line[mask]]
+        b, first = np.zeros(self.node_count), slice(None, None, self.node_count // 3)
+        b[first] = self.branches[first] * np.array([drive.v_s1, drive.v_s2, drive.v_s3])
         return b
 
 
@@ -194,7 +207,7 @@ class SimulationResult:
     def crossing(self, threshold: float) -> float:
         """First time the victim reaches the threshold: the first sample at
         or above it, found a block of the grid at a time, brackets the
-        crossing, and bisection locates it to float precision.
+        crossing, and bisect_crossing locates it to float precision.
 
         Raises:
             NoCrossingError: if no sample reaches the threshold.
@@ -227,7 +240,6 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
     # before any float arithmetic on the count, which overflows past ~1.8e308
     try:
         cap = np.zeros((n_nodes, n_nodes))
-        cond = np.zeros((n_nodes, n_nodes))
     except (MemoryError, ValueError):  # numpy refuses a shape it cannot address
         digits = str(n_nodes)
         count = digits if len(digits) <= 21 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
@@ -236,33 +248,18 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
     if not r_seg > 0.0:
         raise NumericError(f"the {n_nodes}-node network cannot be solved in double precision: "
                            f"its section resistance {line.r!r} / {n_seg} rounds to 0 ohm")
-    g_seg = 1.0 / r_seg
     cc_seg = line.c_c / n_seg
     nodes = np.arange(n_nodes).reshape(3, n_seg)  # nodes[line, section]
     cap[np.diag_indices(n_nodes)] = line.c / n_seg
-    # series resistances, then A-B and B-C coupling (line B sums in that order);
-    # a sum that overflows stays inf, which modes() refuses as NumericError
+    # A-B, then B-C coupling (line B sums in that order); a sum that
+    # overflows stays inf, which modes() refuses as NumericError
     with np.errstate(over="ignore"):
-        for matrix, i, j, value in (
-            (cond, nodes[:, :-1], nodes[:, 1:], g_seg),
-            (cap, nodes[0], nodes[1], cc_seg),
-            (cap, nodes[1], nodes[2], cc_seg),
-        ):
-            matrix[i, i] += value
-            matrix[j, j] += value
-            matrix[i, j] -= value
-            matrix[j, i] -= value
-    src_g = np.zeros(n_nodes)
-    src_g[nodes[:, 0]] = g_seg
-    src_line = np.full(n_nodes, -1, dtype=int)
-    src_line[nodes[:, 0]] = range(3)
-    return NetworkStateSpace(
-        capacitance=cap,
-        conductance=cond,
-        source_conductance=src_g,
-        source_line=src_line,
-        observed=tuple(nodes[:, -1].tolist()),
-    )
+        for i, j in ((nodes[0], nodes[1]), (nodes[1], nodes[2])):
+            cap[i, i] += cc_seg
+            cap[j, j] += cc_seg
+            cap[i, j] -= cc_seg
+            cap[j, i] -= cc_seg
+    return NetworkStateSpace(capacitance=cap, branches=np.full(n_nodes, 1.0 / r_seg))
 
 
 def _sample(rates: np.ndarray, residues: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -332,5 +329,5 @@ def frequency_response(
     """
     if s == 0:
         raise ValueError("s must be nonzero for a step input")
-    lhs = net._g_total().astype(complex) + s * net.capacitance
+    lhs = net.conductance.astype(complex) + s * net.capacitance
     return np.linalg.solve(lhs, net._source_vector(drive) / s)

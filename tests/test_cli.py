@@ -379,6 +379,31 @@ class TestExtract:
             assert shown == f"{values[name] * scale:.6g}"
         assert rows[0] == ["r_sw", "4.5e-286", "ohm"]
 
+    def test_extreme_errors_stay_readable_in_csv(self, workspace, capsys, tmp_path):
+        """A die with tosc ~1e140 s and i_eff 5.76e140 A extracts c_gate
+        ~2.4e291 fF against a 2.54 fF target: the CSV error fields take six
+        significant digits outside 0.01 to 1e6 percent, as the text does."""
+        path = tmp_path / "extreme_error.csv"
+        path.write_text(
+            "units: tosc=s current=A\n"
+            "columns: geometry fanout mode tosc ieff\n"
+            + "".join(f"1W1S,{fanout},{mode},{tosc}e131,5.76e140\n"
+                      for fanout, mode, tosc, _ in BASE_1W1S)
+        )
+        argv = ["report", "--config", workspace["config"], "--measurements", str(path)]
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert main(argv + ["--format", "json"]) == 0
+        comparison = parse_report(capsys.readouterr().out)["geometries"]["1W1S"]["comparison"]
+        errors = {**comparison["errors"], "delay_product": comparison["delay_product_error"]}
+        shown = {row[1]: row[5] for row in rows if row[5]}
+        assert shown.keys() == errors.keys()
+        for name, error in errors.items():
+            pct = error * 100.0
+            assert shown[name] == (f"{pct:.4f}" if 0.01 <= abs(pct) < 1e6 else f"{pct:.6g}")
+        assert abs(errors["c_gate"] * 100.0) > 1e280
+        assert max(len(field) for row in rows for field in row) <= len("-1.23457e+308")
+
 
 class TestReport:
     def test_text_with_targets(self, workspace, capsys):
@@ -1116,6 +1141,7 @@ class TestTopLevel:
 
 SIMULATE_1W1S = ("simulate", "--geometry", "1W1S", "--mode", "quiet")
 UNSOLVABLE = "network cannot be solved in double precision: "
+BELOW_ROUNDING = "the fastest time constant is below the rounding of the slowest"
 RESPONSE_OVERFLOWS = "network's response to a 1e+307 V step overflows double precision"
 TARGET_UNDERFLOWS = ("must be > 0 and, scaled to SI units, a normal float "
                      "(>= 2.2250738585072014e-308), got 1e-310")
@@ -1128,18 +1154,18 @@ PERIOD_SCALE_OVERFLOWS = ("2 * n * m must not exceed the largest float, "
 #: command that meets it, its exit code and the start of its error line.
 EXTREME_VALUES = {
     "c_ff-validate": ("line.1W1S.c_ff", "1e-20", ("validate",), 4,
-                      f"the 3-node {UNSOLVABLE}Matrix is not positive definite"),
+                      f"the 3-node {UNSOLVABLE}{BELOW_ROUNDING}"),
     "c_ff-simulate": ("line.1W1S.c_ff", "1e-20", (*SIMULATE_1W1S, "--segments", "2"), 4,
-                      f"the 6-node {UNSOLVABLE}Matrix is not positive definite"),
+                      f"the 6-node {UNSOLVABLE}{BELOW_ROUNDING}"),
     "cc_ff-validate": ("line.1W1S.cc_ff", "1e20", ("validate",), 4,
-                       f"the 3-node {UNSOLVABLE}Matrix is not positive definite"),
+                       f"the 3-node {UNSOLVABLE}{BELOW_ROUNDING}"),
     "r_ohm-validate": ("line.1W1S.r_ohm", "1e-300", ("validate",), 4,
-                       f"the 3-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+                       f"the 3-node {UNSOLVABLE}a decay rate is not finite"),
     "r_ohm-simulate": ("line.1W1S.r_ohm", "1e-300", (*SIMULATE_1W1S, "--segments", "1"), 4,
-                       f"the 3-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+                       f"the 3-node {UNSOLVABLE}a decay rate is not finite"),
     "r_ohm-conductance": ("line.1W2S.r_ohm", "2.2250738585072014e-308",
                           ("simulate", "--geometry", "1W2S", "--mode", "quiet", "--segments", "3"),
-                          4, f"the 9-node {UNSOLVABLE}L^-1 G L^-T is not finite"),
+                          4, f"the 9-node {UNSOLVABLE}a decay rate is not finite"),
     "r_ohm-sections": ("line.1W1S.r_ohm", "5e-324", (*SIMULATE_1W1S, "--segments", "2"), 4,
                        f"the 6-node {UNSOLVABLE}its section resistance 5e-324 / 2 rounds to 0 ohm"),
     "c_total_ff-report": ("spec.1W1S.c_total_ff", "1e-310", ("report",), 3,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringrc import (
     AGGRESSOR_STEP,
@@ -21,6 +23,7 @@ from ringrc import (
     threshold_delay,
     transfer_eval,
 )
+from ringrc.lumpmodel import bisect_crossing
 
 # Hand-checkable reference line: R = 1 kohm, C = 1 fF, C_c = 2 fF.
 REF = LineRC(r=1e3, c=1e-15, c_c=2e-15, v_dd=1.0)
@@ -275,6 +278,57 @@ class TestThresholdDelay:
             threshold_delay(CrosstalkMode.QUIET, W1S, threshold_fraction=0.0)
         with pytest.raises(ValueError):
             threshold_delay(CrosstalkMode.QUIET, W1S, threshold_fraction=1.0)
+
+
+class TestCrossingSearch:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)), min_size=1, max_size=12),
+        st.floats(1e-9, 1.0, exclude_max=True),
+        st.integers(8, 4096),
+    )
+    def test_brackets_the_crossing_on_adjacent_floats(self, modes, fraction, samples):
+        """Whatever the modes (rates over six decades, residues of either
+        sign, so V may dip or overshoot), the Newton search keeps the
+        bisection contract: from a grid bracket V(lo) < threshold <= V(hi)
+        it returns a time t in (lo, hi] with V(t) >= threshold and V below
+        the threshold at the float just before t."""
+        rates = 10.0 ** np.array([m[0] for m in modes])
+        residues = np.array([m[1] for m in modes])
+
+        def v(t):
+            return residues.sum() - residues @ np.exp(-rates * t)
+
+        times = np.linspace(0.0, 30.0 / rates.min(), samples)
+        values = residues.sum() - np.exp(-np.outer(times, rates)) @ residues
+        assume(values.max() > 0.0)
+        threshold = fraction * values.max()
+        first = int(np.flatnonzero(values >= threshold)[0])
+        assume(first > 0)
+        lo, hi = times[first - 1], times[first]
+        assume(v(lo) < threshold <= v(hi))
+        got = bisect_crossing(rates, residues, threshold, lo, hi)
+        assert lo < got <= hi
+        assert v(got) >= threshold
+        assert v(np.nextafter(got, -np.inf)) < threshold
+
+    def test_matches_bisection_to_rounding(self):
+        """On the bundled line's three modes the search lands on the float
+        that bisection finds, or within rounding of it."""
+        for mode in CrosstalkMode:
+            w = (1.0 + 2.0 * AGGRESSOR_STEP[mode]) / 3.0
+            rates = np.array([1.0 / W1S.tau_ground, 1.0 / W1S.tau_coupled])
+            residues = W1S.v_dd * np.array([w, 1.0 - w])
+            for fraction in (0.1, 0.5, 0.9):
+                threshold, lo, hi = fraction * W1S.v_dd, 0.0, 10.0 * W1S.tau_coupled
+                got = bisect_crossing(rates, residues, threshold, lo, hi)
+                while lo < 0.5 * (lo + hi) < hi:
+                    mid = 0.5 * (lo + hi)
+                    if residues.sum() - residues @ np.exp(-rates * mid) >= threshold:
+                        hi = mid
+                    else:
+                        lo = mid
+                assert got == pytest.approx(hi, rel=4e-16, abs=0.0), (mode, fraction)
 
 
 class TestFirstOrderDelay:

@@ -281,12 +281,12 @@ class TestValidation:
         assert validate_geometry("1W1S", W1S, segments=3).waveforms_ok
 
     def test_threshold_the_lump_starts_at_is_a_numeric_error(self):
-        """parse_config keeps such thresholds out; called directly, the
-        1W2S lump's quiet delay at 1e-300 of v_dd is 0.0 and the ratio is
-        refused rather than divided by it."""
-        with pytest.raises(NumericError, match=r"^threshold_fraction = 1e-300: the lump "
+        """parse_config keeps such thresholds out; called directly with a
+        threshold below the victim's 0 V start, the 1W2S lump's quiet delay
+        is 0.0 and the ratio is refused rather than divided by it."""
+        with pytest.raises(NumericError, match=r"^threshold_fraction = -0\.5: the lump "
                            r"victim starts at or above the threshold \(quiet delay 0\.0 s\)"):
-            validate_geometry("1W2S", BUNDLED_LINES["1W2S"], 3, threshold_fraction=1e-300)
+            validate_geometry("1W2S", BUNDLED_LINES["1W2S"], 3, threshold_fraction=-0.5)
 
     def test_run_validation_orders_geometries(self):
         lines = {

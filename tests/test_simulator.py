@@ -2,6 +2,7 @@
 
 import importlib.resources
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def random_line(rng):
 
 def reference_network(line, segments):
     """Element-by-element assembly: each element stamped into the matrices
-    one entry at a time."""
+    one entry at a time, each line's source resistor into G with the
+    source grounded."""
     n_seg = segments
     n_nodes = 3 * n_seg
     r_seg = line.r / n_seg
@@ -65,6 +67,7 @@ def reference_network(line, segments):
 
     for li in range(3):
         src_g[node(li, 0)] = g_seg
+        cond[node(li, 0), node(li, 0)] += g_seg
         src_line[node(li, 0)] = li
         for k in range(n_seg):
             cap[node(li, k), node(li, k)] += c_seg
@@ -90,17 +93,18 @@ class TestBuildNetwork:
     @pytest.mark.parametrize("segments", [1, 2, 3, 7, 50])
     @pytest.mark.parametrize("geometry", sorted(BUNDLED_LINES))
     def test_matches_element_by_element_assembly(self, geometry, segments):
-        """The array assembly gives exactly the matrices of stamping each
-        element entry by entry, diagonal sums included."""
+        """The stamped C, the G derived from the branches and the source
+        vector are exactly those of stamping each element entry by entry,
+        diagonal sums included."""
         net = build_network(BUNDLED_LINES[geometry], segments)
         cap, cond, src_g, src_line, observed = reference_network(
             BUNDLED_LINES[geometry], segments
         )
         assert np.array_equal(net.capacitance, cap)
         assert np.array_equal(net.conductance, cond)
-        assert np.array_equal(net.source_conductance, src_g)
-        assert np.array_equal(net.source_line, src_line)
-        assert net.source_line.dtype == src_line.dtype
+        amps = np.array([0.9, -0.3, 0.6])
+        want_b = np.where(src_line >= 0, src_g * amps[src_line], 0.0)
+        assert np.array_equal(net._source_vector(DrivePattern(*amps)), want_b)
         assert net.observed == observed
 
     def test_lump_matrices(self):
@@ -117,9 +121,9 @@ class TestBuildNetwork:
             ]
         )
         assert np.allclose(net.capacitance, want_cap, rtol=1e-12)
-        assert np.allclose(net.conductance, np.zeros((3, 3)))
-        assert np.allclose(net.source_conductance, np.full(3, 1.0 / W1S.r))
-        assert list(net.source_line) == [0, 1, 2]
+        # each node's only resistor is its source's, grounded in G
+        assert np.array_equal(net.branches, np.full(3, 1.0 / W1S.r))
+        assert np.array_equal(net.conductance, np.diag(net.branches))
 
     def test_two_segment_structure(self):
         """Two segments: six nodes, halved elements, chained resistance."""
@@ -128,14 +132,17 @@ class TestBuildNetwork:
         # far-end nodes of the three lines
         assert net.observed == (1, 3, 5)
         g_seg = 2.0 / W1S.r
-        # only the first node of each line connects to its source
-        assert np.allclose(
-            net.source_conductance, [g_seg, 0.0, g_seg, 0.0, g_seg, 0.0]
-        )
-        assert list(net.source_line) == [0, -1, 1, -1, 2, -1]
-        # chain conductance between the two nodes of line A
+        # every node is fed by one section resistance: from the source at
+        # the first node of each line, from the node upstream at the second
+        assert net.branches == pytest.approx([g_seg] * 6, rel=1e-12, abs=0.0)
+        b = net._source_vector(DrivePattern(1.0, 2.0, 3.0))
+        assert list(b / net.branches) == [1.0, 0.0, 2.0, 0.0, 3.0, 0.0]
+        # chain conductance between the two nodes of line A, the source's
+        # at the first
         assert net.conductance[0, 1] == pytest.approx(-g_seg, rel=1e-12, abs=0.0)
-        assert net.conductance[0, 0] == pytest.approx(g_seg, rel=1e-12, abs=0.0)
+        assert net.conductance[0, 0] == pytest.approx(2 * g_seg, rel=1e-12, abs=0.0)
+        assert net.conductance[1, 1] == pytest.approx(g_seg, rel=1e-12, abs=0.0)
+        assert net.conductance[1, 2] == 0.0
         # per-segment coupling between line A seg 0 and line B seg 0
         assert net.capacitance[0, 2] == pytest.approx(-W1S.c_c / 2, rel=1e-12, abs=0.0)
         # no direct coupling between the outer lines
@@ -158,10 +165,7 @@ class TestBuildNetwork:
         """Eigenvalues of the lump network reproduce the three transfer
         function time constants R C, R (C + C_c), R (C + 3 C_c)."""
         net = build_network(W1S, 1)
-        a = np.linalg.solve(
-            net.capacitance,
-            net.conductance + np.diag(net.source_conductance),
-        )
+        a = np.linalg.solve(net.capacitance, net.conductance)
         taus = np.sort(1.0 / np.abs(np.real(np.linalg.eigvals(a))))
         coeffs = lump_coefficients(W1S)
         assert taus[0] == pytest.approx(coeffs.b1, rel=1e-9, abs=0.0)
@@ -303,35 +307,46 @@ class TestSimulateStep:
             assert victim.times[-1] == pytest.approx(span, rel=1e-12, abs=0.0)
 
     def test_non_passive_network_rejected(self):
-        """A hand-built network with net negative conductance has no
-        settled response; it must be rejected, not returned."""
-        net = NetworkStateSpace(
-            capacitance=np.array([[1.0]]),
-            conductance=np.array([[-2.0]]),
-            source_conductance=np.array([1.0]),
-            source_line=np.array([0]),
-            observed=(0, 0, 0),
-        )
+        """A hand-built network with a negative resistor has no settled
+        response; it must be rejected, not returned."""
         with pytest.raises(ValueError, match="not passive"):
+            net = NetworkStateSpace(capacitance=np.eye(3), branches=np.array([1.0, -2.0, 1.0]))
             simulate_step(net, DrivePattern(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("branch", [0.0, -0.0, -5e-324, -1.0, -np.inf, np.nan])
+    def test_nonpositive_branch_is_not_passive(self, branch):
+        """Every branch conductance must be > 0; the message names the
+        smallest."""
+        branches = np.array([1.0, 1.0, 1.0, branch, 1.0, 1.0])
+        with pytest.raises(ValueError, match=rf"^network is not passive: branch conductance "
+                           rf"{re.escape(repr(float(np.min(branches))))} is not > 0$"):
+            NetworkStateSpace(capacitance=np.eye(6), branches=branches)
 
     @pytest.mark.parametrize(
         "line, segments, reason",
         [
-            (LineRC(r=504.0, c=1e-35, c_c=8e-15, v_dd=0.9), 1, "Matrix is not positive definite"),
-            (LineRC(r=1e-300, c=6.6e-15, c_c=8e-15, v_dd=0.9), 1, "L^-1 G L^-T is not finite"),
+            (LineRC(r=504.0, c=1e-35, c_c=8e-15, v_dd=0.9), 1,
+             "the fastest time constant is below the rounding of the slowest"),
+            (LineRC(r=1e-300, c=6.6e-15, c_c=8e-15, v_dd=0.9), 1, "a decay rate is not finite"),
             (LineRC(r=8e-295, c=6.6e-15, c_c=8e-15, v_dd=0.9), 1, "a decay rate is not finite"),
-            (LineRC(r=504.0, c=1e-30, c_c=8e-15, v_dd=0.9), 2, "the slowest rate -"),
+            (LineRC(r=504.0, c=1e-30, c_c=8e-15, v_dd=0.9), 2,
+             "the fastest time constant is below the rounding of the slowest"),
+            (LineRC(r=5e-324, c=6.6e-15, c_c=8e-15, v_dd=0.9), 1,
+             "the tree-reduced capacitance is not finite"),
         ],
-        ids=["cholesky-fails", "reduced-overflows", "rate-overflows", "rate-rounds-negative"],
+        ids=["c-1e-35", "r-1e-300", "r-8e-295", "c-1e-30-n2", "r-5e-324"],
     )
-    def test_unsolvable_network_is_a_numeric_error(self, line, segments, reason):
-        """Finite line models beyond double precision, each failing at its
-        own step of the eigensolve, raise NumericError without a warning."""
+    def test_unsolvable_line_is_a_numeric_error(self, line, segments, reason):
+        """Finite line models beyond double precision raise NumericError
+        without a warning: a ground capacitance below the coupling's
+        rounding leaves the fastest mode unresolved, and a tiny resistance
+        overflows a rate or its branch conductance."""
         net = build_network(line, segments)
         unsolvable = "network cannot be solved in double precision: " + re.escape(reason)
-        with pytest.raises(NumericError, match=unsolvable):
-            simulate_step(net, DrivePattern(1.0, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=unsolvable):
+                simulate_step(net, DrivePattern(1.0, 1.0, 1.0))
 
     def test_result_samples_waveforms_on_first_read(self):
         """The constructor stores rates, residues and dt only; the three
@@ -354,11 +369,8 @@ class TestSimulateStep:
     def test_asymmetric_network_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             NetworkStateSpace(
-                capacitance=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                conductance=np.zeros((2, 2)),
-                source_conductance=np.zeros(2),
-                source_line=np.array([-1, -1]),
-                observed=(0, 1, 1),
+                capacitance=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                branches=np.ones(3),
             )
         # the same defect at femtofarad scale: C[0, 1] = -4 fF, C[1, 0] = -8 fF
         net = build_network(W1S, 1)
@@ -366,12 +378,13 @@ class TestSimulateStep:
         with pytest.raises(ValueError, match="symmetric"):
             NetworkStateSpace(**vars(net))
 
-    @pytest.mark.parametrize("matrix", ["capacitance", "conductance"])
+    @pytest.mark.parametrize("matrix", ["capacitance"])
     @pytest.mark.parametrize("segments", [1, 7, 50])
     def test_symmetry_is_exact(self, matrix, segments):
-        """build_network's matrices pass as built, and one entry off its
-        mirror by one ulp fails: eigh reads one triangle, so a nearly
-        symmetric matrix would be solved as a different network."""
+        """build_network's C passes as built, and one entry off its mirror
+        by one ulp fails: eigh reads one triangle of the reduced C, so a
+        nearly symmetric C would be solved as a different network. G is
+        symmetric by construction, A^T diag(branches) A."""
         net = build_network(W1S, segments)
         NetworkStateSpace(**vars(net))
         values = getattr(net, matrix)
@@ -469,6 +482,38 @@ RANDOM_LINES = st.builds(
     st.floats(0.5, 1.5),
 )
 JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def ladder_rates(line, segments):
+    """The decay rates of the three-line network, ascending, from the N-section
+    L ladder (Sakurai, IEEE JSSC 1983): 4 N^2 sin^2(theta_k / 2) / (R C_m),
+    theta_k = (2k - 1) pi / (2N + 1), over the mode capacitances C, C + C_c
+    and C + 3 C_c. The oracle never uses this split."""
+    theta = (2 * np.arange(1, segments + 1) - 1) * np.pi / (2 * segments + 1)
+    ladder = 4 * segments**2 * np.sin(theta / 2) ** 2 / line.r
+    modes = (line.c, line.c + line.c_c, line.c + 3 * line.c_c)
+    return np.sort(np.concatenate([ladder / c_m for c_m in modes]))
+
+
+class TestModes:
+    @settings(deadline=None, max_examples=80)
+    @given(RANDOM_LINES, st.integers(1, 60))
+    @example(W1S, 50)
+    @example(LineRC(r=1e3, c=1e-17, c_c=1e-11, v_dd=1.0), 60)
+    def test_match_the_ladder(self, line, segments):
+        """The slowest rate, which sets every crossing, is exact to 1e-14;
+        every time constant is within 1e-14 of the slowest (the fast modes
+        are resolved against it, not to their own last digit); and every
+        far end settles on its drive to 1e-13 of v_dd."""
+        net = build_network(line, segments)
+        rates, shapes = net.modes()
+        want = ladder_rates(line, segments)
+        assert abs(rates[0] / want[0] - 1.0) <= 1e-14
+        assert np.all(np.abs(1.0 / rates - 1.0 / want) <= 1e-14 / want[0])
+        for mode in CrosstalkMode:
+            drive = DrivePattern.for_mode(mode, line.v_dd)
+            final = SimulationResult.of(net, drive, modes=(rates, shapes)).residues.sum(axis=1)
+            assert np.all(np.abs(final - [drive.v_s1, drive.v_s2, drive.v_s3]) <= 1e-13 * line.v_dd)
 
 
 class TestVictimDelay:
