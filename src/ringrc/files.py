@@ -35,7 +35,10 @@ import math
 import os
 import sys
 from array import array
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import TextIO
 
 import numpy as np
 
@@ -99,6 +102,8 @@ _CHUNK_ROWS = 4096
 #: Bodies of fewer lines are parsed row by row: below ~40 rows the bulk
 #: parser's fixed cost, some 70 us of numpy calls, exceeds what it saves.
 _BULK_MIN_LINES = 48
+#: Characters read_measurements decodes from a file at a time.
+_BLOCK_CHARS = 1 << 16
 
 
 def parse_measurements(text: str) -> Measurements:
@@ -107,18 +112,26 @@ def parse_measurements(text: str) -> Measurements:
     in bulk: one split per chunk of rows, one conversion and range check per
     number column, labels coded as integers so that one sort of combined keys
     finds duplicates. If a check fails, _parse_rows finds the faulty line."""
-    lines = text.splitlines()
-    units, columns, start = _declarations(lines)
-    if len(lines) - start >= _BULK_MIN_LINES:
-        table = _parse_bulk(lines, units, columns, start)
+    return _parse(lambda: iter(text.splitlines()))
+
+
+def _parse(read: Callable[[], Iterator[str]]) -> Measurements:
+    """parse_measurements of the lines each read() gives from a text's start:
+    in bulk as they come, then row by row from a second read() if that fails."""
+    lines = read()
+    units, columns, start, first = _declarations(lines)
+    body = [first, *islice(lines, _BULK_MIN_LINES - 1)]
+    if len(body) == _BULK_MIN_LINES:
+        table = _parse_bulk(chain(body, lines), units, columns)
         if table is not None:
             return table
-    return _parse_rows(lines, units, columns, start)
+        body = islice(read(), start, None)
+    return _parse_rows(body, units, columns, start)
 
 
-def _declarations(lines: list[str]) -> tuple[dict[str, float], list[str], int]:
-    """The units and columns declared before the first data row, and the
-    index of that row in lines."""
+def _declarations(lines: Iterator[str]) -> tuple[dict[str, float], list[str], int, str]:
+    """The units and columns declared before the first data row, the index
+    of that row and the row itself, read from lines up to that row."""
     units: dict[str, float] | None = None
     columns: list[str] | None = None
     for index, raw in enumerate(lines):
@@ -138,15 +151,15 @@ def _declarations(lines: list[str]) -> tuple[dict[str, float], list[str], int]:
         elif columns is None:
             raise ParseError("data row before the columns declaration", lineno)
         else:
-            return units, columns, index
+            return units, columns, index, raw
     raise ParseError("no data rows found", None)
 
 
 def _parse_rows(
-    lines: list[str], units: dict[str, float], columns: list[str], start: int
+    body: Iterable[str], units: dict[str, float], columns: list[str], start: int
 ) -> Measurements:
-    """The parser's rules, applied one row at a time from lines[start]:
-    field count, mode, fanout, numbers (finite, then t_osc and i_eff > 0),
+    """The parser's rules, applied one row at a time to body, line start + 1
+    on: field count, mode, fanout, numbers (finite, then t_osc and i_eff > 0),
     then that the row's (die, geometry, fanout, mode) is new. The first
     faulty line raises its ParseError."""
     tosc_scale, current_scale = units["tosc"], units["current"]
@@ -159,7 +172,7 @@ def _parse_rows(
     # keeps a string of its own alive.
     seen: dict[tuple[str, str, str, str], int] = {}
 
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+    for lineno, raw in enumerate(body, start=start + 1):
         line = _strip(raw)
         if not line:
             continue
@@ -232,17 +245,16 @@ def _fields(rows: list[str], width: int) -> list[str] | None:
 
 
 def _parse_bulk(
-    lines: list[str], units: dict[str, float], columns: list[str], start: int
+    lines: Iterator[str], units: dict[str, float], columns: list[str]
 ) -> Measurements | None:
-    """_parse_rows' table from chunked, vectorized checks of the rows from
-    lines[start], or None if a check fails."""
+    """_parse_rows' table from chunked, vectorized checks of the body's
+    lines, or None if a check fails."""
     width, lookup = len(columns), {"die": sys.intern, "geometry": sys.intern,
                                    "fanout": _FANOUTS.get, "mode": _MODES.get}
     # per label column: raw token -> code of its stripped label, and label -> code
     codes = {name: ({}, {}) for name in lookup if name in columns}
     chunks: dict[str, list[np.ndarray]] = {name: [] for name in columns}
-    for begin in range(start, len(lines), _CHUNK_ROWS):
-        rows = lines[begin : begin + _CHUNK_ROWS]
+    for rows in iter(lambda: list(islice(lines, _CHUNK_ROWS)), []):
         fields = _fields(rows, width)
         if fields is None:  # comments or blank lines, or a faulty row
             fields = _fields([row for row in map(_strip, rows) if row], width)
@@ -261,22 +273,26 @@ def _parse_bulk(
                 if label is None:
                     return None
                 known[token] = labels.setdefault(label, len(labels))
-            chunks[name].append(np.fromiter(map(known.__getitem__, column), np.int64,
+            chunks[name].append(np.fromiter(map(known.__getitem__, column), np.int32,
                                             len(column)))
+        del rows, fields  # before the next chunk is read
 
-    column = {name: np.concatenate(parts) for name, parts in chunks.items()}
-    t_osc, current_scale = column["tosc"] * units["tosc"], units["current"]
+    # one column's chunks at a time, each freed once joined
+    column = {name: np.concatenate(chunks.pop(name)) for name in columns}
+    t_osc, current_scale = column["tosc"], units["current"]
+    t_osc *= units["tosc"]
     with np.errstate(over="ignore", invalid="ignore"):
         i_eff = (column["ieff"] * current_scale if "ieff" in column
                  else column["idda"] * current_scale - column["iddq"] * current_scale)
-    numbers = [column[name] for name in columns if name not in codes]
-    if not (np.isfinite(np.concatenate(numbers + [i_eff])).all()
-            and (t_osc > 0.0).all() and (i_eff > 0.0).all()):
+    # no unit scale exceeds 1, so a scaled value is finite where its field is;
+    # i_eff is finite only where the fields it is taken from are
+    if not ((t_osc > 0.0).all() and (t_osc < np.inf).all()
+            and (i_eff > 0.0).all() and (i_eff < np.inf).all()):
         return None
-    key, table = 0, {"die": np.full(len(t_osc), "", dtype=object)}
+    key, table = np.int64(0), {"die": np.full(len(t_osc), "", dtype=object)}
     for name, (_, labels) in codes.items():
         key = key * len(labels) + column[name]
-        table[name] = np.array(list(labels), dtype=object)[column[name]]
+        table[name] = np.array(list(labels), dtype=object)[column.pop(name)]
     key.sort()
     if (key[1:] == key[:-1]).any():
         return None
@@ -505,14 +521,47 @@ def parse_config(text: str) -> ConfigFile:
 
 
 def read_measurements(path: str) -> Measurements:
+    """parse_measurements of a file's text, read _BLOCK_CHARS at a time so that
+    the parser holds one chunk of lines, and read again if a bulk check fails;
+    a pipe is read whole. An undecodable byte anywhere is the error reported."""
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" writes
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_measurements(fh.read())
+    with open(path, encoding="utf-8-sig") as fh:
+        if not fh.seekable():
+            return parse_measurements(_decoded(fh.buffer.read()))
+        try:
+            return _parse(lambda: chain.from_iterable(_blocks(fh)))
+        except (ParseError, UnicodeDecodeError):
+            fh.buffer.seek(0)
+            _decoded(fh.buffer.read())
+            raise
+
+
+def _blocks(fh: TextIO) -> Iterator[list[str]]:
+    """fh's lines from its start, a block at a time, cut as by str.splitlines():
+    a block's last piece, kept nonempty by an appended NUL, waits for the next."""
+    fh.seek(0)
+    carry = ""
+    while block := fh.read(_BLOCK_CHARS):
+        lines = (carry + block + "\0").splitlines()
+        carry = lines.pop()[:-1]
+        yield lines
+    yield [carry] if carry else []
+
+
+def _decoded(data: bytes) -> str:
+    """data as UTF-8 text less a byte-order mark, or a ParseError naming the
+    line of its first undecodable byte."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode() + "\0").splitlines())
+        raise ParseError(f"cannot decode byte {data[exc.start]:#04x} as UTF-8", line) from None
 
 
 def read_config(path: str) -> ConfigFile:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        return parse_config(_decoded(fh.read()))
 
 
 def write_text_atomic(path: str, text: str) -> None:

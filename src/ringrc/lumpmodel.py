@@ -236,6 +236,9 @@ def bisect_crossing(
     is not under half the step before last, bisects instead; each Newton
     point aims four ulps past the root, so both ends close in on it.
     """
+    # in units of a power of two that keeps rates * residues finite: exact
+    scale = math.ldexp(1.0, -max(0, math.frexp(float(np.abs(residues).max()))[1]))
+    residues, threshold = residues * scale, threshold * scale
     v_inf, slopes = residues.sum(), rates * residues
 
     def excess(t: float) -> tuple[float, float]:  # V(t) - threshold, V'(t)

@@ -216,6 +216,8 @@ def emit_binning(report: BinningReport, fmt: str = "text") -> str:
     JSON holds one entry per die with each of its columns, in SI units.
     Text and CSV fill one row template per die: die, geometry (CSV only),
     r_sw (ohm), c_total (fF), delay proxy (ps), scale, runtime and gain (%).
+    A text row with r_sw, c_total or proxy outside 0.01 to 1e6, or a gain
+    of 1e6 % or more, is written value by value by _shown's rule instead.
     """
     if fmt == "json":
         columns = {name: column.tolist() for name, column in vars(report).items()
@@ -245,11 +247,21 @@ def emit_binning(report: BinningReport, fmt: str = "text") -> str:
         labels.append(np.full(len(report.die), report.geometry, dtype=object))
     else:
         raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
-    table = np.column_stack([
-        *labels, report.r_sw, report.c_total * 1e15, report.delay_proxy * 1e12,
-        report.scale, report.normalized_runtime, report.improvement * 100.0,
-    ])
-    return head + (row * len(table)) % tuple(table.ravel().tolist())
+    values = [report.r_sw, report.c_total * 1e15, report.delay_proxy * 1e12,
+              report.scale, report.normalized_runtime, report.improvement * 100.0]
+    table = np.column_stack([*labels, *values])
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    magnitude = np.abs(np.column_stack(values[:3]))
+    extreme = ((magnitude < 0.01) | (magnitude >= 1e6)).any(axis=1) | (values[5] >= 1e6)
+    if fmt == "text" and extreme.any():
+        rows = body.splitlines(keepends=True)
+        for k in np.flatnonzero(extreme):
+            r_sw, c_total, proxy, scale, runtime, gain = (float(v[k]) for v in values)
+            rows[k] = "  %-10s %s %s %s %s %8.3f %s\n" % (
+                report.die[k], _shown(r_sw, 11), _shown(c_total, 13), _shown(proxy, 11, 4),
+                _shown(scale, 7, 3), runtime, _shown(gain, 7) if gain >= 1e6 else "%7.2f" % gain)
+        body = "".join(rows)
+    return head + body
 
 
 # ---------------------------------------------------------------------------

@@ -1068,6 +1068,30 @@ class TestBinning:
         assert captured.err == "error: line 8: t_osc must be finite and > 0, got -8.166e-08\n"
         assert not out.exists()
 
+    def test_extreme_values_stay_readable(self, workspace, capsys, tmp_path):
+        """A text row with a value the fixed decimals cannot show takes six
+        significant digits for it: the die of TestExtract's extreme file
+        (tosc ~1e140 s, i_eff 5.76e140 A) and a die whose gain reaches
+        1e10 %. Every other value keeps its decimals."""
+        lots = {
+            "extreme": [("", "1W1S", fanout, mode, f"{tosc}e140", "5.76e146")
+                        for fanout, mode, tosc, _ in BASE_1W1S],
+            "fast": lot_rows([("A", 1.0), ("B", 1e8)]),
+        }
+        want = {
+            "extreme": ["  <blank>    7.8125e-142    8.166e+284 6.37969e+140   1.000    1.000"
+                        "    0.00"],
+            "fast": ["  B               504.77   1.26389e+09 6.37969e+08   1.000    1.000"
+                     "    0.00",
+                     "  A               504.77         12.64      6.3797   1e+08    0.000"
+                     "   1e+10"],
+        }
+        for name, rows in lots.items():
+            argv = ["binning", "--config", workspace["config"], "--geometry", "1W1S",
+                    "--measurements", write_lot(tmp_path / f"{name}.csv", rows)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[2:] == want[name]
+
     def test_lot_is_one_result(self, workspace, capsys, tmp_path, monkeypatch):
         """binning extracts the whole lot into one ExtractionResult of
         columns, whatever the die count, and reports from it."""
@@ -1116,6 +1140,21 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("which", ["config", "measurements"])
+    def test_undecodable_byte_exits_2(self, workspace, capsys, tmp_path, which):
+        """A file that is not UTF-8 fails with exit 2 and one error line
+        naming the line of the byte, as any other malformed input does."""
+        lines = pathlib.Path(workspace[which]).read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+        paths = {"config": workspace["config"], "measurements": workspace["measurements"],
+                 which: str(tmp_path / which)}
+        pathlib.Path(paths[which]).write_bytes(b"".join(lines))
+        argv = ["report", "--config", paths["config"], "--measurements", paths["measurements"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 4: cannot decode byte 0xff as UTF-8\n"
+        assert captured.out == ""
 
     def test_config_warnings_surface(self, workspace, capsys):
         noisy = workspace["root"] / "noisy.cfg"

@@ -6,6 +6,8 @@ import json
 import os
 import pathlib
 import re
+import threading
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,10 @@ from ringrc import (
     read_measurements,
     write_text_atomic,
 )
+from ringrc import files
 from ringrc.files import REPORT_FORMAT_TAG
+
+BOM = b"\xef\xbb\xbf"
 
 GOOD_TEXT = """\
 # narrow-pitch pair, first die
@@ -37,6 +42,16 @@ columns: geometry fanout mode tosc ieff
 
 def bundled(name):
     return importlib.resources.files("ringrc").joinpath("data", name)
+
+
+def lot_text(dies):
+    """A lot of dies x 2 geometries x 6 records, numbers written as repr
+    writes them."""
+    return "units: tosc=s current=A\ncolumns: die geometry fanout mode tosc ieff\n" + "".join(
+        f"d{k:05d},{geometry},{fanout.value},{mode.value},{7.3e-8 + k * 1e-13!r},"
+        f"{1.002e-3 + k * 1e-9!r}\n"
+        for k in range(dies) for geometry in ("1W1S", "1W2S")
+        for fanout in Fanout for mode in CrosstalkMode)
 
 
 class TestParseMeasurements:
@@ -414,6 +429,71 @@ class TestFileIo:
             bundled("measurements_28nm.csv").read_text())
         assert list(got) == list(want)
         assert read_config(str(cfg)) == parse_config(bundled("config_28nm.cfg").read_text())
+
+    def test_reading_a_lot_holds_one_chunk_not_the_file(self, tmp_path):
+        """read_measurements holds one chunk of lines at a time: reading a
+        48 000-row lot peaks at under twice the file's size, table included
+        (reading the whole text and all its lines at once took 5.4 times)."""
+        path = tmp_path / "lot.csv"
+        path.write_text(lot_text(4000))
+        read_measurements(str(path))  # numpy's first-use set-up is not the reader's
+        tracemalloc.start()
+        try:
+            table = read_measurements(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 48000
+        assert peak <= 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("fault", [None, "row", "byte"])
+    def test_a_pipe_is_read_whole(self, tmp_path, fault):
+        """A pipe cannot be read twice: its whole text is parsed, with the
+        table or the error parse_measurements gives for that text."""
+        lines = lot_text(5).split("\n")
+        if fault == "row":
+            lines[7] = "d99999,1W1S,FO1,quiet,fast,1e-3"
+        text = "\r\n".join(lines)
+        data = BOM + text.encode()
+        if fault == "byte":
+            data = data.replace(b"d00003", b"d\xff0003")
+        fifo = tmp_path / "lot.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            got = read_measurements(str(fifo))
+        except ParseError as exc:
+            got = str(exc)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        if fault is None:
+            assert list(got) == list(parse_measurements(text))
+        elif fault == "row":
+            with pytest.raises(ParseError) as want:
+                parse_measurements(text)
+            assert got == str(want.value) and got.startswith("line 8: tosc: not a number")
+        else:
+            assert got == "line 39: cannot decode byte 0xff as UTF-8"
+
+    @pytest.mark.parametrize("dies, newline", [(1, "\n"), (400, "\n"), (400, "\r")])
+    def test_undecodable_byte_names_its_line(self, tmp_path, dies, newline):
+        """An undecodable byte is a ParseError naming its line, whether it
+        lies in a short file or far into a lot read block by block, and it
+        is the error reported even after a faulty row, as for a pipe."""
+        lines = [line.encode() for line in lot_text(dies).split("\n")]
+        bad = len(lines) - 3
+        lines[bad] = lines[bad][:3] + b"\xff" + lines[bad][3:]
+        lines[2] = lines[2].replace(b"FO1", b"FO9")
+        path = tmp_path / "lot.csv"
+        path.write_bytes(BOM + newline.encode().join(lines))
+        assert len(lines) < 48 or path.stat().st_size > 4 * files._BLOCK_CHARS
+        message = rf"^line {bad + 1}: cannot decode byte 0xff as UTF-8$"
+        with pytest.raises(ParseError, match=message):
+            read_measurements(str(path))
+        (tmp_path / "c.cfg").write_bytes(MINIMAL_CONFIG.encode() + b"# \xff\n")
+        with pytest.raises(ParseError, match="^line 4: cannot decode byte 0xff as UTF-8$"):
+            read_config(str(tmp_path / "c.cfg"))
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_atomic_write_honours_umask(self, tmp_path, umask, mode):

@@ -4,12 +4,14 @@ and report emission."""
 import contextlib
 import importlib.resources
 import io
+import itertools
 import pathlib
 import re
 import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -402,13 +404,15 @@ def test_bulk_parser_defers_faults_a_field_total_hides():
 
 
 def _bulk(text):
-    lines = text.splitlines()
-    return files._parse_bulk(lines, *files._declarations(lines))
+    lines = iter(text.splitlines())
+    units, columns, _, first = files._declarations(lines)
+    return files._parse_bulk(itertools.chain([first], lines), units, columns)
 
 
 def _rows(text):
-    lines = text.splitlines()
-    return files._parse_rows(lines, *files._declarations(lines))
+    lines = iter(text.splitlines())
+    units, columns, start, first = files._declarations(lines)
+    return files._parse_rows(itertools.chain([first], lines), units, columns, start)
 
 
 def assert_same_table(got, want):
@@ -490,6 +494,58 @@ def test_bulk_parser_across_a_chunk_boundary():
     assert len(bulk) == len(rows) > files._CHUNK_ROWS
     boundary = len(head) + files._CHUNK_ROWS
     assert lines[boundary - 1 : boundary + 1] == ["# closes the first chunk", ""]
+
+
+# ---------------------------------------------------------------------------
+# a file read block by block parses as its whole text does
+
+
+@st.composite
+def streamed_files(draw):
+    """Measurement text, with its file's byte-order mark, that may hold a
+    form feed or a line separator inside a row, a duplicate of an earlier
+    row or a faulty last row; and block, chunk and bulk sizes small enough
+    that blocks and chunks end anywhere, inside a CRLF too."""
+    text = draw(valid_measurement_files())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\x0c", "\u2028"])) + text[at:]
+    rows = [line for line in text.splitlines()[3:] if files._strip(line)]
+    if rows and draw(st.booleans()):
+        text += ("\n" if text.endswith(("\n", "\r")) else "\r\n") + draw(st.sampled_from(rows))
+    if draw(st.booleans()):
+        text += "\nfast" * draw(st.integers(1, 2))
+    sizes = {"_BLOCK_CHARS": draw(st.integers(1, 64)), "_CHUNK_ROWS": draw(st.integers(1, 9)),
+             "_BULK_MIN_LINES": draw(st.sampled_from([1, 2, 7, files._BULK_MIN_LINES]))}
+    return text, draw(st.booleans()), sizes
+
+
+def _outcome(parse, source):
+    """The table parse gives, or its ParseError's message and line."""
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(deadline=None, max_examples=200)
+@given(streamed_files())
+def test_reading_a_file_gives_what_parsing_its_text_gives(case):
+    """read_measurements streams a file through the parser block by block
+    and chunk by chunk; its table, or its error's message and line, is
+    parse_measurements' on the file's text, whatever the line endings."""
+    text, bom, sizes = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for name, value in sizes.items():
+            patch.setattr(files, name, value)
+        path = pathlib.Path(tmp, "m.csv")
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        got = _outcome(files.read_measurements, str(path))
+        want = _outcome(parse_measurements, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_table(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +791,8 @@ COMMANDS = st.just(("validate",)) | st.just(("report",)) | st.builds(
 @example(("n", "1" + "0" * 307), ("report",))
 @example(("segments", "1" + "0" * 310), ("validate",))
 @example(("threshold_fraction", "1e-300"), ("validate",))
+# residues near 1e296 V times decay rates past 1e12 /s: the crossing search's slopes
+@example(("v_dd", "1e+296"), ("validate",))
 # a section conductance whose sum overflows; a section resistance that rounds to 0
 @example(("line.1W2S.r_ohm", "2.2250738585072014e-308"),
          ("simulate", "--geometry", "1W2S", "--mode", "quiet", "--segments", "3"))
