@@ -27,6 +27,7 @@ from .files import ConfigFile, read_config, read_measurements, write_text_atomic
 from .lumpmodel import DrivePattern
 from .oscillator import Measurements
 from .reporting import (
+    _shown,
     emit_binning,
     emit_report,
     format_validation_text,
@@ -183,17 +184,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate_step(net, drive, t_end=t_end)
 
     threshold = config.threshold_fraction * config.v_dd
+    volts = _shown(threshold, 0, 3)
     print(
         f"geometry {args.geometry} mode {mode.value} segments {segments}: "
-        f"{len(result.victim.values)} samples, dt {result.victim.dt:.4e} s"
+        f"{len(result.victim.values)} samples, dt {_shown(result.victim.dt, 0, 4)} s"
     )
     try:
         t_cross = crossing_time(result, threshold)
-        print(
-            f"victim crossing of {threshold:.3f} V at {t_cross * 1e12:.4f} ps"
-        )
+        print(f"victim crossing of {volts} V at {_shown(t_cross * 1e12, 0, 4)} ps")
     except NumericError:
-        print(f"victim never reaches {threshold:.3f} V within the simulated span")
+        print(f"victim never reaches {volts} V within the simulated span")
     if args.out:
         _emit(waveform_csv(result), args.out)
     if args.svg:

@@ -1,13 +1,14 @@
 """Report generation: extraction tables, clock binning, model validation.
 
-Three output styles are supported for the tabular reports, and all three
-read one value table (`extraction.VALUES` for extractions, the
-`BinningReport` columns for binning, which text and CSV fill into one row
-template per die). JSON is canonical (SI units, sorted keys, full float
-precision) so that emitting, parsing and re-emitting a report reproduces
-the bytes exactly. Text (the two-decimal femtofarad/ohm tables used in design
-reviews; six significant digits for values outside 0.01 to 1e6) and CSV
-(for spreadsheets) show the same values scaled to display units.
+Extraction and binning reports come as text (for design reviews), CSV
+(for spreadsheets) or JSON, all read from one value table
+(`extraction.VALUES`, or the `BinningReport` columns). JSON is canonical
+(SI units, sorted keys, full float precision), so emitting, parsing and
+re-emitting a report reproduces the bytes exactly. Text and CSV show the
+values in display units. Every number a person reads, in report, binning
+and validate text and in the simulate summary, follows `_shown`'s rule:
+fixed decimals for 0 and for 0.01 <= |v| < 1e6, six significant digits
+otherwise. `_table` renders the text tables.
 
 The waveform CSV ("%.9e" per value) and SVG (points to 0.01 px, "%.2f")
 come from two numpy kernels, `_scientific` and `_fixed`, whose bytes equal
@@ -35,7 +36,6 @@ arithmetic on "%04d" of 0..9999 (four ASCII bytes), and indexed per field:
 from __future__ import annotations
 
 import functools
-import io
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -59,10 +59,37 @@ RATIO_WINDOW = (0.35, 0.65)
 
 
 def _shown(value: float, width: int = 10, decimals: int = 2) -> str:
-    """A report value in display units, right-aligned to width: fixed
-    decimals from 0.01 up to 1e6, six significant digits outside that range."""
-    return (f"{value:>{width}.{decimals}f}" if 0.01 <= abs(value) < 1e6
+    """A number in display units, right-aligned to width: fixed decimals for
+    0 and from 0.01 up to 1e6, six significant digits outside that range."""
+    return (f"{value:>{width}.{decimals}f}" if value == 0 or 0.01 <= abs(value) < 1e6
             else f"{value:>{width}.6g}")
+
+
+def _table(columns: tuple, labels, values) -> str:
+    """A label column and rows of numbers as a text table under its header;
+    columns are (heading, width) for the labels, then (heading, width,
+    decimals) per number. One "%" template fills every row; a row holding a
+    value outside _shown's fixed-decimal range is written again by _shown."""
+    (heading, width), *numbers = columns
+    head = f"  {heading:<{width}}" + "".join(f" {h:>{w}}" for h, w, _ in numbers) + "\n"
+    row = f"  %-{width}s" + "".join(f" %{w}.{d}f" for _, w, d in numbers) + "\n"
+    values = np.asarray(values, dtype=float).reshape(len(labels), len(numbers))
+    cells = np.column_stack([np.asarray(labels, dtype=object), values])
+    body = (row * len(cells)) % tuple(cells.ravel().tolist())
+    magnitude = np.abs(values)
+    fixed = (magnitude == 0) | (magnitude >= 0.01) & (magnitude < 1e6)
+    extreme = np.flatnonzero(~fixed.all(axis=1))
+    if len(extreme):
+        lines = body.split("\n")
+        for k in extreme:
+            lines[k] = f"  {labels[k]:<{width}}" + "".join(
+                f" {_shown(v, w, d)}" for v, (_, w, d) in zip(values[k].tolist(), numbers))
+        body = "\n".join(lines)
+    return head + body
+
+
+#: The text comparison block: parameter (unit), then extracted, target, error %.
+_COMPARISON = (("comparison", 12), ("extracted", 10, 2), ("target", 10, 2), ("error %", 8, 2))
 
 
 def emit_report(
@@ -80,11 +107,10 @@ def emit_report(
     target and error fields of those rows and leaves the others empty.
     """
     comparisons = comparisons or {}
-    values = {geometry: result.one() for geometry, result in results.items()}
     if fmt == "json":
         geometries = {}
         for geometry, result in results.items():
-            extraction = values[geometry]
+            extraction = result.one()
             extraction["provenance"] = {
                 name: list(labels) for name, labels in result.provenance.items()
             }
@@ -100,21 +126,26 @@ def emit_report(
         return emit_report_json({"format": REPORT_FORMAT_TAG, "geometries": geometries})
     if fmt == "text":
         out = ["extraction report\n"]
-    elif fmt == "csv":
-        out = ["geometry,parameter,unit,extracted,target,error_pct\n"]
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
-    for geometry in sorted(results):
-        result = values[geometry]
-        report = comparisons.get(geometry)
-        errors = {} if report is None else report.param_errors
-        if fmt == "text":
+        for geometry in sorted(results):
+            result, report = results[geometry].one(), comparisons.get(geometry)
             out.append(f"\ngeometry {geometry}\n")
-            out += [
-                f"  {name:<9} {_shown(result[name] * scale)} {unit}\n"
-                for name, unit, scale, _ in VALUES
-            ]
-        else:
+            out += [f"  {name:<9} {_shown(result[name] * scale)} {unit}\n"
+                    for name, unit, scale, _ in VALUES]
+            if report is None:
+                continue
+            compared = [value for value in COMPARED if value.name in report.param_errors]
+            out.append(_table(_COMPARISON, [f"{name} ({unit})" for name, unit, _, _ in compared], [
+                (result[name] * scale, getattr(report.targets, name) * scale,
+                 report.param_errors[name] * 100.0) for name, _, scale, _ in compared]))
+            if report.delay_product_error is not None:
+                error_pct = _shown(report.delay_product_error * 100.0, 0)
+                out.append(f"  delay product (r_sw x c_total) error: {error_pct} %\n")
+        return "".join(out)
+    if fmt == "csv":
+        out = ["geometry,parameter,unit,extracted,target,error_pct\n"]
+        for geometry in sorted(results):
+            result, report = results[geometry].one(), comparisons.get(geometry)
+            errors = {} if report is None else report.param_errors
             for name, unit, scale, _ in VALUES:
                 target_field = error_field = ""
                 if name in errors:
@@ -124,27 +155,11 @@ def emit_report(
                     f"{geometry},{name},{unit},{result[name] * scale:.6g},"
                     f"{target_field},{error_field}\n"
                 )
-        if report is None:
-            continue
-        if fmt == "text":
-            out.append(
-                f"  {'comparison':<12} {'extracted':>10} {'target':>10}"
-                f" {'error %':>8}\n"
-            )
-            out += [
-                f"  {name + ' (' + unit + ')':<12} {_shown(result[name] * scale)}"
-                f" {_shown(getattr(report.targets, name) * scale)}"
-                f" {_shown(errors[name] * 100.0, 8)}\n"
-                for name, unit, scale, _ in COMPARED if name in errors
-            ]
-        if report.delay_product_error is not None:
-            error_pct = report.delay_product_error * 100.0
-            out.append(
-                f"  delay product (r_sw x c_total) error: {_shown(error_pct, 0)} %\n"
-                if fmt == "text"
-                else f"{geometry},delay_product,,,,{_shown(error_pct, 0, 4)}\n"
-            )
-    return "".join(out)
+            if report is not None and report.delay_product_error is not None:
+                error_pct = _shown(report.delay_product_error * 100.0, 0, 4)
+                out.append(f"{geometry},delay_product,,,,{error_pct}\n")
+        return "".join(out)
+    raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +225,16 @@ def monitor_binning(lot: ExtractionResult) -> BinningReport:
                          scale, 1.0 / scale, scale - 1.0)
 
 
+#: The binning text table: die, then one column per BinningReport number.
+_BINNING = (("die", 10), ("r_sw (ohm)", 11, 2), ("c_total (fF)", 13, 2), ("proxy (ps)", 11, 4),
+            ("scale", 7, 3), ("runtime", 8, 3), ("gain %", 7, 2))
+
+
 def emit_binning(report: BinningReport, fmt: str = "text") -> str:
     """Render a binning report as text, CSV or canonical JSON.
 
     JSON holds one entry per die with each of its columns, in SI units.
-    Text and CSV fill one row template per die: die, geometry (CSV only),
-    r_sw (ohm), c_total (fF), delay proxy (ps), scale, runtime and gain (%).
-    A text row with r_sw, c_total or proxy outside 0.01 to 1e6, or a gain
-    of 1e6 % or more, is written value by value by _shown's rule instead.
+    Text and CSV show them in display units, one row per die.
     """
     if fmt == "json":
         columns = {name: column.tolist() for name, column in vars(report).items()
@@ -229,39 +246,20 @@ def emit_binning(report: BinningReport, fmt: str = "text") -> str:
                 "binning": {"geometry": report.geometry, "bins": bins},
             }
         )
-    labels = [report.die]
-    if fmt == "text":
-        head = (
-            f"clock binning for geometry {report.geometry}"
-            f" ({len(report.die)} dies, slowest first)\n"
-            f"  {'die':<10} {'r_sw (ohm)':>11} {'c_total (fF)':>13}"
-            f" {'proxy (ps)':>11} {'scale':>7} {'runtime':>8} {'gain %':>7}\n"
-        )
-        row = "  %-10s %11.2f %13.2f %11.4f %7.3f %8.3f %7.2f\n"
-    elif fmt == "csv":
-        head = (
-            "die,geometry,r_sw_ohm,c_total_ff,delay_proxy_ps,"
-            "scale,normalized_runtime,improvement_pct\n"
-        )
-        row = "%s,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n"
-        labels.append(np.full(len(report.die), report.geometry, dtype=object))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
     values = [report.r_sw, report.c_total * 1e15, report.delay_proxy * 1e12,
               report.scale, report.normalized_runtime, report.improvement * 100.0]
-    table = np.column_stack([*labels, *values])
-    body = (row * len(table)) % tuple(table.ravel().tolist())
-    magnitude = np.abs(np.column_stack(values[:3]))
-    extreme = ((magnitude < 0.01) | (magnitude >= 1e6)).any(axis=1) | (values[5] >= 1e6)
-    if fmt == "text" and extreme.any():
-        rows = body.splitlines(keepends=True)
-        for k in np.flatnonzero(extreme):
-            r_sw, c_total, proxy, scale, runtime, gain = (float(v[k]) for v in values)
-            rows[k] = "  %-10s %s %s %s %s %8.3f %s\n" % (
-                report.die[k], _shown(r_sw, 11), _shown(c_total, 13), _shown(proxy, 11, 4),
-                _shown(scale, 7, 3), runtime, _shown(gain, 7) if gain >= 1e6 else "%7.2f" % gain)
-        body = "".join(rows)
-    return head + body
+    if fmt == "text":
+        return (f"clock binning for geometry {report.geometry}"
+                f" ({len(report.die)} dies, slowest first)\n"
+                + _table(_BINNING, report.die, np.column_stack(values)))
+    if fmt == "csv":
+        geometry = np.full(len(report.die), report.geometry, dtype=object)
+        table = np.column_stack([report.die, geometry, *values])
+        return ("die,geometry,r_sw_ohm,c_total_ff,delay_proxy_ps,"
+                "scale,normalized_runtime,improvement_pct\n"
+                + ("%s,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n" * len(table))
+                % tuple(table.ravel().tolist()))
+    raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
 
 
 # ---------------------------------------------------------------------------
@@ -363,33 +361,32 @@ def run_validation(
 
 
 def format_validation_text(outcome: ValidationOutcome) -> str:
-    out = io.StringIO()
-    out.write("model validation report\n")
+    out = ["model validation report\n"]
     for entry in outcome.geometries:
-        out.write(f"\ngeometry {entry.geometry}\n")
+        out.append(f"\ngeometry {entry.geometry}\n")
         for mode, dev in entry.max_dev.items():
             label = f"{mode.value.replace('_', '-')}:"
-            out.write(
+            out.append(
                 f"  oracle vs closed form, {label:<13} max deviation {dev:.2e}"
                 f" of v_dd [{'pass' if dev <= WAVEFORM_TOLERANCE else 'FAIL'}]\n"
             )
         delays = " <= ".join(
-            f"{mode.value.replace('_', '-')} {delay * 1e12:.4f} ps"
+            f"{mode.value.replace('_', '-')} {_shown(delay * 1e12, 0, 4)} ps"
             for mode, delay in entry.delays.items()
         )
-        out.write(
+        out.append(
             f"  simulated threshold delays: {delays}"
             f" [{'pass' if entry.ordering_ok else 'FAIL'}]\n"
         )
         low, high = RATIO_WINDOW
-        out.write(
+        out.append(
             f"  distributed({entry.segments}) / lump quiet delay:"
-            f" {entry.distributed_ratio:.4f}"
+            f" {_shown(entry.distributed_ratio, 0, 4)}"
             f" [expected {low:.2f}..{high:.2f};"
             f" {'pass' if entry.ratio_ok else 'FAIL'}]\n"
         )
-    out.write(f"\noverall: {'pass' if outcome.passed else 'FAIL'}\n")
-    return out.getvalue()
+    out.append(f"\noverall: {'pass' if outcome.passed else 'FAIL'}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import argparse
 import importlib.resources
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -549,6 +550,23 @@ class TestGolden:
         assert captured.err.count("\n") == 1
 
 
+#: Bundled-config edits whose lump delays leave the fixed-decimal range:
+#: a huge 1W1S and a tiny 1W2S line resistance.
+EXTREME_RESISTANCE = {
+    "1W1S": ("line.1W1S.r_ohm = 504", "line.1W1S.r_ohm = 1e100"),
+    "1W2S": ("line.1W2S.r_ohm = 417", "line.1W2S.r_ohm = 1e-12"),
+}
+
+
+def extreme_resistance_config(tmp_path, geometry):
+    text = bundled_text("config_28nm.cfg")
+    edit = EXTREME_RESISTANCE[geometry]
+    assert edit[0] in text
+    path = tmp_path / f"r_{geometry}.cfg"
+    path.write_text(text.replace(*edit))
+    return str(path)
+
+
 class TestSimulate:
     def test_lump_quiet_crossing(self, workspace, capsys, tmp_path):
         csv_path = tmp_path / "wave.csv"
@@ -572,6 +590,21 @@ class TestSimulate:
         header = csv_path.read_text().splitlines()[0]
         assert header == "time_s,line_a_v,line_b_v,line_c_v"
         ET.fromstring(svg_path.read_text())  # well-formed SVG
+
+    @pytest.mark.parametrize("geometry, crossing", [("1W1S", 7.39061e97),
+                                                    ("1W2S", 7.32958e-15)])
+    def test_extreme_crossing_stays_readable(self, capsys, tmp_path, geometry, crossing):
+        """A crossing far outside 0.01 to 1e6 ps prints six significant
+        digits: not 98 digits, not 0.0000 ps."""
+        config = extreme_resistance_config(tmp_path, geometry)
+        argv = ["simulate", "--config", config, "--geometry", geometry, "--mode", "quiet"]
+        assert main(argv) == 0
+        summary = capsys.readouterr().out.splitlines()
+        threshold, shown = re.fullmatch(r"victim crossing of (\S+) V at (\S+) ps",
+                                        summary[1]).groups()
+        assert threshold == "0.450"
+        assert len(shown) <= 13 and float(shown) == pytest.approx(crossing, rel=1e-4)
+        assert shown == f"{float(shown):.6g}"
 
     def test_svg_title_is_escaped(self, capsys, tmp_path):
         """Markup characters in a geometry label stay text in the plot."""
@@ -798,6 +831,21 @@ class TestValidate:
         assert code == 3
         assert "overall: FAIL" in out
 
+
+    @pytest.mark.parametrize("geometry, delays", [
+        ("1W1S", (4.57477e97, 1.21981e98, 2.97907e98)),
+        ("1W2S", (4.29751e-15, 1.19851e-14, 3.00487e-14)),
+    ])
+    def test_extreme_delays_stay_readable(self, capsys, tmp_path, geometry, delays):
+        """Threshold delays far outside 0.01 to 1e6 ps print six significant
+        digits: not 98 digits, not 0.0000 ps."""
+        config = extreme_resistance_config(tmp_path, geometry)
+        assert main(["validate", "--config", config, "--geometry", geometry]) == 0
+        out = capsys.readouterr().out
+        shown = re.findall(r"(\S+) ps\b", out)
+        assert [float(field) for field in shown] == pytest.approx(delays, rel=1e-4)
+        assert all(len(field) <= 13 and field == f"{float(field):.6g}" for field in shown)
+        assert "overall: pass" in out
 
     @pytest.mark.parametrize("segments", [10**7, 10**10, 10**20])
     def test_unallocatable_segment_count_rejected(self, workspace, capsys, tmp_path,
@@ -1071,19 +1119,22 @@ class TestBinning:
     def test_extreme_values_stay_readable(self, workspace, capsys, tmp_path):
         """A text row with a value the fixed decimals cannot show takes six
         significant digits for it: the die of TestExtract's extreme file
-        (tosc ~1e140 s, i_eff 5.76e140 A) and a die whose gain reaches
-        1e10 %. Every other value keeps its decimals."""
+        (tosc ~1e140 s, i_eff 5.76e140 A), a die whose gain reaches 1e10 %
+        (and its runtime 1e-8), and a die whose gain is under 0.01 %.
+        Every other value keeps its decimals, and a gain of 0 reads 0.00."""
         lots = {
             "extreme": [("", "1W1S", fanout, mode, f"{tosc}e140", "5.76e146")
                         for fanout, mode, tosc, _ in BASE_1W1S],
-            "fast": lot_rows([("A", 1.0), ("B", 1e8)]),
+            "fast": lot_rows([("A", 1.0), ("B", 1e8), ("C", 0.99995e8)]),
         }
         want = {
             "extreme": ["  <blank>    7.8125e-142    8.166e+284 6.37969e+140   1.000    1.000"
                         "    0.00"],
             "fast": ["  B               504.77   1.26389e+09 6.37969e+08   1.000    1.000"
                      "    0.00",
-                     "  A               504.77         12.64      6.3797   1e+08    0.000"
+                     "  C               504.77   1.26382e+09 6.37937e+08   1.000    1.000"
+                     " 0.00500025",
+                     "  A               504.77         12.64      6.3797   1e+08    1e-08"
                      "   1e+10"],
         }
         for name, rows in lots.items():

@@ -16,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringrc import (
+    AGGRESSOR_STEP,
     CrosstalkMode,
     DrivePattern,
+    ErrorReport,
     ExtractionResult,
     Fanout,
     LineRC,
@@ -52,6 +54,7 @@ from ringrc import (
 )
 from ringrc import files, reporting
 from ringrc.cli import main
+from ringrc.extraction import COMPARED, VALUES
 
 # Text built from the grammar's own pieces, so generated files get past the
 # declarations and reach the number, unit, column and record checks.
@@ -247,7 +250,8 @@ def test_extraction_report_round_trips(drawn):
     for (geometry, name, unit, extracted, *_), text_value in zip(values, shown):
         value = payload["geometries"][geometry]["extraction"][name] * UNIT_SCALE[unit]
         assert extracted == f"{value:.6g}"
-        assert text_value == (f"{value:.2f}" if 0.01 <= abs(value) < 1e6 else f"{value:.6g}")
+        fixed = value == 0 or 0.01 <= abs(value) < 1e6
+        assert text_value == (f"{value:.2f}" if fixed else f"{value:.6g}")
 
 
 #: Binning CSV column -> (JSON field, scale from the SI value).
@@ -290,6 +294,115 @@ def test_binning_report_round_trips(dies):
         assert cells["geometry"] == payload["binning"]["geometry"]
         for column, (field, scale) in BIN_COLUMNS.items():
             assert cells[column] == f"{entry[field] * scale:.6g}"
+
+
+# ---------------------------------------------------------------------------
+# one display rule for every number a person reads
+
+#: Any finite value in a display unit (ohm, fF, ps, percent or a plain ratio).
+SHOWN = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+#: Per compared name: its target and its error (%), both in display units.
+COMPARED_SHOWN = st.dictionaries(st.sampled_from([value.name for value in COMPARED]),
+                                 st.tuples(SHOWN, SHOWN))
+#: Lump threshold delays (s) of the bundled config with line.1W1S.r_ohm = 1e100
+#: and with line.1W2S.r_ohm = 1e-12, from in-phase to out-of-phase.
+HUGE_R_DELAYS = (4.57477e85, 1.21981e86, 2.97907e86)
+TINY_R_DELAYS = (4.29751e-27, 1.19851e-26, 3.00487e-26)
+
+
+def _assert_shown(fields, values, rel=1e-5):
+    """Each number field is at most 13 characters, finite, reads 0 only for
+    a value of 0 and is the value to the precision it shows."""
+    assert len(fields) == len(values)
+    for field, value in zip(fields, values):
+        shown = float(field)
+        assert len(field) <= 13 and np.isfinite(shown), field
+        assert (shown == 0) == (value == 0), (field, value)
+        assert shown == pytest.approx(value, rel=rel, abs=0.005), (field, value)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(
+    st.sampled_from(["1W1S", "1W2S"]),
+    st.tuples(st.tuples(*[SHOWN] * 7), st.none() | st.tuples(COMPARED_SHOWN, st.none() | SHOWN)),
+    min_size=1,
+))
+def test_report_numbers_follow_the_display_rule(drawn):
+    """Random finite values in every number column of the report: each
+    text and CSV number field follows _shown's rule."""
+    results, comparisons, text_values, csv_values = {}, {}, [], []
+    for geometry in sorted(drawn):
+        shown, comparison = drawn[geometry]
+        si = [value / scale for value, (_, _, scale, _) in zip(shown, VALUES)]
+        results[geometry] = ExtractionResult(geometry, np.array([""], dtype=object),
+                                             *np.array(si)[:, None])
+        extracted = {name: value * scale for value, (name, _, scale, _) in zip(si, VALUES)}
+        text_values += extracted.values()
+        if comparison is None:
+            csv_values += extracted.values()
+            continue
+        compared, delay_pct = comparison
+        scales = {name: scale for name, _, scale, _ in COMPARED}
+        targets = {name: target / scales[name] for name, (target, _) in compared.items()}
+        errors = {name: error / 100.0 for name, (_, error) in compared.items()}
+        delay_error = None if delay_pct is None else delay_pct / 100.0
+        comparisons[geometry] = ErrorReport(errors, delay_error, ParasiticSet(**targets))
+        for name, value in extracted.items():
+            csv_values.append(value)
+            if name in compared:
+                csv_values += [targets[name] * scales[name], errors[name] * 100.0]
+        text_values += [value for name, _, _, _ in COMPARED if name in compared
+                        for value in (extracted[name], targets[name] * scales[name],
+                                      errors[name] * 100.0)]
+        if delay_error is not None:
+            text_values.append(delay_error * 100.0)
+            csv_values.append(delay_error * 100.0)
+    fields = []
+    for line in emit_report(results, comparisons, "text").splitlines():
+        cells = line.split()
+        if len(cells) == 3 and cells[2] in UNIT_SCALE:  # "  name  value unit"
+            fields.append(cells[1])
+        elif len(cells) == 5 and cells[1] in ("(ohm)", "(fF)"):  # "  name (unit) x t e"
+            fields += cells[2:]
+        elif line.startswith("  delay product"):
+            fields.append(cells[-2])
+    _assert_shown(fields, text_values)
+    rows = emit_report(results, comparisons, "csv").splitlines()[1:]
+    _assert_shown([cell for row in rows for cell in row.split(",")[3:] if cell], csv_values)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(*[SHOWN] * 6), min_size=1, max_size=12))
+def test_binning_numbers_follow_the_display_rule(dies):
+    """Random finite values in every number column of a binning report:
+    each text and CSV number field follows _shown's rule."""
+    scales = (1.0, 1e15, 1e12, 1.0, 1.0, 100.0)
+    columns = [np.array(column) / scale for column, scale in zip(zip(*dies), scales)]
+    die = np.array([f"D{k}" for k in range(len(dies))], dtype=object)
+    report = reporting.BinningReport("1W1S", die, *columns)
+    values = [v for row in zip(*(c * s for c, s in zip(columns, scales))) for v in row]
+    rows = emit_binning(report, "text").splitlines()[2:]
+    _assert_shown([cell for row in rows for cell in row.split()[1:]], values)
+    rows = emit_binning(report, "csv").splitlines()[1:]
+    _assert_shown([cell for row in rows for cell in row.split(",")[2:]], values)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.tuples(*[SHOWN] * 3), st.tuples(*[SHOWN] * 3), SHOWN)
+# the bundled lines with a huge and a tiny resistance: 98-digit delays, and 0.0000 ps
+@example((4.9e-16, 6.2e-16, 8.6e-16), HUGE_R_DELAYS, 0.6059)
+@example((8.6e-16, 3.7e-16, 6.2e-16), TINY_R_DELAYS, 0.6116)
+def test_validation_numbers_follow_the_display_rule(deviations, delays, ratio):
+    """Random finite deviations, delays and ratio: each number field of the
+    validate text follows _shown's rule, the deviations in "%.2e"."""
+    modes = list(AGGRESSOR_STEP)
+    delays = [delay / 1e12 for delay in delays]
+    entry = reporting.GeometryValidation("1W1S", dict(zip(modes, deviations)),
+                                         dict(zip(modes, delays)), 50, ratio)
+    text = reporting.format_validation_text(reporting.ValidationOutcome((entry,)))
+    _assert_shown(re.findall(r"max deviation (\S+) of", text), deviations, rel=5e-3)
+    _assert_shown(re.findall(r"(\S+) ps\b", text), [delay * 1e12 for delay in delays])
+    _assert_shown(re.findall(r"delay: (\S+) \[", text), [ratio])
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,14 @@ class TestExtractionReport:
 
     def test_text_errors_follow_the_value_rule(self):
         """The comparison's error column and the delay-product error keep two
-        decimals from 0.01 up to 1e6 percent and print six significant
-        digits outside that range, not 0.00 or dozens of digits."""
+        decimals for 0 and from 0.01 up to 1e6 percent and print six
+        significant digits outside that range, so a small error does not
+        read 0.00 and a huge one does not run to dozens of digits."""
         result = make_result(die_r=4.5e11, c_total=12.5e-15)
         spec = ParasiticSet(c_total=12.5e-15, c_gate=3.125e-15 * 1.00001, r_sw=450.0)
         text = emit_report({"1W1S": result}, {"1W1S": compare_to_spec(result.one(), spec)})
         assert text.endswith(
-            "  c_total (fF)      12.50      12.50        0\n"
+            "  c_total (fF)      12.50      12.50     0.00\n"
             "  c_gate (fF)        3.12       3.13 0.00099999\n"
             "  r_sw (ohm)      4.5e+11     450.00    1e+11\n"
             "  delay product (r_sw x c_total) error: 1e+11 %\n"
