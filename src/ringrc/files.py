@@ -13,19 +13,10 @@ either ieff or the pair idda/iddq (effective current is their
 difference). Values are converted to SI at the boundary; everything
 downstream works in seconds and amps.
 
-Configuration files are `key = value` lines with dotted keys for the
-per-geometry sections:
-
-    n = 100                      # required
-    m = 64                       # required
-    v_dd = 0.9                   # required, volts
-    threshold_fraction = 0.5
-    segments = 50
-    line.1W1S.r_ohm = 504        # per-stage line model
-    line.1W1S.c_ff = 6.6
-    line.1W1S.cc_ff = 8.0
-    cap.1W1S.c_ta_ff = 2.0       # alternative: elementary components
-    spec.1W1S.c_total_ff = 12.39 # design targets (> 0) for comparison reports
+Configuration files are `key = value` lines: the top-level keys n, m and
+v_dd (required), threshold_fraction and segments, and dotted per-geometry
+keys <section>.<geometry>.<key>, each declared once in _SECTIONS (the
+README's Configuration table lists them).
 """
 
 from __future__ import annotations
@@ -48,23 +39,23 @@ from .extraction import COMPARED, ParasiticSet, SpecTable
 from .lumpmodel import LineRC
 from .oscillator import Fanout, Measurements, RoConfig, record_label
 
-_TOSC_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
-_CURRENT_UNITS = {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9}
+#: units: <key>=<unit> -> that unit's scale to SI, per key
+_UNITS = {
+    "tosc": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
+    "current": {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9},
+}
 _MODES = {m.value: m for m in CrosstalkMode}
 _FANOUTS = {f.value: f for f in Fanout}
 
 _MEAS_COLUMNS = ("die", "geometry", "fanout", "mode", "tosc", "ieff", "idda", "iddq")
-_SCALAR_KEYS = (
-    "n",
-    "m",
-    "v_dd",
-    "threshold_fraction",
-    "segments",
-)
-_LINE_KEYS = ("r_ohm", "c_ff", "cc_ff")
-_CAP_KEYS = ("c_ta_ff", "c_ba_ff", "c_ft_ff", "c_fb_ff", "c_c_ff")
-#: spec.<geometry>.<key> -> the value it targets, in ParasiticSet's field order
-_SPEC_TARGETS = {f"{value.name}_{value.unit.lower()}": value for value in COMPARED}
+#: <section>.<geometry>.<key> -> the field the key sets and its unit's scale to
+#: SI: LineRC's (line), CapacitanceSet's (cap) or ParasiticSet's, in field order (spec)
+_SECTIONS = {
+    "line": {"r_ohm": ("r", 1.0), "c_ff": ("c", 1e-15), "cc_ff": ("c_c", 1e-15)},
+    "cap": {f"{name}_ff": (name, 1e-15) for name in ("c_ta", "c_ba", "c_ft", "c_fb", "c_c")},
+    "spec": {f"{value.name}_{value.unit.lower()}": (value.name, 1.0 / value.scale)
+             for value in COMPARED},
+}
 
 #: Smallest threshold_fraction: the oracle's waveforms carry rounding of up to
 #: ~2.4e-15 of v_dd (2.7e-16 at t = 0), which must not decide a crossing.
@@ -185,22 +176,14 @@ def _parse_rows(
                 f"got {len(fields)}",
                 lineno,
             )
-        mode_token = fields[mode_at].strip()
-        row_mode = _MODES.get(mode_token)
-        if row_mode is None:
-            raise ParseError(
-                f"unknown mode {mode_token!r}; valid modes: "
-                f"{', '.join(sorted(_MODES))}",
-                lineno,
-            )
-        fanout_token = fields[fanout_at].strip()
-        row_fanout = _FANOUTS.get(fanout_token)
-        if row_fanout is None:
-            raise ParseError(
-                f"unknown fanout {fanout_token!r}; valid fanouts: "
-                f"{', '.join(sorted(_FANOUTS))}",
-                lineno,
-            )
+        mode_token, fanout_token = fields[mode_at].strip(), fields[fanout_at].strip()
+        row_mode, row_fanout = _MODES.get(mode_token), _FANOUTS.get(fanout_token)
+        if row_mode is None or row_fanout is None:  # the first unknown label, in this order
+            for name, token, known in (("mode", mode_token, _MODES),
+                                       ("fanout", fanout_token, _FANOUTS)):
+                if token not in known:
+                    raise ParseError(f"unknown {name} {token!r}; valid {name}s: "
+                                     f"{', '.join(sorted(known))}", lineno)
         row_t_osc = _float(fields[tosc_at].strip(), "tosc", lineno) * tosc_scale
         if ieff_at is not None:
             row_i_eff = _float(fields[ieff_at].strip(), "ieff", lineno) * current_scale
@@ -303,27 +286,20 @@ def _parse_bulk(
 def _parse_units(body: str, lineno: int) -> dict[str, float]:
     units = {}
     for token in body.split():
-        if "=" not in token:
+        key, equals, value = token.partition("=")
+        if not equals:
             raise ParseError(f"malformed unit token {token!r}", lineno)
-        key, _, value = token.partition("=")
-        if key == "tosc":
-            table = _TOSC_UNITS
-        elif key == "current":
-            table = _CURRENT_UNITS
-        else:
-            raise ParseError(
-                f"unknown unit key {key!r}; allowed: tosc, current", lineno
-            )
+        table = _UNITS.get(key)
+        if table is None:
+            raise ParseError(f"unknown unit key {key!r}; allowed: {', '.join(_UNITS)}", lineno)
         if value not in table:
             raise ParseError(
-                f"unsupported {key} unit {value!r}; allowed: "
-                f"{', '.join(table)}",
-                lineno,
+                f"unsupported {key} unit {value!r}; allowed: {', '.join(table)}", lineno
             )
         if key in units:
             raise ParseError(f"duplicate unit key {key!r}", lineno)
         units[key] = table[value]
-    for required in ("tosc", "current"):
+    for required in _UNITS:
         if required not in units:
             raise ParseError(f"units declaration lacks {required!r}", lineno)
     return units
@@ -381,17 +357,13 @@ def parse_config(text: str) -> ConfigFile:
     """Parse configuration text. n, m and v_dd are required; unknown keys
     produce warnings rather than errors."""
     raw: dict[str, tuple[str, int]] = {}
-    warnings: list[str] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = _strip(rawline)
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, equals, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not (equals and key and value):
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         if key in raw:
             raise ParseError(
@@ -399,113 +371,84 @@ def parse_config(text: str) -> ConfigFile:
             )
         raw[key] = (value, lineno)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return raw.pop(key, None)
+    # top-level key -> its converter and default; a key without a default is required
+    scalars = {"n": (_int, None), "m": (_int, None), "v_dd": (_float, None),
+               "threshold_fraction": (_float, 0.5), "segments": (_int, 50)}
 
-    def required(key: str, convert):
-        entry = take(key)
-        if entry is None:
+    def scalar(key: str):
+        convert, default = scalars[key]
+        entry = raw.pop(key, None)
+        if entry is not None:
+            return convert(entry[0], key, entry[1])
+        if default is None:
             raise ValidationError(f"required key {key!r} is missing")
-        return convert(entry[0], key, entry[1])
+        return default
 
-    n, m, v_dd = required("n", _int), required("m", _int), required("v_dd", _float)
-
+    n, m, v_dd = scalar("n"), scalar("m"), scalar("v_dd")
     try:
         RoConfig(n=n, m=m, v_dd=v_dd)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-
-    entry = take("threshold_fraction")
-    threshold = 0.5 if entry is None else _float(entry[0], "threshold_fraction", entry[1])
+    threshold = scalar("threshold_fraction")
     if not THRESHOLD_FLOOR <= threshold < 1.0:
         raise ValidationError(
             f"threshold_fraction must be in [{THRESHOLD_FLOOR!r}, 1), got {threshold!r}; "
             f"below {THRESHOLD_FLOOR!r} of v_dd a simulated crossing would be set by "
             f"rounding, which reaches ~1e-15 of v_dd, not by the line"
         )
-    entry = take("segments")
-    segments = 50 if entry is None else _int(entry[0], "segments", entry[1])
+    segments = scalar("segments")
     if segments < 1:
         raise ValidationError(f"segments must be >= 1, got {segments}")
 
-    line_raw: dict[str, dict[str, float]] = {}
-    cap_raw: dict[str, dict[str, float]] = {}
-    spec_raw: dict[str, dict[str, float]] = {}
-    for key, (value, lineno) in list(raw.items()):
+    warnings: list[str] = []
+    # section -> geometry -> field -> value in SI units
+    given: dict[str, dict[str, dict[str, float]]] = {section: {} for section in _SECTIONS}
+    for key, (value, lineno) in raw.items():
         parts = key.split(".")
-        if len(parts) == 3 and parts[0] in ("line", "cap", "spec"):
-            section, geometry, leaf = parts
-            allowed = {"line": _LINE_KEYS, "cap": _CAP_KEYS, "spec": _SPEC_TARGETS}[section]
-            if leaf not in allowed:
-                warnings.append(
-                    f"line {lineno}: unknown key {key!r} ignored; known "
-                    f"{section} keys: {', '.join(allowed)}"
-                )
-                continue
-            number = _float(value, key, lineno)
-            if section == "spec":
-                target = _SPEC_TARGETS[leaf]  # stored in SI, under its ParasiticSet field
-                leaf, number = target.name, number * (1.0 / target.scale)
-                if not number >= sys.float_info.min:
-                    # relative errors against a target need a positive denominator
-                    raise ValidationError(
-                        f"{key} must be > 0 and, scaled to SI units, a normal "
-                        f"float (>= {sys.float_info.min!r}), got {value}"
-                    )
-            bucket = {"line": line_raw, "cap": cap_raw, "spec": spec_raw}[section]
-            bucket.setdefault(geometry, {})[leaf] = number
-        else:
-            warnings.append(
-                f"line {lineno}: unknown key {key!r} ignored; known keys: "
-                f"{', '.join(_SCALAR_KEYS)}, line.<geometry>.<field>, "
-                f"cap.<geometry>.<field>, spec.<geometry>.<field>"
+        keys = _SECTIONS.get(parts[0]) if len(parts) == 3 else None
+        if keys is None or parts[2] not in keys:
+            what, known = ((f"{parts[0]} keys", keys) if keys else
+                           ("keys", [*scalars, *(f"{s}.<geometry>.<field>" for s in _SECTIONS)]))
+            warnings.append(f"line {lineno}: unknown key {key!r} ignored; "
+                            f"known {what}: {', '.join(known)}")
+            continue
+        section, geometry, leaf = parts
+        field, scale = keys[leaf]
+        number = _float(value, key, lineno) * scale
+        if section == "spec" and not number >= sys.float_info.min:
+            # relative errors against a target need a positive denominator
+            raise ValidationError(
+                f"{key} must be > 0 and, scaled to SI units, a normal "
+                f"float (>= {sys.float_info.min!r}), got {value}"
             )
+        given[section].setdefault(geometry, {})[field] = number
 
     lines: dict[str, LineRC] = {}
-    for geometry in sorted(set(line_raw) | set(cap_raw)):
-        fields = line_raw.get(geometry, {})
-        if "r_ohm" not in fields:
-            raise ValidationError(
-                f"line.{geometry}.r_ohm is required to build a line model"
-            )
-        r = fields["r_ohm"]
-        if geometry in cap_raw:
-            if "c_ff" in fields or "cc_ff" in fields:
+    for geometry in sorted(given["line"].keys() | given["cap"].keys()):
+        line = given["line"].get(geometry, {})
+        if "r" not in line:
+            raise ValidationError(f"line.{geometry}.r_ohm is required to build a line model")
+        if geometry in given["cap"]:
+            if "c" in line or "c_c" in line:
                 raise ValidationError(
                     f"geometry {geometry!r} has both line.c_ff/cc_ff and a "
                     f"cap section; give one or the other"
                 )
-            cap_fields = cap_raw[geometry]
-            missing = [k for k in _CAP_KEYS if k not in cap_fields]
-            if missing:
-                raise ValidationError(
-                    f"cap.{geometry} section is incomplete; missing: "
-                    f"{', '.join(missing)}"
-                )
-            try:
-                cap_set = CapacitanceSet(
-                    c_ta=cap_fields["c_ta_ff"] * 1e-15,
-                    c_ba=cap_fields["c_ba_ff"] * 1e-15,
-                    c_ft=cap_fields["c_ft_ff"] * 1e-15,
-                    c_fb=cap_fields["c_fb_ff"] * 1e-15,
-                    c_c=cap_fields["c_c_ff"] * 1e-15,
-                )
-            except ValueError as exc:
-                raise ValidationError(f"cap.{geometry}: {exc}") from None
-            c, c_c = cap_set.c_ground, cap_set.c_c
+            section, name = "cap", f"cap.{geometry} section"
         else:
-            missing = [k for k in ("c_ff", "cc_ff") if k not in fields]
-            if missing:
-                raise ValidationError(
-                    f"line.{geometry} is incomplete; missing: "
-                    f"{', '.join(missing)}"
-                )
-            c = fields["c_ff"] * 1e-15
-            c_c = fields["cc_ff"] * 1e-15
+            section, name = "line", f"line.{geometry}"
+        fields = given[section][geometry]
+        missing = [key for key, (field, _) in _SECTIONS[section].items() if field not in fields]
+        if missing:
+            raise ValidationError(f"{name} is incomplete; missing: {', '.join(missing)}")
         try:
-            lines[geometry] = LineRC(r=r, c=c, c_c=c_c, v_dd=v_dd)
+            if section == "cap":
+                cap = CapacitanceSet(**fields)
+                # from here on an error is the line model's
+                section, fields = "line", {"r": line["r"], "c": cap.c_ground, "c_c": cap.c_c}
+            lines[geometry] = LineRC(**fields, v_dd=v_dd)
         except ValueError as exc:
-            raise ValidationError(f"line.{geometry}: {exc}") from None
+            raise ValidationError(f"{section}.{geometry}: {exc}") from None
 
     return ConfigFile(
         n=n,
@@ -515,7 +458,7 @@ def parse_config(text: str) -> ConfigFile:
         segments=segments,
         lines=lines,
         spec=SpecTable({geometry: ParasiticSet(**fields)
-                        for geometry, fields in spec_raw.items()}),
+                        for geometry, fields in given["spec"].items()}),
         warnings=tuple(warnings),
     )
 

@@ -533,11 +533,11 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
         f'<text x="{left:.1f}" y="{height - 8:.1f}" font-size="11"'
         f' font-family="monospace">0</text>',
         f'<text x="{left + plot_w - 80:.1f}" y="{height - 8:.1f}" font-size="11"'
-        f' font-family="monospace">{t_max * 1e12:.3f} ps</text>',
+        f' font-family="monospace">{_shown(t_max * 1e12, 0, 3)} ps</text>',
         f'<text x="4" y="{y(v_max) + 4:.1f}" font-size="11"'
-        f' font-family="monospace">{v_max:.2f} V</text>',
+        f' font-family="monospace">{_shown(v_max, 0, 2)} V</text>',
         f'<text x="4" y="{y(v_min):.1f}" font-size="11"'
-        f' font-family="monospace">{v_min:.2f} V</text>',
+        f' font-family="monospace">{_shown(v_min, 0, 2)} V</text>',
     ]
     colors = {"line_a": "#6a6a6a", "line_b": "#c03030", "line_c": "#3060b0"}
     for idx, waveform in enumerate(lines):

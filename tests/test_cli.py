@@ -7,6 +7,7 @@ return code plus captured stdout/stderr.
 import argparse
 import importlib.resources
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -606,6 +607,30 @@ class TestSimulate:
         assert len(shown) <= 13 and float(shown) == pytest.approx(crossing, rel=1e-4)
         assert shown == f"{float(shown):.6g}"
 
+    @pytest.mark.parametrize("resistance, extra, time_label", [
+        ("1W1S", [], "3.7956e+99 ps"),
+        (None, ["--segments", "1", "--t-end-ps", "1e-88"], "1e-88 ps"),
+    ], ids=["r_ohm-1e100", "t_end-1e-88"])
+    def test_svg_axis_labels_follow_the_display_rule(self, workspace, capsys, tmp_path,
+                                                     resistance, extra, time_label):
+        """A plot spanning far outside 0.01 to 1e6 ps labels its time axis in
+        six significant digits, not in 100 digits or as 0.000 ps; the voltage
+        labels follow the same rule."""
+        config = (workspace["config"] if resistance is None
+                  else extreme_resistance_config(tmp_path, resistance))
+        svg = tmp_path / "wave.svg"
+        argv = ["simulate", "--config", config, "--geometry", "1W1S", "--mode", "quiet",
+                "--svg", str(svg), *extra]
+        assert main(argv) == 0
+        capsys.readouterr()
+        labels = [el.text for el in ET.parse(svg).iter()
+                  if el.tag.endswith("text") and el.text.endswith((" ps", " V"))]
+        assert labels[0] == time_label
+        for label in labels:
+            number = label.split()[0]
+            assert len(number) <= 13 and math.isfinite(float(number)), label
+            assert number in (f"{float(number):.2f}", f"{float(number):.6g}"), label
+
     def test_svg_title_is_escaped(self, capsys, tmp_path):
         """Markup characters in a geometry label stay text in the plot."""
         config = tmp_path / "amp.cfg"
@@ -870,10 +895,15 @@ class TestValidate:
               "cap.1W1S.c_ta_ff = -1\ncap.1W1S.c_ba_ff = 3.0\ncap.1W1S.c_ft_ff = 0.8\n"
               "cap.1W1S.c_fb_ff = 0.5\ncap.1W1S.c_c_ff = 4.0\n"),
              "cap.1W1S: c_ta must be finite and >= 0, got -1e-15"),
+            # valid components whose line model is not: the error is the line's
+            (("line.1W1S.c_ff = 6.6\nline.1W1S.cc_ff = 8.0\n",
+              "cap.1W1S.c_ta_ff = 0\ncap.1W1S.c_ba_ff = 0\ncap.1W1S.c_ft_ff = 0\n"
+              "cap.1W1S.c_fb_ff = 0\ncap.1W1S.c_c_ff = 4.0\n"),
+             "line.1W1S: c must be finite and > 0, got 0.0"),
             (("line.1W1S.r_ohm = 504", "line.1W1S.r_ohm = -504"),
              "line.1W1S: r must be finite and > 0, got -504.0"),
         ],
-        ids=["negative-cap-component", "negative-line-resistance"],
+        ids=["negative-cap-component", "zero-ground-capacitance", "negative-line-resistance"],
     )
     def test_invalid_line_model_rejected(self, workspace, capsys, tmp_path, edit, message):
         bad = tmp_path / "bad.cfg"

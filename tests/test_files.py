@@ -40,6 +40,11 @@ columns: geometry fanout mode tosc ieff
 """
 
 
+def raises_exactly(kind, message):
+    """pytest.raises for an error of kind whose whole text is message."""
+    return pytest.raises(kind, match=f"^{re.escape(message)}$")
+
+
 def bundled(name):
     return importlib.resources.files("ringrc").joinpath("data", name)
 
@@ -114,7 +119,8 @@ class TestParseMeasurements:
             "columns: geometry fanout mode tosc ieff\n"
             "1W1S,FO1,sideways,81.66,891.50\n"
         )
-        with pytest.raises(ParseError, match="line 3: unknown mode") as info:
+        with raises_exactly(ParseError, "line 3: unknown mode 'sideways'; "
+                            "valid modes: in_phase, out_of_phase, quiet") as info:
             parse_measurements(text)
         assert info.value.line == 3
 
@@ -124,7 +130,7 @@ class TestParseMeasurements:
             "columns: geometry fanout mode tosc ieff\n"
             "1W1S,FO3,quiet,81.66,891.50\n"
         )
-        with pytest.raises(ParseError, match="unknown fanout"):
+        with raises_exactly(ParseError, "line 3: unknown fanout 'FO3'; valid fanouts: FO1, FO2"):
             parse_measurements(text)
 
     def test_field_count_mismatch(self):
@@ -191,16 +197,17 @@ class TestParseMeasurements:
             )
 
     def test_unit_errors(self):
-        with pytest.raises(ParseError, match="unknown unit key 'volts'"):
-            parse_measurements("units: volts=V\n")
-        with pytest.raises(ParseError, match="unsupported tosc unit"):
-            parse_measurements("units: tosc=minutes current=uA\n")
-        with pytest.raises(ParseError, match="malformed unit token"):
-            parse_measurements("units: tosc\n")
-        with pytest.raises(ParseError, match="lacks 'current'"):
-            parse_measurements("units: tosc=ns\n")
-        with pytest.raises(ParseError, match="duplicate unit key"):
-            parse_measurements("units: tosc=ns tosc=ps current=uA\n")
+        for units, message in [
+            ("volts=V", "unknown unit key 'volts'; allowed: tosc, current"),
+            ("tosc=minutes current=uA", "unsupported tosc unit 'minutes'; allowed: s, ms, us, ns, ps"),
+            ("tosc=ns current=kA", "unsupported current unit 'kA'; allowed: A, mA, uA, nA"),
+            ("tosc", "malformed unit token 'tosc'"),
+            ("tosc=ns", "units declaration lacks 'current'"),
+            ("current=uA", "units declaration lacks 'tosc'"),
+            ("tosc=ns tosc=ps current=uA", "duplicate unit key 'tosc'"),
+        ]:
+            with raises_exactly(ParseError, f"line 2: {message}"):
+                parse_measurements(f"# units first\nunits: {units}\n")
 
     def test_non_numeric_field(self):
         text = (
@@ -238,6 +245,9 @@ class TestParseMeasurements:
 
 
 MINIMAL_CONFIG = "n = 100\nm = 64\nv_dd = 0.9\n"
+THRESHOLD_MESSAGE = ("threshold_fraction must be in [1e-09, 1), got {}; below 1e-09 of v_dd a "
+                     "simulated crossing would be set by rounding, which reaches ~1e-15 of v_dd, "
+                     "not by the line")
 
 
 class TestParseConfig:
@@ -276,23 +286,28 @@ class TestParseConfig:
             for line in MINIMAL_CONFIG.splitlines()
             if not line.startswith(missing)
         )
-        with pytest.raises(ValidationError, match=f"'{missing}' is missing"):
+        with raises_exactly(ValidationError, f"required key '{missing}' is missing"):
             parse_config(text)
 
     def test_duplicate_key(self):
-        with pytest.raises(ParseError, match="duplicate key 'n'"):
+        with raises_exactly(ParseError, "line 4: duplicate key 'n' (first seen on line 1)"):
             parse_config(MINIMAL_CONFIG + "n = 101\n")
 
     def test_unknown_key_warns(self):
-        config = parse_config(MINIMAL_CONFIG + "colour = blue\n")
-        assert len(config.warnings) == 1
-        assert "unknown key 'colour'" in config.warnings[0]
-        assert "v_dd" in config.warnings[0]
+        # a dotted key with other than three parts, or another first part, is no section's
+        for key in ("colour", "line.1W1S", "line.1W1S.r_ohm.x", "misc.G.r_ohm"):
+            config = parse_config(MINIMAL_CONFIG + f"{key} = 5\n")
+            assert config.warnings == (
+                f"line 4: unknown key {key!r} ignored; known keys: n, m, v_dd, "
+                "threshold_fraction, segments, line.<geometry>.<field>, "
+                "cap.<geometry>.<field>, spec.<geometry>.<field>",)
+            assert dataclasses.replace(config, warnings=()) == parse_config(MINIMAL_CONFIG)
 
     def test_unknown_section_leaf_warns(self):
-        config = parse_config(MINIMAL_CONFIG + "line.1W1S.q_ohm = 5\n")
-        assert len(config.warnings) == 1
-        assert "r_ohm" in config.warnings[0]
+        for key, known in [("line.1W1S.q_ohm", "line keys: r_ohm, c_ff, cc_ff"),
+                           ("cap.G.c_x_ff", "cap keys: c_ta_ff, c_ba_ff, c_ft_ff, c_fb_ff, c_c_ff")]:
+            config = parse_config(MINIMAL_CONFIG + f"{key} = 5\n")
+            assert config.warnings == (f"line 4: unknown key {key!r} ignored; known {known}",)
 
     def test_unknown_spec_key_warns_with_targets_in_order(self):
         config = parse_config(MINIMAL_CONFIG + "spec.1W1S.c_foo_ff = 1\n")
@@ -332,25 +347,28 @@ class TestParseConfig:
             "cap.G.c_fb_ff = 0.5\n"
             "cap.G.c_c_ff = 4.0\n"
         )
-        with pytest.raises(ValidationError, match="one or the other"):
+        with raises_exactly(ValidationError, "geometry 'G' has both line.c_ff/cc_ff and a "
+                            "cap section; give one or the other"):
             parse_config(text)
 
     def test_incomplete_cap_section(self):
         text = MINIMAL_CONFIG + (
             "line.G.r_ohm = 500\ncap.G.c_ta_ff = 2.0\n"
         )
-        with pytest.raises(ValidationError, match="missing: .*c_ba_ff"):
+        with raises_exactly(ValidationError, "cap.G section is incomplete; "
+                            "missing: c_ba_ff, c_ft_ff, c_fb_ff, c_c_ff"):
             parse_config(text)
 
     def test_line_requires_resistance(self):
         text = MINIMAL_CONFIG + "line.G.c_ff = 6.6\nline.G.cc_ff = 8.0\n"
-        with pytest.raises(ValidationError, match="r_ohm is required"):
+        with raises_exactly(ValidationError, "line.G.r_ohm is required to build a line model"):
             parse_config(text)
 
     def test_incomplete_line(self):
-        text = MINIMAL_CONFIG + "line.G.r_ohm = 500\nline.G.c_ff = 6.6\n"
-        with pytest.raises(ValidationError, match="missing: cc_ff"):
-            parse_config(text)
+        for given, missing in [("line.G.c_ff = 6.6\n", "cc_ff"), ("", "c_ff, cc_ff")]:
+            text = MINIMAL_CONFIG + "line.G.r_ohm = 500\n" + given
+            with raises_exactly(ValidationError, f"line.G is incomplete; missing: {missing}"):
+                parse_config(text)
 
     @pytest.mark.parametrize("value", ["in_phase", "quiet", "loud"])
     def test_retired_rsw_mode_key_warns(self, value):
@@ -373,8 +391,12 @@ class TestParseConfig:
         ],
     )
     def test_scalar_range_checks(self, extra):
-        key = extra.split(" = ")[0]
-        with pytest.raises(ValidationError, match=re.escape(key)):
+        key, value = extra.split(" = ")
+        message = {"threshold_fraction": THRESHOLD_MESSAGE.format(value),
+                   "segments": f"segments must be >= 1, got {value}"}.get(
+                       key, f"{key} must be > 0 and, scaled to SI units, a normal float "
+                            f"(>= 2.2250738585072014e-308), got {value}")
+        with raises_exactly(ValidationError, message):
             parse_config(MINIMAL_CONFIG + extra + "\n")
 
     def test_threshold_floor(self):
@@ -383,26 +405,54 @@ class TestParseConfig:
         config = parse_config(MINIMAL_CONFIG + "threshold_fraction = 1e-9\n")
         assert config.threshold_fraction == 1e-9
         for value in ("9.99e-10", "1e-300", "5e-324"):
-            with pytest.raises(ValidationError, match=re.escape(
-                    f"threshold_fraction must be in [1e-09, 1), got {float(value)!r}; "
-                    "below 1e-09 of v_dd a simulated crossing would be set by rounding")):
+            with raises_exactly(ValidationError, THRESHOLD_MESSAGE.format(repr(float(value)))):
                 parse_config(MINIMAL_CONFIG + f"threshold_fraction = {value}\n")
 
     def test_small_stage_count_rejected(self):
-        with pytest.raises(ValidationError, match="n must be"):
-            parse_config("n = 2\nm = 64\nv_dd = 0.9\n")
+        """And the other checks of n, m and v_dd together."""
+        for n, m, v_dd, message in [
+            ("2", "64", "0.9", "n must be >= 3, got 2"),
+            ("100", "0", "0.9", "m must be >= 1, got 0"),
+            ("100", "64", "-0.9", "v_dd must be finite and > 0, got -0.9"),
+            ("1" + "0" * 307, "64", "0.9", "2 * n * m must not exceed the largest float, "
+             "1.7976931348623157e+308: the period algebra divides by it"),
+        ]:
+            with raises_exactly(ValidationError, message):
+                parse_config(f"n = {n}\nm = {m}\nv_dd = {v_dd}\n")
 
     def test_non_integer_n(self):
-        with pytest.raises(ParseError, match="not an integer"):
-            parse_config("n = ten\nm = 64\nv_dd = 0.9\n")
+        """And the other values that are not numbers."""
+        for text, message in [
+            ("n = ten\nm = 64\nv_dd = 0.9\n", "line 1: n: not an integer: 'ten'"),
+            ("n = 100\nm = 64\nv_dd = high\n", "line 3: v_dd: not a number: 'high'"),
+            ("n = 100\nm = 64\nv_dd = inf\n", "line 3: v_dd: not a finite number: 'inf'"),
+            (MINIMAL_CONFIG + "line.G.r_ohm = 1e400\n",
+             "line 4: line.G.r_ohm: not a finite number: '1e400'"),
+        ]:
+            with raises_exactly(ParseError, message):
+                parse_config(text)
 
     def test_missing_equals(self):
-        with pytest.raises(ParseError, match="key = value"):
-            parse_config("n 100\n")
+        """And the other lines that are not key = value."""
+        for line in ("n 100", "= 100", "n ="):
+            with raises_exactly(ParseError, f"line 1: expected 'key = value', got {line!r}"):
+                parse_config(line + "\n")
 
     def test_inline_comments(self):
         config = parse_config("n = 100 # stages\nm = 64\nv_dd = 0.9\n")
         assert config.n == 100
+
+    def test_readme_table_lists_every_section_key(self):
+        """The README's Configuration table is _SECTIONS: every key, in order,
+        the field it sets (of the section's class) and its scale to SI."""
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(\w+)\.(\w+)` \| (\S+) \|$",
+                          readme, re.MULTILINE)
+        classes = {"line": "LineRC", "cap": "CapacitanceSet", "spec": "ParasiticSet"}
+        assert [(section, key, classes[section], field, scale)
+                for section, keys in files._SECTIONS.items()
+                for key, (field, scale) in keys.items()] == [
+            (section, key, cls, field, float(scale)) for section, key, cls, field, scale in rows]
 
     def test_line_for_unknown_geometry(self):
         config = parse_config(MINIMAL_CONFIG)

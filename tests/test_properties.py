@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from ringrc import (
     AGGRESSOR_STEP,
+    CapacitanceSet,
+    ConfigFile,
     CrosstalkMode,
     DrivePattern,
     ErrorReport,
@@ -29,6 +31,7 @@ from ringrc import (
     ParseError,
     RingRcError,
     RoConfig,
+    SpecTable,
     SynthesisTruth,
     ValidationError,
     build_network,
@@ -142,6 +145,74 @@ def test_parse_config_raises_only_ringrc_errors(text):
         parse_config(text)
     except RingRcError:
         pass
+
+
+#: spec.<geometry>.<key> -> the ParasiticSet field it sets and its scale to SI
+SPEC_KEYS = {"c_total_ff": ("c_total", 1e-15), "c_gate_ff": ("c_gate", 1e-15),
+             "c_int_ff": ("c_int", 1e-15), "c_c_ff": ("c_c", 1e-15), "r_sw_ohm": ("r_sw", 1.0)}
+CAP_FIELDS = ("c_ta", "c_ba", "c_ft", "c_fb", "c_c")
+#: Dotted keys of two or four parts: no section's, so unknown keys
+MISSHAPEN_KEYS = ("line.{}", "cap.{}", "spec.{}", "line.{}.r_ohm.x", "cap.{}.c_ta_ff.0",
+                  "spec.{}.c_c_ff.ff")
+UNKNOWN_KEY = ("line {}: unknown key {!r} ignored; known keys: n, m, v_dd, threshold_fraction, "
+               "segments, line.<geometry>.<field>, cap.<geometry>.<field>, spec.<geometry>.<field>")
+
+
+@st.composite
+def config_files(draw):
+    """Config text over every key of the three sections, with the ConfigFile
+    it must parse to, built from the drawn values and each key's scale."""
+    value = st.floats(1e-3, 1e6)
+    geometry = st.sampled_from(["1W1S", "1W2S", "G", "w_3"])
+    n, m, v_dd = draw(st.integers(3, 500)), draw(st.integers(1, 500)), draw(value)
+    entries = [("n", str(n)), ("m", str(m)), ("v_dd", repr(v_dd))]
+    threshold = draw(st.none() | st.floats(1e-9, 0.999))
+    segments = draw(st.none() | st.integers(1, 500))
+    entries += [(key, repr(x)) for key, x in
+                (("threshold_fraction", threshold), ("segments", segments)) if x is not None]
+    lines = {}
+    for name in draw(st.lists(geometry, unique=True, max_size=3)):
+        r = draw(value)
+        entries.append((f"line.{name}.r_ohm", repr(r)))
+        if draw(st.booleans()):
+            c, c_c = draw(value), draw(value)
+            entries += [(f"line.{name}.c_ff", repr(c)), (f"line.{name}.cc_ff", repr(c_c))]
+            lines[name] = LineRC(r=r, c=c * 1e-15, c_c=c_c * 1e-15, v_dd=v_dd)
+        else:
+            parts = draw(st.tuples(*[value] * len(CAP_FIELDS)))
+            entries += [(f"cap.{name}.{field}_ff", repr(x)) for field, x in zip(CAP_FIELDS, parts)]
+            cap = CapacitanceSet(*(x * 1e-15 for x in parts))
+            lines[name] = LineRC(r=r, c=cap.c_ground, c_c=cap.c_c, v_dd=v_dd)
+    spec = {}
+    for name in draw(st.lists(geometry, unique=True, max_size=3)):
+        targets = draw(st.dictionaries(st.sampled_from(list(SPEC_KEYS)), value, min_size=1))
+        entries += [(f"spec.{name}.{key}", repr(x)) for key, x in targets.items()]
+        spec[name] = ParasiticSet(**{SPEC_KEYS[key][0]: x * SPEC_KEYS[key][1]
+                                     for key, x in targets.items()})
+    misshapen = draw(st.lists(st.builds(str.format, st.sampled_from(MISSHAPEN_KEYS), geometry),
+                              unique=True, max_size=2))
+    text, warnings = [], []
+    for key, token in draw(st.permutations(entries + [(key, "1") for key in misshapen])):
+        text += draw(st.lists(st.sampled_from(["", "   ", "# a comment"]), max_size=1))
+        if key in misshapen:
+            warnings.append(UNKNOWN_KEY.format(len(text) + 1, key))
+        text.append(key + draw(st.sampled_from(["=", " = ", "\t=  "])) + token
+                    + draw(st.sampled_from(["", "  # a note", "#"])))
+    config = ConfigFile(n=n, m=m, v_dd=v_dd,
+                        threshold_fraction=0.5 if threshold is None else threshold,
+                        segments=50 if segments is None else segments, lines=lines,
+                        spec=SpecTable(spec), warnings=tuple(warnings))
+    return "\n".join(text), config
+
+
+@settings(deadline=None, max_examples=100)
+@given(config_files())
+def test_config_round_trips(case):
+    """Every section key, in the line or the cap form, with any spec targets,
+    in any order among comments and blank lines, parses to the values it
+    gives times its scale; a dotted key of two or four parts is a warning."""
+    text, config = case
+    assert parse_config(text) == config
 
 
 def positive(lo, hi):

@@ -397,6 +397,9 @@ def reference_svg(result, title=""):
     def y(v):
         return top + plot_h * (1.0 - (v - v_min) / span)
 
+    def label(v, decimals):  # the display rule: fixed decimals for 0 and 0.01 to 1e6
+        return f"{v:.{decimals}f}" if v == 0 or 0.01 <= abs(v) < 1e6 else f"{v:.6g}"
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}"'
         f' height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -410,11 +413,11 @@ def reference_svg(result, title=""):
         f'<text x="{left:.1f}" y="{height - 8:.1f}" font-size="11"'
         f' font-family="monospace">0</text>',
         f'<text x="{left + plot_w - 80:.1f}" y="{height - 8:.1f}" font-size="11"'
-        f' font-family="monospace">{t_max * 1e12:.3f} ps</text>',
+        f' font-family="monospace">{label(t_max * 1e12, 3)} ps</text>',
         f'<text x="4" y="{y(v_max) + 4:.1f}" font-size="11"'
-        f' font-family="monospace">{v_max:.2f} V</text>',
+        f' font-family="monospace">{label(v_max, 2)} V</text>',
         f'<text x="4" y="{y(v_min):.1f}" font-size="11"'
-        f' font-family="monospace">{v_min:.2f} V</text>',
+        f' font-family="monospace">{label(v_min, 2)} V</text>',
     ]
     colors = {"line_a": "#6a6a6a", "line_b": "#c03030", "line_c": "#3060b0"}
     for idx, waveform in enumerate(
