@@ -15,6 +15,12 @@ coupled to the center (victim) line. It provides:
   oscillation periods and supply currents (`oscillator`, `extraction`),
 * file formats, reports, multi-die clock binning and a command-line
   interface (`files`, `reporting`, `cli`).
+
+The package root re-exports the library API the README lists, and no
+more: the computations a script calls, the types it builds or reads by
+name, the paper-equation helpers and the exceptions. Renderers, file
+writing, the oracle's one-line wrappers and types that only come back
+from a call are imported from their modules.
 """
 
 from .capacitance import (
@@ -36,10 +42,8 @@ from .errors import (
     ValidationError,
 )
 from .extraction import (
-    ErrorReport,
     ExtractionResult,
     ParasiticSet,
-    SpecTable,
     compare_to_spec,
     coupling_capacitance,
     extract_all,
@@ -50,19 +54,15 @@ from .extraction import (
     switching_resistance,
 )
 from .files import (
-    ConfigFile,
-    emit_report_json,
     parse_config,
     parse_measurements,
     parse_report,
     read_config,
     read_measurements,
-    write_text_atomic,
 )
 from .lumpmodel import (
     DrivePattern,
     LineRC,
-    LumpCoefficients,
     first_order_delay,
     lump_coefficients,
     published_out_of_phase_response,
@@ -85,54 +85,26 @@ from .oscillator import (
     stage_delay_from_period,
     synthesize_measurements,
 )
-from .reporting import (
-    BinningReport,
-    GeometryValidation,
-    ValidationOutcome,
-    emit_binning,
-    emit_report,
-    format_validation_text,
-    monitor_binning,
-    run_validation,
-    validate_geometry,
-    waveform_csv,
-    waveform_svg,
-)
-from .simulator import (
-    NetworkStateSpace,
-    SimulationResult,
-    Waveform,
-    build_network,
-    crossing_time,
-    frequency_response,
-    quiet_delay_ratio,
-    simulate_step,
-    victim_delay,
-)
+from .reporting import monitor_binning, run_validation, validate_geometry
+from .simulator import SimulationResult, build_network, frequency_response, victim_delay
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AGGRESSOR_STEP",
-    "BinningReport",
     "CapacitanceSet",
-    "ConfigFile",
     "CrosstalkMode",
     "DegenerateDelayError",
     "DeviceParams",
     "DrivePattern",
-    "ErrorReport",
     "ExtractionDomainError",
     "ExtractionResult",
     "Fanout",
-    "GeometryValidation",
     "InvalidSelectCodeError",
     "LineRC",
-    "LumpCoefficients",
     "MeasurementRecord",
     "Measurements",
     "MissingRecordError",
-    "NetworkStateSpace",
     "NoCrossingError",
     "NumericError",
     "ParasiticSet",
@@ -141,23 +113,15 @@ __all__ = [
     "RingRcError",
     "RoConfig",
     "SimulationResult",
-    "SpecTable",
     "SynthesisTruth",
     "ValidationError",
-    "ValidationOutcome",
-    "Waveform",
     "build_network",
     "compare_to_spec",
     "counter_period",
     "coupling_capacitance",
-    "crossing_time",
     "effective_capacitance",
-    "emit_binning",
-    "emit_report",
-    "emit_report_json",
     "extract_all",
     "first_order_delay",
-    "format_validation_text",
     "frequency_response",
     "gate_capacitance",
     "ground_capacitance",
@@ -170,11 +134,9 @@ __all__ = [
     "parse_measurements",
     "parse_report",
     "published_out_of_phase_response",
-    "quiet_delay_ratio",
     "read_config",
     "read_measurements",
     "run_validation",
-    "simulate_step",
     "stage_capacitance",
     "stage_delay_from_current",
     "stage_delay_from_period",
@@ -186,7 +148,4 @@ __all__ = [
     "transfer_eval",
     "validate_geometry",
     "victim_delay",
-    "waveform_csv",
-    "waveform_svg",
-    "write_text_atomic",
 ]

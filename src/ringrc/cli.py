@@ -39,6 +39,8 @@ from .reporting import (
 from .simulator import SAMPLES, build_network, crossing_time, simulate_step
 
 _MODE_NAMES = tuple(sorted(m.value for m in CrosstalkMode))
+#: The exit code of each error a command may raise, the first match winning.
+_EXIT_CODES = {ParseError: 2, OSError: 2, ValidationError: 3, NumericError: 4}
 
 
 @functools.cache
@@ -255,18 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,9 @@ victim's rising step response is exactly
 with w = 1 (in-phase), 1/3 (quiet) and -1/3 (out-of-phase). The paper's
 linearized out-of-phase waveform (published_out_of_phase_response) starts
 at V at t = 0 instead; first_order_delay is the linearized delay that the
-extraction inverts.
+extraction inverts. No command calls the paper's Laplace path
+(lump_coefficients, transfer_eval, published_out_of_phase_response): it
+stays as the paper's equations, pinned by tests.
 """
 
 from __future__ import annotations
@@ -238,7 +240,8 @@ def bisect_crossing(
     """
     # in units of a power of two that keeps rates * residues finite: exact
     scale = math.ldexp(1.0, -max(0, math.frexp(float(np.abs(residues).max()))[1]))
-    residues, threshold = residues * scale, threshold * scale
+    # Python floats: a Newton step past the largest float is inf, not a warning
+    residues, threshold = residues * scale, float(threshold) * scale
     v_inf, slopes = residues.sum(), rates * residues
 
     def excess(t: float) -> tuple[float, float]:  # V(t) - threshold, V'(t)

@@ -9,6 +9,8 @@ divide-by-m counter, so one counter period spans 2*n*m stage delays:
 
 A stage charging a load C through its driver obeys t_s = C V / I, or with
 distinct pull-up / pull-down currents t_s = C V (1/I_dp + 1/I_dn).
+No command calls mux_decode, osc_frequency, stage_delay_from_current or
+DeviceParams: they stay as these equations of the paper, pinned by tests.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def counter_period(config: RoConfig, t_s: float) -> float:
 
 def stage_delay_from_period(config: RoConfig, t_osc: float) -> float:
     """Invert counter_period: t_s = t_osc / (2 n m), elementwise on arrays."""
-    positive = t_osc > 0.0
+    positive = t_osc > 0.0  # a scalar skips np.all, which costs a one-die report x1.05
     if positive is not True and positive is not np.True_ and not np.all(positive):
         raise ValueError(f"t_osc must be > 0, got {t_osc!r}")
     return t_osc / config.period_scale

@@ -20,6 +20,8 @@ SimulationResult, the one result type, holds the rates, the residues (far
 end x mode) and the grid step, and samples the waveforms on first read. Its
 crossing samples the victim's row alone, a block of the grid at a time, up
 to the first block that reaches the threshold, bit for bit as the waveform.
+frequency_response, which no command calls, stays as the oracle's check of
+the paper's Laplace path (lumpmodel.transfer_eval).
 """
 
 from __future__ import annotations

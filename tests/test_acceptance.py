@@ -25,18 +25,17 @@ from ringrc import (
     compare_to_spec,
     effective_capacitance,
     extract_all,
-    format_validation_text,
     monitor_binning,
     parse_config,
     parse_measurements,
-    quiet_delay_ratio,
     run_validation,
-    simulate_step,
     step_response_victim,
     synthesize_measurements,
     threshold_delay,
     victim_delay,
 )
+from ringrc.reporting import format_validation_text
+from ringrc.simulator import quiet_delay_ratio, simulate_step
 
 CONFIG = RoConfig(n=100, m=64, v_dd=0.9)
 

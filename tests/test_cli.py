@@ -774,7 +774,7 @@ class TestSimulate:
 
     def test_all_zero_waveform(self, workspace, capsys, tmp_path):
         """A span so short that every voltage is still 0.0 writes zeros
-        and an SVG whose voltage axis runs from 0.00 to 1.00 V."""
+        and an SVG whose voltage axis runs from 0.00 V to the drive's 0.90 V."""
         csv_path, svg_path = tmp_path / "zero.csv", tmp_path / "zero.svg"
         code = main(
             [
@@ -795,7 +795,7 @@ class TestSimulate:
         assert {row.partition(",")[2] for row in rows} == {",".join(["0.000000000e+00"] * 3)}
         labels = [el.text for el in ET.fromstring(svg_path.read_text()).iter()
                   if el.tag.endswith("text") and el.text.endswith(" V")]
-        assert labels == ["1.00 V", "0.00 V"]
+        assert labels == ["0.90 V", "0.00 V"]
 
     def test_unknown_geometry(self, workspace, capsys):
         code = main(

@@ -16,7 +16,6 @@ from ringrc import (
     NumericError,
     ParasiticSet,
     RoConfig,
-    SpecTable,
     ValidationError,
     compare_to_spec,
     coupling_capacitance,
@@ -28,7 +27,7 @@ from ringrc import (
     stage_delay_from_period,
     switching_resistance,
 )
-from ringrc.extraction import COMPARED, VALUES
+from ringrc.extraction import COMPARED, VALUES, SpecTable
 
 CONFIG = RoConfig(n=100, m=64, v_dd=0.9)
 

@@ -17,17 +17,15 @@ from ringrc import (
     ParasiticSet,
     ParseError,
     ValidationError,
-    emit_report_json,
     extract_all,
     parse_config,
     parse_measurements,
     parse_report,
     read_config,
     read_measurements,
-    write_text_atomic,
 )
 from ringrc import files
-from ringrc.files import REPORT_FORMAT_TAG
+from ringrc.files import REPORT_FORMAT_TAG, emit_report_json, write_text_atomic
 
 BOM = b"\xef\xbb\xbf"
 
@@ -292,6 +290,22 @@ class TestParseConfig:
     def test_duplicate_key(self):
         with raises_exactly(ParseError, "line 4: duplicate key 'n' (first seen on line 1)"):
             parse_config(MINIMAL_CONFIG + "n = 101\n")
+
+    def test_dotted_parts_are_stripped(self):
+        # as measurement labels are: a padded part names the same geometry and field
+        text = bundled("config_28nm.cfg").read_text()
+        padded = parse_config(text + "line. 1W9S .r_ohm = 100\nline.1W9S. c_ff = 2\n"
+                                     "line.1W9S.cc_ff\t= 3\n")
+        plain = parse_config(text + "line.1W9S.r_ohm = 100\nline.1W9S.c_ff = 2\n"
+                                    "line.1W9S.cc_ff = 3\n")
+        assert padded == plain
+        assert sorted(padded.lines) == ["1W1S", "1W2S", "1W9S"]
+        assert padded.warnings == ()
+        lineno = len(text.splitlines()) + 1
+        first = text.splitlines().index("spec.1W1S.c_total_ff = 12.39") + 1
+        with raises_exactly(ParseError, f"line {lineno}: duplicate key 'spec.1W1S.c_total_ff' "
+                                        f"(first seen on line {first})"):
+            parse_config(text + "spec.1W1S .c_total_ff = 5\n")
 
     def test_unknown_key_warns(self):
         # a dotted key with other than three parts, or another first part, is no section's

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringrc import (
@@ -287,6 +287,8 @@ class TestCrossingSearch:
         st.floats(1e-9, 1.0, exclude_max=True),
         st.integers(8, 4096),
     )
+    # a subnormal slope: f / slope overflowed to a RuntimeWarning in numpy floats
+    @example([(0.0, 1.0), (-3.0, 2.225073858507203e-309)], 0.5, 8)
     def test_brackets_the_crossing_on_adjacent_floats(self, modes, fraction, samples):
         """Whatever the modes (rates over six decades, residues of either
         sign, so V may dip or overshoot), the Newton search keeps the

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from ringrc import (
     AGGRESSOR_STEP,
     CapacitanceSet,
-    ConfigFile,
     CrosstalkMode,
     DrivePattern,
-    ErrorReport,
     ExtractionResult,
     Fanout,
     LineRC,
@@ -31,16 +29,12 @@ from ringrc import (
     ParseError,
     RingRcError,
     RoConfig,
-    SpecTable,
     SynthesisTruth,
     ValidationError,
     build_network,
     compare_to_spec,
     counter_period,
     coupling_capacitance,
-    emit_binning,
-    emit_report,
-    emit_report_json,
     extract_all,
     gate_capacitance,
     ground_capacitance,
@@ -49,7 +43,6 @@ from ringrc import (
     parse_config,
     parse_measurements,
     parse_report,
-    simulate_step,
     stage_capacitance,
     step_response_victim,
     switching_resistance,
@@ -57,7 +50,10 @@ from ringrc import (
 )
 from ringrc import files, reporting
 from ringrc.cli import main
-from ringrc.extraction import COMPARED, VALUES
+from ringrc.extraction import COMPARED, VALUES, ErrorReport, SpecTable
+from ringrc.files import ConfigFile, emit_report_json
+from ringrc.reporting import emit_binning, emit_report
+from ringrc.simulator import simulate_step
 
 # Text built from the grammar's own pieces, so generated files get past the
 # declarations and reach the number, unit, column and record checks.
@@ -191,12 +187,13 @@ def config_files(draw):
                                      for key, x in targets.items()})
     misshapen = draw(st.lists(st.builds(str.format, st.sampled_from(MISSHAPEN_KEYS), geometry),
                               unique=True, max_size=2))
-    text, warnings = [], []
+    text, warnings, pad = [], [], st.sampled_from(["", " ", "\t "])
     for key, token in draw(st.permutations(entries + [(key, "1") for key in misshapen])):
         text += draw(st.lists(st.sampled_from(["", "   ", "# a comment"]), max_size=1))
         if key in misshapen:
             warnings.append(UNKNOWN_KEY.format(len(text) + 1, key))
-        text.append(key + draw(st.sampled_from(["=", " = ", "\t=  "])) + token
+        spelled = ".".join(draw(pad) + part + draw(pad) for part in key.split("."))
+        text.append(spelled + draw(st.sampled_from(["=", " = ", "\t=  "])) + token
                     + draw(st.sampled_from(["", "  # a note", "#"])))
     config = ConfigFile(n=n, m=m, v_dd=v_dd,
                         threshold_fraction=0.5 if threshold is None else threshold,
@@ -209,8 +206,9 @@ def config_files(draw):
 @given(config_files())
 def test_config_round_trips(case):
     """Every section key, in the line or the cap form, with any spec targets,
-    in any order among comments and blank lines, parses to the values it
-    gives times its scale; a dotted key of two or four parts is a warning."""
+    in any order among comments and blank lines, with blanks around its
+    dotted parts, parses to the values it gives times its scale; a dotted key
+    of two or four parts is a warning."""
     text, config = case
     assert parse_config(text) == config
 

@@ -11,31 +11,31 @@ from ringrc import (
     CrosstalkMode,
     DrivePattern,
     ExtractionResult,
-    GeometryValidation,
     LineRC,
     NumericError,
     ParasiticSet,
     ValidationError,
-    ValidationOutcome,
     build_network,
     compare_to_spec,
-    crossing_time,
-    emit_binning,
-    emit_report,
-    format_validation_text,
     monitor_binning,
     parse_report,
-    quiet_delay_ratio,
     run_validation,
-    simulate_step,
     simulator,
     step_response_victim,
     validate_geometry,
-    waveform_csv,
-    waveform_svg,
 )
 from ringrc.extraction import VALUES
 from ringrc.files import parse_config
+from ringrc.reporting import (
+    GeometryValidation,
+    ValidationOutcome,
+    emit_binning,
+    emit_report,
+    format_validation_text,
+    waveform_csv,
+    waveform_svg,
+)
+from ringrc.simulator import crossing_time, quiet_delay_ratio, simulate_step
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
 BUNDLED_LINES = parse_config(
@@ -387,8 +387,8 @@ def reference_svg(result, title=""):
     )
     v_min = min(0.0, float(np.min(all_values)))
     v_max = float(np.max(all_values))
-    if v_max <= v_min:
-        v_max = v_min + 1.0
+    if v_max <= v_min:  # a flat trace: span the largest final far-end voltage
+        v_max = v_min + float(np.abs(result.residues.sum(axis=1)).max())
     span = v_max - v_min
 
     def x(t):

@@ -13,16 +13,12 @@ from ringrc import (
     CrosstalkMode,
     DrivePattern,
     LineRC,
-    NetworkStateSpace,
     NoCrossingError,
     NumericError,
     ValidationError,
     build_network,
-    crossing_time,
     frequency_response,
     lump_coefficients,
-    quiet_delay_ratio,
-    simulate_step,
     step_response_victim,
     threshold_delay,
     transfer_eval,
@@ -30,7 +26,14 @@ from ringrc import (
 )
 from ringrc.files import parse_config
 from ringrc.lumpmodel import bisect_crossing
-from ringrc.simulator import SAMPLES, SimulationResult
+from ringrc.simulator import (
+    SAMPLES,
+    NetworkStateSpace,
+    SimulationResult,
+    crossing_time,
+    quiet_delay_ratio,
+    simulate_step,
+)
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
 BUNDLED_LINES = parse_config(
