@@ -27,6 +27,7 @@ from .files import ConfigFile, read_config, read_measurements, write_text_atomic
 from .lumpmodel import DrivePattern
 from .oscillator import Measurements
 from .reporting import (
+    FORMATS,
     _shown,
     emit_binning,
     emit_report,
@@ -41,98 +42,27 @@ from .simulator import SAMPLES, build_network, crossing_time, simulate_step
 _MODE_NAMES = tuple(sorted(m.value for m in CrosstalkMode))
 #: The exit code of each error a command may raise, the first match winning.
 _EXIT_CODES = {ParseError: 2, OSError: 2, ValidationError: 3, NumericError: 4}
+_REPEATABLE = "restrict to this geometry (repeatable; default: all {})"
 
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later one (main calls it once per call); callers must not mutate it."""
-    parser = argparse.ArgumentParser(
-        prog="ringrc",
-        description=(
-            "Coupled-RC crosstalk modeling and ring-oscillator parasitic "
-            "extraction."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "simulate", help="run the transient oracle for one geometry and mode"
-    )
-    p.add_argument("--config", required=True, help="configuration file")
-    p.add_argument("--geometry", required=True, help="geometry label")
-    p.add_argument("--mode", required=True, choices=_MODE_NAMES)
-    p.add_argument(
-        "--segments",
-        type=int,
-        default=None,
-        help="segments per line (default: configured value)",
-    )
-    p.add_argument(
-        "--t-end-ps",
-        type=float,
-        default=None,
-        help="simulation span in picoseconds (default: automatic)",
-    )
-    p.add_argument("--out", help="write the waveform CSV here")
-    p.add_argument("--svg", help="write a waveform plot here")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("extract", help="extract parasitics from measurements")
-    _add_measurement_args(p)
-    p.set_defaults(func=_cmd_extract, with_comparison=False)
-
-    p = sub.add_parser(
-        "report", help="extract parasitics and compare against targets"
-    )
-    _add_measurement_args(p)
-    p.set_defaults(func=_cmd_extract, with_comparison=True)
-
-    p = sub.add_parser(
-        "validate", help="cross-check the closed forms against the oracle"
-    )
-    p.add_argument("--config", required=True, help="configuration file")
-    p.add_argument(
-        "--geometry",
-        action="append",
-        default=None,
-        help="restrict to this geometry (repeatable; default: all configured)",
-    )
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "binning", help="per-die clock scaling from multi-die measurements"
-    )
-    p.add_argument("--config", required=True, help="configuration file")
-    p.add_argument("--measurements", required=True, help="measurement file")
-    p.add_argument("--geometry", required=True, help="geometry label")
-    p.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text"
-    )
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=_cmd_binning)
-
-    return parser
-
-
-def _add_measurement_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="configuration file")
-    p.add_argument("--measurements", required=True, help="measurement file")
-    p.add_argument(
-        "--geometry",
-        action="append",
-        default=None,
-        help="restrict to this geometry (repeatable; default: all present)",
-    )
-    p.add_argument("--die", default=None, help="restrict to this die label")
-    p.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text"
-    )
-    p.add_argument("--out", help="write the report here instead of stdout")
+#: Every option, declared once by name: its flag and its argparse settings.
+_OPTIONS = {
+    "config": ("--config", dict(required=True, help="configuration file")),
+    "measurements": ("--measurements", dict(required=True, help="measurement file")),
+    # --geometry: one required label, or repeatable over all present or configured ones
+    "geometry": ("--geometry", dict(required=True, help="geometry label")),
+    "present": ("--geometry", dict(action="append", help=_REPEATABLE.format("present"))),
+    "configured": ("--geometry", dict(action="append", help=_REPEATABLE.format("configured"))),
+    "die": ("--die", dict(help="restrict to this die label")),
+    "mode": ("--mode", dict(required=True, choices=_MODE_NAMES)),
+    "segments": ("--segments", dict(
+        type=int, help="segments per line (default: configured value)")),
+    "t_end_ps": ("--t-end-ps", dict(
+        type=float, help="simulation span in picoseconds (default: automatic)")),
+    "format": ("--format", dict(choices=FORMATS, default="text")),
+    "out": ("--out", dict(help="write the report here instead of stdout")),
+    "wave_out": ("--out", dict(help="write the waveform CSV here")),
+    "svg": ("--svg", dict(help="write a waveform plot here")),
+}
 
 
 def _load_config(path: str) -> ConfigFile:
@@ -206,17 +136,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    measurements = _select_die(read_measurements(args.measurements), args.die)
+    measurements = read_measurements(args.measurements)
+    if args.with_comparison:
+        # a configured geometry no row names is most likely a mistyped label
+        configured = set(config.lines) | set(config.spec.values)
+        for geometry in sorted(configured - set(measurements.geometry)):
+            print(f"warning: no measurement row names configured geometry {geometry!r}",
+                  file=sys.stderr)
+    measurements = _select_die(measurements, args.die)
     geometries = args.geometry or sorted(set(measurements.geometry))
-    results = {}
-    comparisons = {}
+    results, comparisons = {}, {}
     for geometry in geometries:
         rows = measurements.where("geometry", geometry)
         if not len(rows):
             raise ValidationError(f"no measurements for geometry {geometry!r}")
-        ro_config = config.ro_config(geometry)
-        result = extract_all(rows, ro_config)
-        results[geometry] = result
+        results[geometry] = result = extract_all(rows, config.ro_config(geometry))
         if args.with_comparison:
             targets = config.spec.for_geometry(geometry)
             comparisons[geometry] = compare_to_spec(result.one(), targets)
@@ -250,6 +184,43 @@ def _cmd_binning(args: argparse.Namespace) -> int:
     labelled = dataclasses.replace(result, die=die)
     _emit(emit_binning(monitor_binning(labelled), fmt=args.format), args.out)
     return 0
+
+
+#: Every command: its help, its options by name in --help order, and the
+#: defaults its handler reads.
+_COMMANDS = {
+    "simulate": ("run the transient oracle for one geometry and mode",
+                 ("config", "geometry", "mode", "segments", "t_end_ps", "wave_out", "svg"),
+                 dict(func=_cmd_simulate)),
+    "extract": ("extract parasitics from measurements",
+                ("config", "measurements", "present", "die", "format", "out"),
+                dict(func=_cmd_extract, with_comparison=False)),
+    "report": ("extract parasitics and compare against targets",
+               ("config", "measurements", "present", "die", "format", "out"),
+               dict(func=_cmd_extract, with_comparison=True)),
+    "validate": ("cross-check the closed forms against the oracle",
+                 ("config", "configured", "out"), dict(func=_cmd_validate)),
+    "binning": ("per-die clock scaling from multi-die measurements",
+                ("config", "measurements", "geometry", "format", "out"),
+                dict(func=_cmd_binning)),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one (main calls it once per call); callers must not mutate it."""
+    parser = argparse.ArgumentParser(prog="ringrc", description=(
+        "Coupled-RC crosstalk modeling and ring-oscillator parasitic extraction."))
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, names, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in names:
+            flag, settings = _OPTIONS[name]
+            p.add_argument(flag, **settings)
+        p.set_defaults(**defaults)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -48,6 +48,8 @@ from .files import REPORT_FORMAT_TAG, emit_report_json
 from .lumpmodel import DrivePattern, LineRC, step_response_victim
 from .simulator import SAMPLES, SimulationResult, build_network, victim_delay
 
+#: The output formats of extraction and binning reports.
+FORMATS = ("text", "csv", "json")
 #: Largest tolerated oracle-vs-closed-form deviation, as a fraction of the rail.
 WAVEFORM_TOLERANCE = 1e-4
 #: Acceptable window for the distributed-over-lump quiet delay ratio.
@@ -160,7 +162,7 @@ def emit_report(
                 error_pct = _shown(report.delay_product_error * 100.0, 0, 4)
                 out.append(f"{geometry},delay_product,,,,{error_pct}\n")
         return "".join(out)
-    raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
+    raise ValueError(f"unknown report format {fmt!r}; use one of {', '.join(FORMATS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ def emit_binning(report: BinningReport, fmt: str = "text") -> str:
                 "scale,normalized_runtime,improvement_pct\n"
                 + ("%s,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n" * len(table))
                 % tuple(table.ravel().tolist()))
-    raise ValueError(f"unknown report format {fmt!r}; use text, csv or json")
+    raise ValueError(f"unknown report format {fmt!r}; use one of {', '.join(FORMATS)}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ringrc import cli, extraction, files, parse_report
+from ringrc import cli, extraction, files, parse_report, reporting
 from ringrc.cli import main
 from ringrc.files import read_measurements
 
@@ -1257,6 +1257,43 @@ class TestTopLevel:
         assert code == 0
         assert "warning:" in captured.err
         assert "colour" in captured.err
+
+
+class TestCommandLineSurface:
+    @pytest.mark.parametrize("command", ["ringrc", "simulate", "extract", "report",
+                                         "validate", "binning"])
+    def test_help_unchanged(self, capsys, monkeypatch, command):
+        """`--help` of the root and of each command prints the committed page
+        at 80 columns."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(["--help"] if command == "ringrc" else [command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text()
+
+    def test_format_choices_are_the_report_formats(self):
+        """Every --format offers exactly the formats the emitters render."""
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        choices = {command: tuple(action.choices)
+                   for command, parser in sub.choices.items()
+                   for action in parser._actions if action.dest == "format"}
+        assert choices == dict.fromkeys(["extract", "report", "binning"], reporting.FORMATS)
+
+    def test_unmeasured_configured_geometry_warns(self, golden_inputs, capsys, tmp_path):
+        """A spec geometry that no measurement row names (here a mistyped
+        1W1S) gets one warning from `report`, which prints the same bytes;
+        `extract` reads no targets and stays silent."""
+        config = tmp_path / "typo.cfg"
+        config.write_text(pathlib.Path(golden_inputs["config"]).read_text()
+                          + "spec.1W1s.c_gate_ff = 2.5\n")
+        inputs = {**golden_inputs, "config": str(config)}
+        for name, warned in (("report.json", True), ("extract.json", False)):
+            assert main([arg.format(**inputs) for arg in GOLDEN_CASES[name]]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == (GOLDEN / name).read_text()
+            assert captured.err == warned * (
+                "warning: no measurement row names configured geometry '1W1s'\n")
 
 
 SIMULATE_1W1S = ("simulate", "--geometry", "1W1S", "--mode", "quiet")

@@ -27,6 +27,7 @@ from ringrc import (
 from ringrc.extraction import VALUES
 from ringrc.files import parse_config
 from ringrc.reporting import (
+    FORMATS,
     GeometryValidation,
     ValidationOutcome,
     emit_binning,
@@ -38,6 +39,8 @@ from ringrc.reporting import (
 from ringrc.simulator import crossing_time, quiet_delay_ratio, simulate_step
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
+#: The error for an unknown report format, which lists every format.
+UNKNOWN_FORMAT = "^unknown report format '{}'; use one of " + ", ".join(FORMATS) + "$"
 BUNDLED_LINES = parse_config(
     importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg").read_text()
 ).lines
@@ -123,7 +126,7 @@ class TestBinning:
 
     def test_unknown_format(self):
         report = monitor_binning(make_lot({"D1": (504.0, 12.6e-15)}))
-        with pytest.raises(ValueError, match="unknown report format"):
+        with pytest.raises(ValueError, match=UNKNOWN_FORMAT.format("xml")):
             emit_binning(report, "xml")
 
 
@@ -175,7 +178,7 @@ class TestExtractionReport:
         ]
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown report format"):
+        with pytest.raises(ValueError, match=UNKNOWN_FORMAT.format("pdf")):
             emit_report(self.results, fmt="pdf")
 
     def test_text_shows_extremes_in_significant_digits(self):
