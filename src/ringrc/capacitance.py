@@ -10,9 +10,10 @@ All values are in farads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+
+from .errors import _finite_positive
 
 
 class CrosstalkMode(Enum):
@@ -50,10 +51,7 @@ class CapacitanceSet:
     c_c: float
 
     def __post_init__(self):
-        for name in ("c_ta", "c_ba", "c_ft", "c_fb", "c_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _finite_positive(**vars(self), zero_ok=True)
 
     @property
     def c_top(self) -> float:
@@ -92,6 +90,5 @@ def effective_capacitance(mode: CrosstalkMode, c_ground: float, c_c: float) -> f
     Returns:
         Effective capacitance in farads.
     """
-    if c_ground < 0.0 or c_c < 0.0:
-        raise ValueError("capacitances must be >= 0")
+    _finite_positive(c_ground=c_ground, c_c=c_c, zero_ok=True)
     return c_ground + 2.0 * (1.0 - AGGRESSOR_STEP[mode]) * c_c

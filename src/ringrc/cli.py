@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .capacitance import CrosstalkMode
-from .errors import NumericError, ParseError, ValidationError
+from .errors import NoCrossingError, NumericError, ParseError, ValidationError
 from .extraction import compare_to_spec, extract_all
 from .files import ConfigFile, read_config, read_measurements, write_text_atomic
 from .lumpmodel import DrivePattern
@@ -119,12 +119,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     volts = _shown(threshold, 0, 3)
     print(
         f"geometry {args.geometry} mode {mode.value} segments {segments}: "
-        f"{len(result.victim.values)} samples, dt {_shown(result.victim.dt, 0, 4)} s"
+        f"{SAMPLES} samples, dt {_shown(result.dt, 0, 4)} s"
     )
     try:
         t_cross = crossing_time(result, threshold)
         print(f"victim crossing of {volts} V at {_shown(t_cross * 1e12, 0, 4)} ps")
-    except NumericError:
+    except NoCrossingError:
         print(f"victim never reaches {volts} V within the simulated span")
     if args.out:
         _emit(waveform_csv(result), args.out)

@@ -3,10 +3,14 @@
 Three branches matter to callers (and map to distinct CLI exit codes):
 ParseError for malformed input files, ValidationError for semantically
 bad data or configuration, and NumericError for math that cannot be
-carried out on otherwise well-formed inputs.
+carried out on otherwise well-formed inputs. Every value type and formula
+input checks its quantities with _finite_positive: finite and > 0, or >= 0
+where zero is physical, else ValueError naming the first that is not.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class RingRcError(Exception):
@@ -55,3 +59,12 @@ class ExtractionDomainError(NumericError):
     """Measurements outside an extraction formula's domain: periods out of
     the order it requires, or values so large or small that it over- or
     underflows."""
+
+
+def _finite_positive(*, zero_ok: bool = False, **values: float) -> None:
+    """Raise ValueError naming the first of values, in order, that is not
+    finite and > 0 (>= 0 if zero_ok)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+            raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, "
+                             f"got {value!r}")

@@ -348,12 +348,12 @@ def compare_to_spec(values: Mapping[str, float | None], spec: ParasiticSet) -> E
 
     The delay-product error compares r_sw * c_total between the two sets
     and is None when either side lacks one of the factors. An error that
-    is not finite in percent (a value ~1e300 times its target) raises
-    NumericError.
+    is not finite in percent (a value ~1e300 times its target, or a target
+    product that underflows to 0.0) raises NumericError.
     """
 
     def relative(name: str, value: float, target: float) -> float:
-        error = abs(value - target) / target
+        error = abs(value - target) / target if target else np.inf
         if not error * 100.0 < np.inf:
             raise NumericError(f"{name} = {value!r} is too far from its target "
                                f"{target!r} for a finite error in percent")

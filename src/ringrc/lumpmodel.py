@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacitance import AGGRESSOR_STEP, CrosstalkMode
-from .errors import DegenerateDelayError, PoleProximityError
+from .errors import DegenerateDelayError, PoleProximityError, _finite_positive
 
 #: |1 + b*s| below this is treated as an evaluation at a pole.
 POLE_TOLERANCE = 1e-9
@@ -59,14 +59,9 @@ class LineRC:
     v_dd: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"r must be finite and > 0, got {self.r!r}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
-        if not (math.isfinite(self.c_c) and self.c_c >= 0.0):
-            raise ValueError(f"c_c must be finite and >= 0, got {self.c_c!r}")
-        if not (math.isfinite(self.v_dd) and self.v_dd > 0.0):
-            raise ValueError(f"v_dd must be finite and > 0, got {self.v_dd!r}")
+        _finite_positive(r=self.r, c=self.c)
+        _finite_positive(c_c=self.c_c, zero_ok=True)
+        _finite_positive(v_dd=self.v_dd)
 
     @property
     def tau_ground(self) -> float:

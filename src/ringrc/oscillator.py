@@ -15,7 +15,6 @@ DeviceParams: they stay as these equations of the paper, pinned by tests.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .capacitance import CrosstalkMode
-from .errors import InvalidSelectCodeError
+from .errors import InvalidSelectCodeError, _finite_positive
 from .lumpmodel import LineRC, taylor_inversion_reference
 
 
@@ -65,8 +64,7 @@ class RoConfig:
         if 2 * self.n * self.m > sys.float_info.max:  # an int-float comparison is exact
             raise ValueError(f"2 * n * m must not exceed the largest float, "
                              f"{sys.float_info.max!r}: the period algebra divides by it")
-        if not (math.isfinite(self.v_dd) and self.v_dd > 0.0):
-            raise ValueError(f"v_dd must be finite and > 0, got {self.v_dd!r}")
+        _finite_positive(v_dd=self.v_dd)
 
     @property
     def period_scale(self) -> int:
@@ -82,8 +80,7 @@ class DeviceParams:
     i_dn: float
 
     def __post_init__(self):
-        if not self.i_dp > 0.0 or not self.i_dn > 0.0:
-            raise ValueError("drive currents must be > 0")
+        _finite_positive(**vars(self))
 
     @classmethod
     def from_average_current(cls, i_avg: float) -> "DeviceParams":
@@ -136,9 +133,7 @@ class Measurements:
         """A table of rows whose t_osc and i_eff are finite and > 0, else ValueError."""
         rows = list(records)
         for row in rows:
-            for name, value in (("t_osc", row.t_osc), ("i_eff", row.i_eff)):
-                if not (math.isfinite(value) and value > 0.0):
-                    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _finite_positive(t_osc=row.t_osc, i_eff=row.i_eff)
         geometry, fanout, mode, t_osc, i_eff, die = zip(*rows) if rows else [()] * 6
         return cls.from_columns(die, geometry, fanout, mode, t_osc, i_eff)
 
@@ -179,8 +174,7 @@ def mux_decode(code: str) -> CrosstalkMode:
 
 def stage_delay_from_current(c_load: float, v: float, params: DeviceParams) -> float:
     """Stage delay t_s = C V (1/I_dp + 1/I_dn)."""
-    if not c_load > 0.0 or not v > 0.0:
-        raise ValueError("c_load and v must be > 0")
+    _finite_positive(c_load=c_load, v=v)
     return c_load * v * (1.0 / params.i_dp + 1.0 / params.i_dn)
 
 
@@ -188,15 +182,13 @@ def osc_frequency(n: int, t_s: float) -> float:
     """Oscillation frequency of an n-stage ring, 1 / (2 n t_s)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not t_s > 0.0:
-        raise ValueError(f"t_s must be > 0, got {t_s!r}")
+    _finite_positive(t_s=t_s)
     return 1.0 / (2.0 * n * t_s)
 
 
 def counter_period(config: RoConfig, t_s: float) -> float:
     """Counter output period, 2 * n * m * t_s."""
-    if not t_s > 0.0:
-        raise ValueError(f"t_s must be > 0, got {t_s!r}")
+    _finite_positive(t_s=t_s)
     return config.period_scale * t_s
 
 
@@ -218,11 +210,7 @@ class SynthesisTruth:
     c_c: float
 
     def __post_init__(self):
-        if not self.r_sw > 0.0:
-            raise ValueError("r_sw must be > 0")
-        for name in ("c_gate", "c_int", "c_c"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+        _finite_positive(**vars(self))
 
 
 def synthesize_measurements(
@@ -247,8 +235,7 @@ def synthesize_measurements(
     noise_sigma applies independent multiplicative Gaussian noise to each
     period and current.
     """
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
+    _finite_positive(noise_sigma=noise_sigma, zero_ok=True)
     if noise_sigma > 0.0 and rng is None:
         rng = np.random.default_rng()
 

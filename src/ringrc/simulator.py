@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .capacitance import CrosstalkMode
-from .errors import NoCrossingError, NumericError, ValidationError
+from .errors import NoCrossingError, NumericError, ValidationError, _finite_positive
 from .lumpmodel import DrivePattern, LineRC, bisect_crossing
 
 #: Default simulation span, in units of the slowest time constant.
@@ -139,8 +139,7 @@ class Waveform:
     label: str
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
+        _finite_positive(dt=self.dt)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("waveform contains non-finite samples")
 
@@ -170,7 +169,7 @@ class SimulationResult:
         Raises:
             NumericError: if the residues, or twice their absolute sum (a
                 bound on every partial sum the sampler forms), overflow.
-            ValueError: if t_end is not > 0.
+            ValueError: if t_end is given and is not finite and > 0.
             Whatever net.modes() raises.
         """
         rates, shapes = net.modes() if modes is None else modes
@@ -185,8 +184,8 @@ class SimulationResult:
             )
         if t_end is None:
             t_end = T_END_FACTOR / rates[0]
-        if not t_end > 0.0:
-            raise ValueError("t_end must be > 0")
+        else:
+            _finite_positive(t_end=t_end)
         return cls(rates, residues, t_end / (SAMPLES - 1))
 
     @cached_property

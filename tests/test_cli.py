@@ -484,6 +484,27 @@ class TestReport:
         assert captured.out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_underflowing_delay_product_target(self, workspace, capsys, tmp_path, fmt):
+        """Targets that are each a normal float but whose product r_sw *
+        c_total underflows to 0.0 give no finite error in percent: exit 4
+        with one error line, not a ZeroDivisionError traceback."""
+        config = tmp_path / "underflow.cfg"
+        config.write_text(
+            bundled_text("config_28nm.cfg")
+            .replace("spec.1W1S.r_sw_ohm = 450", "spec.1W1S.r_sw_ohm = 1e-200")
+            .replace("spec.1W1S.c_total_ff = 12.39", "spec.1W1S.c_total_ff = 1e-200")
+        )
+        out_path = tmp_path / "report.out"
+        code = main(["report", "--config", str(config), "--measurements",
+                     workspace["measurements"], "--format", fmt, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert re.fullmatch(r"error: r_sw \* c_total = \S+ is too far from its target 0\.0 "
+                            r"for a finite error in percent\n", captured.err)
+        assert captured.out == ""
+        assert not out_path.exists()
+
 
 @pytest.fixture(scope="module")
 def golden_inputs(tmp_path_factory):
@@ -666,6 +687,28 @@ class TestSimulate:
         assert code == 0
         assert "segments 4" in out
         assert "victim crossing" in out
+
+    def test_no_output_samples_only_the_victim(self, workspace, capsys, tmp_path, monkeypatch):
+        """Without --out or --svg the summary reads SAMPLES and the grid step
+        from the result and the crossing samples the victim alone: the three
+        far-end waveforms are never sampled, and stdout is the same as with
+        a waveform file."""
+        results, simulate_step = [], cli.simulate_step
+
+        def recorded(*args, **kwargs):
+            results.append(simulate_step(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "simulate_step", recorded)
+        argv = ["simulate", "--config", workspace["config"], "--geometry", "1W1S",
+                "--mode", "out_of_phase", "--segments", "7"]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert "_waveforms" not in vars(results[0])
+        assert main([*argv, "--out", str(tmp_path / "w.csv")]) == 0
+        assert capsys.readouterr().out == bare
+        assert "_waveforms" in vars(results[1])
+        assert "8192 samples" in bare
 
     def test_short_span_never_crosses(self, workspace, capsys):
         code = main(

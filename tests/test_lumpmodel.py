@@ -370,6 +370,11 @@ class TestFirstOrderDelay:
         with pytest.raises(ValueError):
             first_order_delay(CrosstalkMode.QUIET, line)
 
+    def test_unknown_mode_rejected(self):
+        """A value that is not a CrosstalkMode, even its string value, is refused."""
+        with pytest.raises(ValueError, match="^unknown mode 'quiet'$"):
+            first_order_delay("quiet", REF)
+
     @pytest.mark.parametrize("trial", range(10))
     def test_linearization_bounds_exact_delay(self, trial):
         """The linearized response overshoots the exact concave one, so the

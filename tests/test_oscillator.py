@@ -135,6 +135,17 @@ class TestPeriodAlgebra:
         with pytest.raises(ValueError):
             counter_period(CONFIG, -1e-12)
 
+    def test_frequency_needs_a_stage(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            osc_frequency(0, 5e-12)
+
+    @pytest.mark.parametrize("t_osc", [0.0, -8.166e-8, np.array([8.166e-8, 0.0])],
+                             ids=["zero", "negative", "array"])
+    def test_non_positive_period_rejected(self, t_osc):
+        """A scalar, and an array with one non-positive entry, are refused."""
+        with pytest.raises(ValueError, match="^t_osc must be > 0, got "):
+            stage_delay_from_period(CONFIG, t_osc)
+
 
 def row(**values):
     return MeasurementRecord(
@@ -186,6 +197,17 @@ class TestMeasurementRecord:
 
 
 class TestSynthesis:
+    def test_noise_without_rng_draws_its_own_generator(self):
+        """noise_sigma > 0 with no rng perturbs every period and current
+        with a fresh generator: finite, positive and off the noiseless values."""
+        clean = synthesize_measurements(TRUTH_1W1S, CONFIG)
+        noisy = synthesize_measurements(TRUTH_1W1S, CONFIG, noise_sigma=1e-3)
+        for column in ("t_osc", "i_eff"):
+            got, want = getattr(noisy, column), getattr(clean, column)
+            assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+            assert np.all(got != want)
+            assert got == pytest.approx(want, rel=0.02, abs=0.0)
+
     def test_record_set_shape(self):
         records = synthesize_measurements(TRUTH_1W1S, CONFIG)
         assert [(rec.fanout, rec.mode) for rec in records] == [

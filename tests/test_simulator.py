@@ -30,6 +30,7 @@ from ringrc.simulator import (
     SAMPLES,
     NetworkStateSpace,
     SimulationResult,
+    Waveform,
     crossing_time,
     quiet_delay_ratio,
     simulate_step,
@@ -380,6 +381,20 @@ class TestSimulateStep:
         net.capacitance[0, 1] /= 2.0
         with pytest.raises(ValueError, match="symmetric"):
             NetworkStateSpace(**vars(net))
+
+    def test_capacitance_not_diagonally_dominant_rejected(self):
+        """A coupling larger than the diagonal it ties to is no capacitor
+        network: C must be diagonally dominant."""
+        with pytest.raises(ValueError, match="^capacitance matrix is not diagonally dominant$"):
+            NetworkStateSpace(
+                capacitance=np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                branches=np.ones(3),
+            )
+
+    @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+    def test_waveform_rejects_non_finite_samples(self, sample):
+        with pytest.raises(ValueError, match="^waveform contains non-finite samples$"):
+            Waveform(1e-12, np.array([0.0, sample, 0.9]), "line_b")
 
     @pytest.mark.parametrize("matrix", ["capacitance"])
     @pytest.mark.parametrize("segments", [1, 7, 50])
