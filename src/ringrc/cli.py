@@ -163,9 +163,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     lines = config.lines
     if args.geometry:
         lines = {g: config.line_for(g) for g in args.geometry}
-    outcome = run_validation(lines, config.segments, config.threshold_fraction)
-    _emit(format_validation_text(outcome), args.out)
-    return 0 if outcome.passed else 3
+    entries = run_validation(lines, config.segments, config.threshold_fraction)
+    _emit(format_validation_text(entries), args.out)
+    return 0 if all(entry.passed for entry in entries) else 3
 
 
 def _cmd_binning(args: argparse.Namespace) -> int:

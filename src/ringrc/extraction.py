@@ -34,7 +34,7 @@ import numpy as np
 
 from .capacitance import CrosstalkMode
 from .errors import ExtractionDomainError, MissingRecordError, NumericError
-from .errors import ValidationError
+from .errors import ValidationError, _finite_positive
 from .oscillator import Fanout, Measurements, RoConfig, record_label
 from .oscillator import stage_delay_from_period
 
@@ -127,7 +127,7 @@ class ErrorReport:
 def _check(holds, error: type, message: str, *values) -> None:
     """Raise error(message) unless holds is all true, filled with the values
     (as floats) where it first is not; works on scalars and arrays alike.
-    A scalar skips np.all: without that, a one-die report takes x1.23."""
+    A scalar skips np.all, as in errors._finite_positive."""
     if holds is not True and holds is not np.True_ and not np.all(holds):
         holds = np.asarray(holds)
         first = int(np.argmin(holds.ravel()))
@@ -149,15 +149,13 @@ def _in_range(names: Sequence[str], values: Iterable, units: Sequence[str]) -> N
 
 def switching_resistance(i_eff: float, v_dd: float) -> float:
     """Driver switching resistance r_sw = v_dd / (2 i_eff)."""
-    _check(i_eff > 0.0, ValueError, "i_eff must be > 0, got {!r}", i_eff)
-    _check(v_dd > 0.0, ValueError, "v_dd must be > 0, got {!r}", v_dd)
+    _finite_positive(i_eff=i_eff, v_dd=v_dd)
     return v_dd / (2.0 * i_eff)
 
 
 def stage_capacitance(t_osc: float, i_eff: float, config: RoConfig) -> float:
     """Stage load from charge balance, c_s = t_osc * i_eff / (2 n m v_dd)."""
-    _check((t_osc > 0.0) & (i_eff > 0.0), ValueError,
-           "t_osc and i_eff must be > 0")
+    _finite_positive(t_osc=t_osc, i_eff=i_eff)
     return t_osc * i_eff / (config.period_scale * config.v_dd)
 
 
@@ -165,6 +163,7 @@ def gate_capacitance(
     t_osc_fo1: float, t_osc_fo2: float, r_sw: float, config: RoConfig
 ) -> float:
     """Gate load from the period increase of the double-loaded oscillator."""
+    _finite_positive(t_osc_fo1=t_osc_fo1, t_osc_fo2=t_osc_fo2)
     _check(t_osc_fo2 > t_osc_fo1, ExtractionDomainError,
            "FO2 period must exceed FO1 period, got {!r} <= {!r}", t_osc_fo2, t_osc_fo1)
     return (t_osc_fo2 - t_osc_fo1) / (config.period_scale * r_sw)
@@ -174,6 +173,7 @@ def interconnect_capacitance(
     t_osc_fo1: float, t_osc_fo2: float, r_sw: float, config: RoConfig
 ) -> float:
     """Interconnect load left after removing the gate contribution."""
+    _finite_positive(t_osc_fo1=t_osc_fo1, t_osc_fo2=t_osc_fo2)
     _check(2.0 * t_osc_fo1 > t_osc_fo2, ExtractionDomainError,
            "2 * FO1 period must exceed FO2 period, got 2 * {!r} <= {!r}",
            t_osc_fo1, t_osc_fo2)
@@ -186,8 +186,7 @@ def ground_capacitance(t_o: float, t_q: float, r: float) -> float:
     c = t_o t_q / (r (t_o + t_q)); includes the 1/2 lump-to-distributed
     scaling relative to the exact inversion of the linearized delays.
     """
-    _check((t_o > 0.0) & (t_q > 0.0), ValueError, "stage delays must be > 0")
-    _check(r > 0.0, ValueError, "r must be > 0, got {!r}", r)
+    _finite_positive(t_o=t_o, t_q=t_q, r=r)
     return t_o * t_q / (r * (t_o + t_q))
 
 
@@ -196,8 +195,7 @@ def coupling_capacitance(t_o: float, t_q: float, r: float) -> float:
 
     c_c = 2 t_o t_q / (3 r (2 t_o - t_q)), with the same 1/2 scaling.
     """
-    _check((t_o > 0.0) & (t_q > 0.0), ValueError, "stage delays must be > 0")
-    _check(r > 0.0, ValueError, "r must be > 0, got {!r}", r)
+    _finite_positive(t_o=t_o, t_q=t_q, r=r)
     _check(2.0 * t_o > t_q, ExtractionDomainError,
            "2 * t_o must exceed t_q, got 2 * {!r} <= {!r}", t_o, t_q)
     return 2.0 * t_o * t_q / (3.0 * r * (2.0 * t_o - t_q))

@@ -194,9 +194,7 @@ def counter_period(config: RoConfig, t_s: float) -> float:
 
 def stage_delay_from_period(config: RoConfig, t_osc: float) -> float:
     """Invert counter_period: t_s = t_osc / (2 n m), elementwise on arrays."""
-    positive = t_osc > 0.0  # a scalar skips np.all, which costs a one-die report x1.05
-    if positive is not True and positive is not np.True_ and not np.all(positive):
-        raise ValueError(f"t_osc must be > 0, got {t_osc!r}")
+    _finite_positive(t_osc=t_osc)
     return t_osc / config.period_scale
 
 

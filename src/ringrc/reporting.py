@@ -304,15 +304,6 @@ class GeometryValidation:
         return self.waveforms_ok and self.ordering_ok and self.ratio_ok
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
-    geometries: tuple[GeometryValidation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(g.passed for g in self.geometries)
-
-
 def validate_geometry(
     geometry: str,
     line: LineRC,
@@ -352,20 +343,17 @@ def run_validation(
     lines: Mapping[str, LineRC],
     segments: int,
     threshold_fraction: float = 0.5,
-) -> ValidationOutcome:
+) -> tuple[GeometryValidation, ...]:
+    """validate_geometry of every line model, in sorted geometry order."""
     if not lines:
         raise ValidationError("no line models configured; nothing to validate")
-    return ValidationOutcome(
-        geometries=tuple(
-            validate_geometry(geometry, lines[geometry], segments, threshold_fraction)
-            for geometry in sorted(lines)
-        )
-    )
+    return tuple(validate_geometry(geometry, lines[geometry], segments, threshold_fraction)
+                 for geometry in sorted(lines))
 
 
-def format_validation_text(outcome: ValidationOutcome) -> str:
+def format_validation_text(entries: tuple[GeometryValidation, ...]) -> str:
     out = ["model validation report\n"]
-    for entry in outcome.geometries:
+    for entry in entries:
         out.append(f"\ngeometry {entry.geometry}\n")
         for mode, dev in entry.max_dev.items():
             label = f"{mode.value.replace('_', '-')}:"
@@ -388,7 +376,7 @@ def format_validation_text(outcome: ValidationOutcome) -> str:
             f" [expected {low:.2f}..{high:.2f};"
             f" {'pass' if entry.ratio_ok else 'FAIL'}]\n"
         )
-    out.append(f"\noverall: {'pass' if outcome.passed else 'FAIL'}\n")
+    out.append(f"\noverall: {'pass' if all(e.passed for e in entries) else 'FAIL'}\n")
     return "".join(out)
 
 
@@ -489,8 +477,7 @@ def _text(rows: np.ndarray) -> str:
 def waveform_csv(result: SimulationResult) -> str:
     """Render a simulation result as a four-column CSV (time plus the
     far-end voltage of each line), every value as "%.9e"."""
-    lines = (result.line_a, result.line_b, result.line_c)
-    table = np.column_stack([result.line_a.times] + [line.values for line in lines])
+    table = np.column_stack([result.times, result.values])
     return "time_s,line_a_v,line_b_v,line_c_v\n" + _text(_scientific(table, b",,,\n"))
 
 
@@ -501,12 +488,10 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    lines = (result.line_a, result.line_b, result.line_c)
-    times = result.line_a.times
+    times, values = result.times, result.values
     t_max = float(times[-1])
-    all_values = np.concatenate([line.values for line in lines])
-    v_min = min(0.0, float(np.min(all_values)))
-    v_max = float(np.max(all_values))
+    v_min = min(0.0, float(np.min(values)))
+    v_max = float(np.max(values))
     if v_max <= v_min:  # a flat trace: the axis spans the drive, the largest final voltage
         v_max = v_min + float(np.abs(result.residues.sum(axis=1)).max())
     span = v_max - v_min
@@ -516,7 +501,7 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
 
     # x, then each line's y: the x words are rendered once for all three
     points = _fixed(
-        np.column_stack([left + plot_w * (times / t_max)] + [y(line.values) for line in lines]),
+        np.column_stack([left + plot_w * (times / t_max), y(values)]),
         b",   ",
     )
     # one item per field; row by row, columns 0 and idx + 1 are a polyline's points
@@ -542,9 +527,8 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
         f'<text x="4" y="{y(v_min):.1f}" font-size="11"'
         f' font-family="monospace">{_shown(v_min, 0, 2)} V</text>',
     ]
-    colors = {"line_a": "#6a6a6a", "line_b": "#c03030", "line_c": "#3060b0"}
-    for idx, waveform in enumerate(lines):
-        color = colors[waveform.label]
+    lines = (("line_a", "#6a6a6a"), ("line_b", "#c03030"), ("line_c", "#3060b0"))
+    for idx, (label, color) in enumerate(lines):
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
             f' points="{_text(fields[:, 0:idx + 2:idx + 1])[:-1]}"/>'
@@ -552,7 +536,7 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
         parts.append(
             f'<text x="{left + plot_w - 120:.1f}" y="{top + 14 + 14 * idx:.1f}"'
             f' font-size="11" font-family="monospace" fill="{color}">'
-            f"{waveform.label}</text>"
+            f"{label}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

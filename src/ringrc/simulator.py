@@ -17,15 +17,18 @@ C-normalized mode shapes. Every node voltage is V_inf - sum_k r_k
 exp(-lambda_k t), with residues r_k from the shapes and the projected drive.
 
 SimulationResult, the one result type, holds the rates, the residues (far
-end x mode) and the grid step, and samples the waveforms on first read. Its
-crossing samples the victim's row alone, a block of the grid at a time, up
-to the first block that reaches the threshold, bit for bit as the waveform.
+end x mode) and the grid step; on first read it samples the three far ends
+into one read-only (SAMPLES x 3) table, values, at times. It checks the
+span it derives: one whose slowest time constants overflow is NumericError.
+Its crossing samples the victim's row alone, a block of the grid at a time,
+up to the first block that reaches the threshold, bit for bit as the table.
 frequency_response, which no command calls, stays as the oracle's check of
 the paper's Laplace path (lumpmodel.transfer_eval).
 """
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,29 +134,12 @@ class NetworkStateSpace:
 
 
 @dataclass(frozen=True)
-class Waveform:
-    """Uniformly sampled node voltage trace."""
-
-    dt: float
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        _finite_positive(dt=self.dt)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("waveform contains non-finite samples")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.dt
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """The exact step response at the three far ends: line i is
     residues[i].sum() - residues[i] @ exp(-rates t), on a grid of SAMPLES
-    points spaced dt. The waveforms are sampled on first access; the
-    victim's row alone can be sampled block by block (sample, crossing)."""
+    points spaced dt. values, the read-only (SAMPLES x 3) table of lines
+    A, B (the victim) and C at times, is sampled on first read; the
+    victim's column alone can be sampled block by block (sample, crossing)."""
 
     rates: np.ndarray
     residues: np.ndarray
@@ -168,7 +154,8 @@ class SimulationResult:
 
         Raises:
             NumericError: if the residues, or twice their absolute sum (a
-                bound on every partial sum the sampler forms), overflow.
+                bound on every partial sum the sampler forms), overflow, or
+                the default span is not finite.
             ValueError: if t_end is given and is not finite and > 0.
             Whatever net.modes() raises.
         """
@@ -176,33 +163,41 @@ class SimulationResult:
         with np.errstate(over="ignore", invalid="ignore"):
             residues = shapes[list(net.observed)] * (shapes.T @ net._source_vector(drive) / rates)
             bound = 2.0 * np.abs(residues).sum(axis=1)
+            span = T_END_FACTOR / rates[0] if t_end is None else t_end
         if not np.isfinite(bound).all():
             peak = max(abs(drive.v_s1), abs(drive.v_s2), abs(drive.v_s3))
             raise NumericError(
                 f"the {net.node_count}-node network's response to a {peak!r} V step "
                 f"overflows double precision"
             )
-        if t_end is None:
-            t_end = T_END_FACTOR / rates[0]
-        else:
+        if t_end is not None:
             _finite_positive(t_end=t_end)
-        return cls(rates, residues, t_end / (SAMPLES - 1))
+        elif not span < np.inf:
+            raise NumericError(
+                f"the {net.node_count}-node network's default span of {T_END_FACTOR:g} "
+                f"slowest time constants overflows double precision: its slowest decay "
+                f"rate is {float(rates[0])!r} /s"
+            )
+        return cls(rates, residues, span / (SAMPLES - 1))
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(SAMPLES) * self.dt
 
     @cached_property
-    def _waveforms(self) -> tuple[Waveform, Waveform, Waveform]:
-        values = _sample(self.rates, self.residues, np.arange(SAMPLES) * self.dt)
-        return tuple(
-            Waveform(self.dt, np.ascontiguousarray(values[:, i]), label)
-            for i, label in enumerate(("line_a", "line_b", "line_c"))
-        )
+    def values(self) -> np.ndarray:
+        _finite_positive(dt=self.dt)  # 0 where a caller's span is under ~8191 * 5e-324 s
+        values = _sample(self.rates, self.residues, self.times)
+        values.flags.writeable = False
+        return values
 
-    line_a = property(lambda self: self._waveforms[0])
-    line_b = victim = property(lambda self: self._waveforms[1])
-    line_c = property(lambda self: self._waveforms[2])
+    # perfbench/tracing.py counts simulate_step's samples as
+    # len(result.victim.values); this goes with that read (ROADMAP item 5)
+    victim = property(lambda self: types.SimpleNamespace(values=self.values[:, 1]))
 
     def sample(self, first: int = 0, stop: int = SAMPLES) -> np.ndarray:
         """The victim's grid samples first .. stop - 1, equal bit for bit
-        to victim.values[first:stop]."""
+        to values[first:stop, 1]."""
         return _sample(self.rates, self.residues[1:2], np.arange(first, stop) * self.dt)[:, 0]
 
     def crossing(self, threshold: float) -> float:

@@ -160,11 +160,9 @@ class TestAcceptance:
                 result = simulate_step(
                     net, DrivePattern.for_mode(mode, line.v_dd)
                 )
-                analytic = step_response_victim(
-                    mode, line, result.victim.times
-                )
+                analytic = step_response_victim(mode, line, result.times)
                 dev = float(
-                    np.max(np.abs(result.victim.values - analytic))
+                    np.max(np.abs(result.values[:, 1] - analytic))
                 ) / line.v_dd
                 worst = max(worst, dev)
         ok = worst <= 1e-4
@@ -288,13 +286,13 @@ class TestAcceptance:
         ratios = [quiet_delay_ratio(line, 50) for line in sweep]
         # the reference geometry goes through the validation report path,
         # which must carry the measured ratio in its text output
-        outcome = run_validation(
+        entries = run_validation(
             {"1W1S": LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)},
             segments=50,
         )
-        ratios.append(outcome.geometries[0].distributed_ratio)
-        text = format_validation_text(outcome)
-        ratio_in_report = f"{outcome.geometries[0].distributed_ratio:.4f}" in text
+        ratios.append(entries[0].distributed_ratio)
+        text = format_validation_text(entries)
+        ratio_in_report = f"{entries[0].distributed_ratio:.4f}" in text
         ok = all(0.35 <= r <= 0.65 for r in ratios) and ratio_in_report
         _report(
             8,

@@ -13,10 +13,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 #: Names imported from their modules only, not from the package root.
 MODULE_ONLY = {
     "reporting": ("emit_report", "emit_binning", "format_validation_text", "waveform_csv",
-                  "waveform_svg", "BinningReport", "GeometryValidation", "ValidationOutcome"),
+                  "waveform_svg", "BinningReport", "GeometryValidation"),
     "files": ("emit_report_json", "write_text_atomic", "ConfigFile"),
-    "simulator": ("simulate_step", "crossing_time", "quiet_delay_ratio", "NetworkStateSpace",
-                  "Waveform"),
+    "simulator": ("simulate_step", "crossing_time", "quiet_delay_ratio", "NetworkStateSpace"),
     "extraction": ("ErrorReport", "SpecTable"),
     "lumpmodel": ("LumpCoefficients",),
 }

@@ -704,10 +704,10 @@ class TestSimulate:
                 "--mode", "out_of_phase", "--segments", "7"]
         assert main(argv) == 0
         bare = capsys.readouterr().out
-        assert "_waveforms" not in vars(results[0])
+        assert "values" not in vars(results[0])
         assert main([*argv, "--out", str(tmp_path / "w.csv")]) == 0
         assert capsys.readouterr().out == bare
-        assert "_waveforms" in vars(results[1])
+        assert "values" in vars(results[1])
         assert "8192 samples" in bare
 
     def test_short_span_never_crosses(self, workspace, capsys):
@@ -1350,40 +1350,57 @@ TARGET_UNDERFLOWS = ("must be > 0 and, scaled to SI units, a normal float "
 HUGE_N, HUGE_SEGMENTS = "1" + "0" * 307, "1" + "0" * 310
 PERIOD_SCALE_OVERFLOWS = ("2 * n * m must not exceed the largest float, "
                           "1.7976931348623157e+308: the period algebra divides by it")
-#: One finite config value the oracle or the comparison cannot use, the
-#: command that meets it, its exit code and the start of its error line.
+#: A line whose slowest time constant, 1e160 ohm times 1e150 F, times
+#: T_END_FACTOR passes the largest float: the oracle's default span overflows.
+HUGE_SPAN = {"line.1W1S.r_ohm": "1e160", "line.1W1S.c_ff": "1e165"}
+SPAN_OVERFLOWS = ("the 3-node network's default span of 30 slowest time constants "
+                  "overflows double precision: its slowest decay rate is ")
+#: Finite config values the oracle or the comparison cannot use, the
+#: command that meets them, its exit code and the start of its error line.
 EXTREME_VALUES = {
-    "c_ff-validate": ("line.1W1S.c_ff", "1e-20", ("validate",), 4,
+    "c_ff-validate": ({"line.1W1S.c_ff": "1e-20"}, ("validate",), 4,
                       f"the 3-node {UNSOLVABLE}{BELOW_ROUNDING}"),
-    "c_ff-simulate": ("line.1W1S.c_ff", "1e-20", (*SIMULATE_1W1S, "--segments", "2"), 4,
+    "c_ff-simulate": ({"line.1W1S.c_ff": "1e-20"}, (*SIMULATE_1W1S, "--segments", "2"), 4,
                       f"the 6-node {UNSOLVABLE}{BELOW_ROUNDING}"),
-    "cc_ff-validate": ("line.1W1S.cc_ff", "1e20", ("validate",), 4,
+    "cc_ff-validate": ({"line.1W1S.cc_ff": "1e20"}, ("validate",), 4,
                        f"the 3-node {UNSOLVABLE}{BELOW_ROUNDING}"),
-    "r_ohm-validate": ("line.1W1S.r_ohm", "1e-300", ("validate",), 4,
+    "r_ohm-validate": ({"line.1W1S.r_ohm": "1e-300"}, ("validate",), 4,
                        f"the 3-node {UNSOLVABLE}a decay rate is not finite"),
-    "r_ohm-simulate": ("line.1W1S.r_ohm", "1e-300", (*SIMULATE_1W1S, "--segments", "1"), 4,
+    "r_ohm-simulate": ({"line.1W1S.r_ohm": "1e-300"}, (*SIMULATE_1W1S, "--segments", "1"), 4,
                        f"the 3-node {UNSOLVABLE}a decay rate is not finite"),
-    "r_ohm-conductance": ("line.1W2S.r_ohm", "2.2250738585072014e-308",
+    "r_ohm-conductance": ({"line.1W2S.r_ohm": "2.2250738585072014e-308"},
                           ("simulate", "--geometry", "1W2S", "--mode", "quiet", "--segments", "3"),
                           4, f"the 9-node {UNSOLVABLE}a decay rate is not finite"),
-    "r_ohm-sections": ("line.1W1S.r_ohm", "5e-324", (*SIMULATE_1W1S, "--segments", "2"), 4,
+    "r_ohm-sections": ({"line.1W1S.r_ohm": "5e-324"}, (*SIMULATE_1W1S, "--segments", "2"), 4,
                        f"the 6-node {UNSOLVABLE}its section resistance 5e-324 / 2 rounds to 0 ohm"),
-    "c_total_ff-report": ("spec.1W1S.c_total_ff", "1e-310", ("report",), 3,
+    "c_total_ff-report": ({"spec.1W1S.c_total_ff": "1e-310"}, ("report",), 3,
                           f"spec.1W1S.c_total_ff {TARGET_UNDERFLOWS}"),
-    "r_sw_ohm-report": ("spec.1W1S.r_sw_ohm", "1e-310", ("report",), 3,
+    "r_sw_ohm-report": ({"spec.1W1S.r_sw_ohm": "1e-310"}, ("report",), 3,
                         f"spec.1W1S.r_sw_ohm {TARGET_UNDERFLOWS}"),
-    "v_dd-simulate": ("v_dd", "1e307", (*SIMULATE_1W1S, "--segments", "2"), 4,
+    "v_dd-simulate": ({"v_dd": "1e307"}, (*SIMULATE_1W1S, "--segments", "2"), 4,
                       f"the 6-node {RESPONSE_OVERFLOWS}"),
-    "v_dd-validate": ("v_dd", "1e307", ("validate",), 4, f"the 3-node {RESPONSE_OVERFLOWS}"),
-    "threshold-validate": ("threshold_fraction", "1e-300", ("validate",), 3,
+    "v_dd-validate": ({"v_dd": "1e307"}, ("validate",), 4, f"the 3-node {RESPONSE_OVERFLOWS}"),
+    "threshold-validate": ({"threshold_fraction": "1e-300"}, ("validate",), 3,
                            "threshold_fraction must be in [1e-09, 1), got 1e-300; below 1e-09 "
                            "of v_dd a simulated crossing would be set by rounding"),
-    "n-report": ("n", HUGE_N, ("report",), 3, PERIOD_SCALE_OVERFLOWS),
-    "n-extract": ("n", HUGE_N, ("extract",), 3, PERIOD_SCALE_OVERFLOWS),
-    "n-binning": ("n", HUGE_N, ("binning", "--geometry", "1W1S"), 3, PERIOD_SCALE_OVERFLOWS),
-    "segments-validate": ("segments", HUGE_SEGMENTS, ("validate",), 3,
+    "n-report": ({"n": HUGE_N}, ("report",), 3, PERIOD_SCALE_OVERFLOWS),
+    "n-extract": ({"n": HUGE_N}, ("extract",), 3, PERIOD_SCALE_OVERFLOWS),
+    "n-binning": ({"n": HUGE_N}, ("binning", "--geometry", "1W1S"), 3, PERIOD_SCALE_OVERFLOWS),
+    "segments-validate": ({"segments": HUGE_SEGMENTS}, ("validate",), 3,
                           "a 3.00e+310-node network is too large to allocate"),
+    "span-simulate": (HUGE_SPAN, (*SIMULATE_1W1S, "--segments", "1"), 4, SPAN_OVERFLOWS),
+    "span-validate": (HUGE_SPAN, ("validate", "--geometry", "1W1S"), 4, SPAN_OVERFLOWS),
 }
+
+
+def extreme_config(tmp_path, edits):
+    """The bundled config with each edited key's line replaced, at the end."""
+    text = bundled_text("config_28nm.cfg")
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() not in edits]
+    assert len(lines) == text.count("\n") - len(edits)
+    config = tmp_path / "extreme.cfg"
+    config.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    return config
 
 
 class TestExtremeConfigValues:
@@ -1391,12 +1408,8 @@ class TestExtremeConfigValues:
     def test_documented_exit_code(self, workspace, capsys, tmp_path, case):
         """Each value gives its exit code and one error line: no traceback,
         no warning and no output file."""
-        key, value, command, code, message = EXTREME_VALUES[case]
-        text = bundled_text("config_28nm.cfg")
-        lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
-        assert len(lines) == text.count("\n") - 1
-        config = tmp_path / "extreme.cfg"
-        config.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        edits, command, code, message = EXTREME_VALUES[case]
+        config = extreme_config(tmp_path, edits)
         out = tmp_path / "out.txt"
         argv = [*command, "--config", str(config), "--out", str(out)]
         if command[0] in ("report", "extract", "binning"):
@@ -1410,6 +1423,18 @@ class TestExtremeConfigValues:
         assert captured.out == ""
         assert caught == []
         assert not out.exists()
+
+    def test_span_overflow_without_a_waveform_file(self, capsys, tmp_path):
+        """simulate with no --out or --svg meets the overflowing default span
+        before it prints a summary or a crossing: exit 4, one error line."""
+        config = extreme_config(tmp_path, HUGE_SPAN)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*SIMULATE_1W1S, "--segments", "1", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and caught == []
+        assert captured.err.startswith(f"error: {SPAN_OVERFLOWS}")
+        assert captured.err.count("\n") == 1
 
 
 def call(argv, capsys):

@@ -3,6 +3,7 @@ formula input (errors._finite_positive)."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,28 +17,41 @@ from ringrc import (
     LineRC,
     MeasurementRecord,
     Measurements,
+    NumericError,
     RoConfig,
     SimulationResult,
     SynthesisTruth,
     build_network,
     counter_period,
+    coupling_capacitance,
     effective_capacitance,
+    gate_capacitance,
+    ground_capacitance,
+    interconnect_capacitance,
     osc_frequency,
+    stage_capacitance,
     stage_delay_from_current,
+    stage_delay_from_period,
+    switching_resistance,
     synthesize_measurements,
 )
-from ringrc.simulator import Waveform
+from ringrc.simulator import SAMPLES, T_END_FACTOR
 
 CONFIG = RoConfig(n=100, m=64, v_dd=0.9)
 LINE = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
 NET = build_network(LINE)
+QUIET = DrivePattern.for_mode(CrosstalkMode.QUIET, 0.9)
+RESULT = SimulationResult.of(NET, QUIET)
 TRUTH = dict(r_sw=504.0, c_gate=3.0e-15, c_int=9.6e-15, c_c=7.9e-15)
 RECORD = dict(geometry="1W1S", fanout=Fanout.FO1, mode=CrosstalkMode.QUIET,
               t_osc=8.2e-8, i_eff=5.0e-4)
 
 #: Every site that states the rule: a call taking the checked values by
 #: name (the others at accepted defaults), and the fields it checks, each
-#: with whether zero is allowed (>= 0) or not (> 0).
+#: with whether zero is allowed (>= 0) or not (> 0). A formula's field is
+#: left out where no default of the others lets both 5e-324 and 1e-3 pass
+#: its domain check (gate_capacitance's FO2 period must exceed the FO1 one);
+#: test_columns_name_their_first_failing_entry takes one of those.
 SITES = {
     "CapacitanceSet": (
         lambda **v: CapacitanceSet(**{**dict.fromkeys(("c_ta", "c_ba", "c_ft", "c_fb", "c_c"),
@@ -68,12 +82,32 @@ SITES = {
     "synthesize_measurements": (
         lambda **v: synthesize_measurements(SynthesisTruth(**TRUTH), CONFIG, **v),
         {"noise_sigma": True}),
-    "Waveform": (lambda **v: Waveform(**{"dt": 1e-12, **v}, values=np.zeros(4), label="v"),
-                 {"dt": False}),
-    "SimulationResult.of": (
-        lambda **v: SimulationResult.of(NET, DrivePattern.for_mode(CrosstalkMode.QUIET, 0.9),
-                                        **v),
-        {"t_end": False}),
+    "SimulationResult.of": (lambda **v: SimulationResult.of(NET, QUIET, **v), {"t_end": False}),
+    # the grid step of a caller's span: 0 where the span is under ~8191 * 5e-324 s
+    "SimulationResult.values": (
+        lambda **v: SimulationResult(RESULT.rates, RESULT.residues, **v).values, {"dt": False}),
+    "switching_resistance": (
+        lambda **v: switching_resistance(**{"i_eff": 5e-4, "v_dd": 0.9, **v}),
+        {"i_eff": False, "v_dd": False}),
+    "stage_capacitance": (
+        lambda **v: stage_capacitance(**{"t_osc": 8.2e-8, "i_eff": 5e-4, **v}, config=CONFIG),
+        {"t_osc": False, "i_eff": False}),
+    "gate_capacitance": (
+        lambda **v: gate_capacitance(**{"t_osc_fo1": 8.2e-8, "t_osc_fo2": 1.0, **v},
+                                     r_sw=504.0, config=CONFIG),
+        {"t_osc_fo1": False}),
+    "interconnect_capacitance": (
+        lambda **v: interconnect_capacitance(**{"t_osc_fo1": 1.0, "t_osc_fo2": 1e-9, **v},
+                                             r_sw=504.0, config=CONFIG),
+        {"t_osc_fo2": False}),
+    "ground_capacitance": (
+        lambda **v: ground_capacitance(**{"t_o": 0.5, "t_q": 0.5, "r": 504.0, **v}),
+        {"t_o": False, "t_q": False, "r": False}),
+    "coupling_capacitance": (
+        lambda **v: coupling_capacitance(**{"t_o": 0.5, "t_q": 0.5, "r": 504.0, **v}),
+        {"t_q": False, "r": False}),
+    "stage_delay_from_period": (
+        lambda **v: stage_delay_from_period(CONFIG, **{"t_osc": 8.2e-8, **v}), {"t_osc": False}),
 }
 CASES = [(site, field, zero_ok) for site, (_, fields) in SITES.items()
          for field, zero_ok in fields.items()]
@@ -109,3 +143,30 @@ def test_first_failing_value_is_named():
         _finite_positive(a=1.0, b=math.nan, c=-1.0)
     with pytest.raises(ValueError, match=r"^r must be finite and > 0, got inf$"):
         LineRC(r=math.inf, c=0.0, c_c=-1.0, v_dd=math.nan)
+
+
+def test_columns_name_their_first_failing_entry():
+    """Per-die columns take the rule entry by entry: the first entry that
+    breaks it is named, as a float, and columns that keep it pass."""
+    fo1 = np.full(3, 8.2e-8)
+    with pytest.raises(ValueError, match=r"^t_osc_fo2 must be finite and > 0, got inf$"):
+        gate_capacitance(fo1, np.array([1e-7, np.inf, 0.0]), 504.0, CONFIG)
+    with pytest.raises(ValueError, match=r"^t_osc must be finite and > 0, got nan$"):
+        stage_delay_from_period(CONFIG, np.array([[8.2e-8, np.nan], [-1.0, 8.2e-8]]))
+    assert np.all(gate_capacitance(fo1, np.full(3, 1e-7), 504.0, CONFIG) > 0.0)
+
+
+def test_derived_span_past_the_float_range_is_a_numeric_error():
+    """A finite line whose slowest time constant times T_END_FACTOR passes
+    the largest float has no default span: NumericError naming it, with no
+    warning. A caller's span is checked as given, and is the caller's."""
+    net = build_network(LineRC(r=1e160, c=1e150, c_c=8.0e-15, v_dd=0.9))
+    rate = float(net.modes()[0][0])
+    assert T_END_FACTOR / rate == math.inf
+    message = (f"the 3-node network's default span of 30 slowest time constants "
+               f"overflows double precision: its slowest decay rate is {rate!r} /s")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            SimulationResult.of(net, QUIET)
+        assert SimulationResult.of(net, QUIET, t_end=1e-9).dt == 1e-9 / (SAMPLES - 1)

@@ -143,7 +143,7 @@ class TestPeriodAlgebra:
                              ids=["zero", "negative", "array"])
     def test_non_positive_period_rejected(self, t_osc):
         """A scalar, and an array with one non-positive entry, are refused."""
-        with pytest.raises(ValueError, match="^t_osc must be > 0, got "):
+        with pytest.raises(ValueError, match="^t_osc must be finite and > 0, got "):
             stage_delay_from_period(CONFIG, t_osc)
 
 

@@ -229,10 +229,8 @@ def test_lump_victim_matches_exact_responses(r, c, cc_ratio, v_dd, mode):
     """The single-lump oracle equals the exact in-phase, quiet and
     out-of-phase victim responses to 1e-12 of the rail."""
     line = LineRC(r=r, c=c, c_c=cc_ratio * c, v_dd=v_dd)
-    victim = simulate_step(
-        build_network(line, 1), DrivePattern.for_mode(mode, v_dd)
-    ).victim
-    t = victim.times
+    result = simulate_step(build_network(line, 1), DrivePattern.for_mode(mode, v_dd))
+    t = result.times
     if mode is CrosstalkMode.OUT_OF_PHASE:
         want = v_dd * (
             1.0
@@ -241,7 +239,7 @@ def test_lump_victim_matches_exact_responses(r, c, cc_ratio, v_dd, mode):
         )
     else:
         want = step_response_victim(mode, line, t)
-    assert np.max(np.abs(victim.values - want)) <= 1e-12 * v_dd
+    assert np.max(np.abs(result.values[:, 1] - want)) <= 1e-12 * v_dd
 
 
 @settings(deadline=None, max_examples=100)
@@ -468,7 +466,7 @@ def test_validation_numbers_follow_the_display_rule(deviations, delays, ratio):
     delays = [delay / 1e12 for delay in delays]
     entry = reporting.GeometryValidation("1W1S", dict(zip(modes, deviations)),
                                          dict(zip(modes, delays)), 50, ratio)
-    text = reporting.format_validation_text(reporting.ValidationOutcome((entry,)))
+    text = reporting.format_validation_text((entry,))
     _assert_shown(re.findall(r"max deviation (\S+) of", text), deviations, rel=5e-3)
     _assert_shown(re.findall(r"(\S+) ps\b", text), [delay * 1e12 for delay in delays])
     _assert_shown(re.findall(r"delay: (\S+) \[", text), [ratio])

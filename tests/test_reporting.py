@@ -29,14 +29,13 @@ from ringrc.files import parse_config
 from ringrc.reporting import (
     FORMATS,
     GeometryValidation,
-    ValidationOutcome,
     emit_binning,
     emit_report,
     format_validation_text,
     waveform_csv,
     waveform_svg,
 )
-from ringrc.simulator import crossing_time, quiet_delay_ratio, simulate_step
+from ringrc.simulator import SAMPLES, crossing_time, quiet_delay_ratio, simulate_step
 
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
 #: The error for an unknown report format, which lists every format.
@@ -260,9 +259,8 @@ class TestValidation:
             CrosstalkMode.OUT_OF_PHASE,
         ):
             result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
-            victim = result.victim
-            analytic = step_response_victim(mode, line, victim.times)
-            max_dev[mode] = float(np.max(np.abs(victim.values - analytic))) / line.v_dd
+            analytic = step_response_victim(mode, line, result.times)
+            max_dev[mode] = float(np.max(np.abs(result.values[:, 1] - analytic))) / line.v_dd
             delays[mode] = crossing_time(result, 0.5 * line.v_dd)
         distributed = simulate_step(
             build_network(line, 20),
@@ -280,7 +278,7 @@ class TestValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("three-line sampling")
 
-        monkeypatch.setattr(simulator.SimulationResult, "_waveforms", property(refuse))
+        monkeypatch.setattr(simulator.SimulationResult, "values", property(refuse))
         monkeypatch.setattr(simulator, "simulate_step", refuse)
         assert validate_geometry("1W1S", W1S, segments=3).waveforms_ok
 
@@ -297,9 +295,9 @@ class TestValidation:
             "1W2S": LineRC(r=417.0, c=6.2e-15, c_c=8.2e-15, v_dd=0.9),
             "1W1S": W1S,
         }
-        outcome = run_validation(lines, segments=20)
-        assert [g.geometry for g in outcome.geometries] == ["1W1S", "1W2S"]
-        assert outcome.passed
+        entries = run_validation(lines, segments=20)
+        assert [g.geometry for g in entries] == ["1W1S", "1W2S"]
+        assert all(g.passed for g in entries)
 
     def test_run_validation_empty(self):
         with pytest.raises(ValidationError, match="nothing to validate"):
@@ -307,7 +305,7 @@ class TestValidation:
 
     def test_text_report(self):
         entry = validate_geometry("1W1S", W1S, segments=20)
-        text = format_validation_text(ValidationOutcome(geometries=(entry,)))
+        text = format_validation_text((entry,))
         assert "geometry 1W1S" in text
         for label in ("in-phase:    ", "quiet:       ", "out-of-phase:"):
             assert f"  oracle vs closed form, {label} max deviation" in text
@@ -326,7 +324,7 @@ class TestWaveformOutputs:
         csv = waveform_csv(self.result)
         lines = csv.strip().splitlines()
         assert lines[0] == "time_s,line_a_v,line_b_v,line_c_v"
-        assert len(lines) == 1 + len(self.result.victim.values)
+        assert len(lines) == 1 + SAMPLES
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[0] == 0.0
 
@@ -368,11 +366,11 @@ class TestWaveformOutputs:
 def reference_csv(result):
     out = io.StringIO()
     out.write("time_s,line_a_v,line_b_v,line_c_v\n")
-    times = result.line_a.times
+    times, values = result.times, result.values
     for i in range(len(times)):
         out.write(
-            f"{times[i]:.9e},{result.line_a.values[i]:.9e},"
-            f"{result.line_b.values[i]:.9e},{result.line_c.values[i]:.9e}\n"
+            f"{times[i]:.9e},{values[i, 0]:.9e},"
+            f"{values[i, 1]:.9e},{values[i, 2]:.9e}\n"
         )
     return out.getvalue()
 
@@ -383,13 +381,10 @@ def reference_svg(result, title=""):
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    times = result.line_a.times
+    times = result.times
     t_max = float(times[-1]) if len(times) > 1 else 1.0
-    all_values = np.concatenate(
-        [result.line_a.values, result.line_b.values, result.line_c.values]
-    )
-    v_min = min(0.0, float(np.min(all_values)))
-    v_max = float(np.max(all_values))
+    v_min = min(0.0, float(np.min(result.values)))
+    v_max = float(np.max(result.values))
     if v_max <= v_min:  # a flat trace: span the largest final far-end voltage
         v_max = v_min + float(np.abs(result.residues.sum(axis=1)).max())
     span = v_max - v_min
@@ -423,14 +418,11 @@ def reference_svg(result, title=""):
         f' font-family="monospace">{label(v_min, 2)} V</text>',
     ]
     colors = {"line_a": "#6a6a6a", "line_b": "#c03030", "line_c": "#3060b0"}
-    for idx, waveform in enumerate(
-        (result.line_a, result.line_b, result.line_c)
-    ):
+    for idx, (name, color) in enumerate(colors.items()):
         points = " ".join(
             f"{x(t):.2f},{y(v):.2f}"
-            for t, v in zip(waveform.times, waveform.values)
+            for t, v in zip(times, result.values[:, idx])
         )
-        color = colors[waveform.label]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
             f' points="{points}"/>'
@@ -438,7 +430,7 @@ def reference_svg(result, title=""):
         parts.append(
             f'<text x="{left + plot_w - 120:.1f}" y="{top + 14 + 14 * idx:.1f}"'
             f' font-size="11" font-family="monospace" fill="{color}">'
-            f"{waveform.label}</text>"
+            f"{name}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -30,7 +30,6 @@ from ringrc.simulator import (
     SAMPLES,
     NetworkStateSpace,
     SimulationResult,
-    Waveform,
     crossing_time,
     quiet_delay_ratio,
     simulate_step,
@@ -212,22 +211,18 @@ class TestSimulateStep:
         line = LineRC(r=1e3, c=5e-15, c_c=0.0, v_dd=1.0)
         net = build_network(line, 1)
         result = simulate_step(net, DrivePattern(1.0, 1.0, 1.0))
-        t = result.victim.times
-        want = 1.0 - np.exp(-t / line.tau_ground)
-        assert np.max(np.abs(result.victim.values - want)) < 1e-6
+        want = 1.0 - np.exp(-result.times / line.tau_ground)
+        assert np.max(np.abs(result.values[:, 1] - want)) < 1e-6
 
     def test_zero_drive_stays_zero(self):
         net = build_network(W1S, 1)
         result = simulate_step(net, DrivePattern(0.0, 0.0, 0.0))
-        for wf in (result.line_a, result.line_b, result.line_c):
-            assert np.all(wf.values == 0.0)
+        assert np.all(result.values == 0.0)
 
     def test_settles_to_drive_amplitudes(self):
         net = build_network(W1S, 1)
         result = simulate_step(net, DrivePattern(-0.9, 0.9, 0.3))
-        assert result.line_a.values[-1] == pytest.approx(-0.9, abs=1e-9)
-        assert result.line_b.values[-1] == pytest.approx(0.9, abs=1e-9)
-        assert result.line_c.values[-1] == pytest.approx(0.3, abs=1e-9)
+        assert result.values[-1] == pytest.approx([-0.9, 0.9, 0.3], abs=1e-9)
 
     @pytest.mark.parametrize(
         "mode",
@@ -236,8 +231,8 @@ class TestSimulateStep:
     def test_lump_matches_closed_form(self, mode):
         net = build_network(W1S, 1)
         result = simulate_step(net, DrivePattern.for_mode(mode, W1S.v_dd))
-        want = step_response_victim(mode, W1S, result.victim.times)
-        dev = np.max(np.abs(result.victim.values - want))
+        want = step_response_victim(mode, W1S, result.times)
+        dev = np.max(np.abs(result.values[:, 1] - want))
         assert dev < 1e-4 * W1S.v_dd
 
     def test_delay_ordering(self):
@@ -256,10 +251,8 @@ class TestSimulateStep:
         line = random_line(np.random.default_rng(5000 + trial))
         net = build_network(line, 1)
         for mode in CrosstalkMode:
-            victim = simulate_step(
-                net, DrivePattern.for_mode(mode, line.v_dd)
-            ).victim
-            t = victim.times
+            result = simulate_step(net, DrivePattern.for_mode(mode, line.v_dd))
+            t = result.times
             if mode is CrosstalkMode.OUT_OF_PHASE:
                 want = line.v_dd * (
                     1.0
@@ -268,7 +261,7 @@ class TestSimulateStep:
                 )
             else:
                 want = step_response_victim(mode, line, t)
-            dev = np.max(np.abs(victim.values - want))
+            dev = np.max(np.abs(result.values[:, 1] - want))
             assert dev <= 1e-12 * line.v_dd, mode
 
     @pytest.mark.parametrize("t_end", [None, 1e-9])
@@ -281,14 +274,11 @@ class TestSimulateStep:
             result = simulate_step(
                 net, DrivePattern.for_mode(mode, W1S.v_dd), t_end=t_end
             )
-            times = result.victim.times
+            times = result.times
             want = np.tile(result.residues.sum(axis=1), (SAMPLES, 1))
             for rate, residue in zip(result.rates, result.residues.T):
                 want -= np.outer(np.exp(-rate * times), residue)
-            got = np.column_stack(
-                [result.line_a.values, result.line_b.values, result.line_c.values]
-            )
-            assert np.array_equal(got, want), mode
+            assert np.array_equal(result.values, want), mode
         # within these spans the fastest mode underflows on segmented
         # networks only, so both the skipping and the full path are covered
         assert (np.exp(-result.rates[-1] * times[-1]) == 0.0) == (segments > 1)
@@ -305,10 +295,10 @@ class TestSimulateStep:
         drive = DrivePattern(0.9, 0.9, 0.9)
         _, slow = net.time_constants()
         for t_end, span in ((None, 30.0 * slow), (2e-12, 2e-12)):
-            victim = simulate_step(net, drive, t_end=t_end).victim
-            assert len(victim.values) == SAMPLES
-            assert victim.times[0] == 0.0
-            assert victim.times[-1] == pytest.approx(span, rel=1e-12, abs=0.0)
+            result = simulate_step(net, drive, t_end=t_end)
+            assert result.values.shape == (SAMPLES, 3) and len(result.times) == SAMPLES
+            assert result.times[0] == 0.0
+            assert result.times[-1] == pytest.approx(span, rel=1e-12, abs=0.0)
 
     def test_non_passive_network_rejected(self):
         """A hand-built network with a negative resistor has no settled
@@ -354,21 +344,33 @@ class TestSimulateStep:
 
     def test_result_samples_waveforms_on_first_read(self):
         """The constructor stores rates, residues and dt only; the three
-        waveforms are sampled once, when one of them is first read."""
+        far ends are sampled once, into one table, when it is first read."""
         net = build_network(W1S, 3)
         drive = DrivePattern.for_mode(CrosstalkMode.OUT_OF_PHASE, W1S.v_dd)
         result = SimulationResult.of(net, drive, modes=net.modes())
         assert vars(result).keys() == {"rates", "residues", "dt"}
         assert result.crossing(0.5 * W1S.v_dd) == victim_delay(W1S, CrosstalkMode.OUT_OF_PHASE, 3)
         assert vars(result).keys() == {"rates", "residues", "dt"}
-        line_a = result.line_a
-        assert result.victim is result.line_b and result.line_a is line_a
+        values = result.values
+        assert result.values is values
         want = simulate_step(net, drive)
         assert result.dt == want.dt
         assert np.array_equal(result.residues, want.residues)
-        for got, wf in zip((line_a, result.line_b, result.line_c),
-                           (want.line_a, want.line_b, want.line_c)):
-            assert np.array_equal(got.values, wf.values)
+        assert np.array_equal(values, want.values)
+
+    def test_values_are_read_only_and_the_victim_column_is_sample(self):
+        """values[:, 1] is the victim, equal bit for bit to sample(); no
+        caller can write the table, nor through the victim column that
+        perfbench's trace counts."""
+        net = build_network(W1S, 7)
+        result = simulate_step(net, DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd))
+        assert result.values.shape == (SAMPLES, 3)
+        assert result.values[:, 1].tobytes() == result.sample().tobytes()
+        assert len(result.victim.values) == SAMPLES
+        assert np.array_equal(result.victim.values, result.values[:, 1])
+        for table in (result.values, result.victim.values):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
     def test_asymmetric_network_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -393,8 +395,11 @@ class TestSimulateStep:
 
     @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
     def test_waveform_rejects_non_finite_samples(self, sample):
-        with pytest.raises(ValueError, match="^waveform contains non-finite samples$"):
-            Waveform(1e-12, np.array([0.0, sample, 0.9]), "line_b")
+        """No result holds a non-finite sample: a drive whose samples
+        would not be finite is refused where its residues are formed."""
+        net = build_network(W1S, 1)
+        with pytest.raises(NumericError, match="overflows double precision$"):
+            SimulationResult.of(net, DrivePattern(0.0, sample, 0.0))
 
     @pytest.mark.parametrize("matrix", ["capacitance"])
     @pytest.mark.parametrize("segments", [1, 7, 50])
@@ -480,7 +485,7 @@ def reference_crossing(result, threshold):
     """The crossing read off the full victim waveform: the first sample at or
     above the threshold, bisected against the sample before it; None if no
     sample reaches it."""
-    above = np.flatnonzero(result.victim.values >= threshold)
+    above = np.flatnonzero(result.values[:, 1] >= threshold)
     if not len(above):
         return None
     i = int(above[0])
@@ -571,10 +576,10 @@ class TestVictimDelay:
         net = build_network(W1S, segments)
         drive = DrivePattern.for_mode(CrosstalkMode.QUIET, W1S.v_dd)
         result = simulate_step(net, drive)
-        assert np.array_equal(result.sample(), result.victim.values)
-        assert np.array_equal(result.sample(250, 260), result.victim.values[250:260])
+        assert np.array_equal(result.sample(), result.values[:, 1])
+        assert np.array_equal(result.sample(250, 260), result.values[250:260, 1])
         for index in (1, 255, 256, 257, 512, 4000, SAMPLES - 1):
-            threshold = result.victim.values[index]
+            threshold = result.values[index, 1]
             assert result.crossing(threshold) == reference_crossing(result, threshold)
             assert crossing_time(result, threshold) == result.crossing(threshold)
 
