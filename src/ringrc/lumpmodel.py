@@ -22,12 +22,14 @@ victim's rising step response is exactly
 
     V * (1 - w exp(-t/(R*C)) - (1 - w) exp(-t/(R*(C + 3*C_c))))
 
-with w = 1 (in-phase), 1/3 (quiet) and -1/3 (out-of-phase). The paper's
-linearized out-of-phase waveform (published_out_of_phase_response) starts
-at V at t = 0 instead; first_order_delay is the linearized delay that the
-extraction inverts. No command calls the paper's Laplace path
-(lump_coefficients, transfer_eval, published_out_of_phase_response): it
-stays as the paper's equations, pinned by tests.
+with w = 1 (in-phase), 1/3 (quiet) and -1/3 (out-of-phase), a
+ModalResponse, whose at and crossing evaluate every sum of exponentials,
+the oracle's too. The paper's linearized out-of-phase waveform
+(published_out_of_phase_response) starts at V at t = 0 instead;
+first_order_delay is the linearized delay that the extraction inverts. No
+command calls the paper's Laplace path (lump_coefficients, transfer_eval,
+published_out_of_phase_response): it stays as the paper's equations,
+pinned by tests.
 """
 
 from __future__ import annotations
@@ -95,11 +97,16 @@ class LumpCoefficients:
 
 @dataclass(frozen=True)
 class DrivePattern:
-    """Step amplitudes applied to lines A, B, C (volts)."""
+    """Step amplitudes applied to lines A, B, C (volts), each finite."""
 
     v_s1: float
     v_s2: float
     v_s3: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
     def for_mode(cls, mode: CrosstalkMode, v_dd: float) -> "DrivePattern":
@@ -188,18 +195,89 @@ def transfer_eval(
     return v_a, v_b, v_c
 
 
-def _fast_weight(mode: CrosstalkMode) -> float:
-    """w, the victim's weight on the R*C mode; 1 - w is on R*(C + 3*C_c)."""
-    return (1.0 + 2.0 * AGGRESSOR_STEP[mode]) / 3.0
+@dataclass(frozen=True)
+class ModalResponse:
+    """Rows of V(t) = final - residues @ exp(-rates * t), t >= 0: residues
+    are rows x modes (volts), final defaults to residues.sum(axis=-1). The
+    modes are summed in the order given, which sets the last bit: the
+    oracle's rates ascend, the lump's are 1/(R*C), then 1/(R*(C + 3*C_c))."""
+
+    rates: np.ndarray
+    residues: np.ndarray
+    final: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.final is None:
+            object.__setattr__(self, "final", self.residues.sum(axis=-1))
+
+    def at(self, times: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The (len(times) x rows) table at the ascending times. Each mode is
+        summed only where it is live: once rate * t >= 746, exp(-rate * t)
+        has underflowed to exactly 0.0 (past about 745.13), so the skip is exact."""
+        residues = self.residues[rows]
+        values = np.tile(self.final[rows], (len(times), 1))
+        lives = np.searchsorted(times, 746.0 / self.rates)
+        for rate, residue, live in zip(self.rates, residues.T, lives):
+            values[:live] -= np.exp(-rate * times[:live])[:, None] * residue
+        return values
+
+    def crossing(self, threshold: float, lo: float, hi: float, row: int = 0) -> float:
+        """The row's first time V >= threshold, to adjacent floats, where
+        V(lo) < threshold <= V(hi) and V crosses the threshold once on [lo, hi].
+        A safeguarded Newton search (Numerical Recipes' rtsafe) from the
+        secant guess: each point narrows the bracket; a Newton step that
+        leaves it, or is not under half the step before last, bisects
+        instead; each Newton point aims four ulps past the root, so both
+        ends close in on it."""
+        rates, residues = self.rates, self.residues[row]
+        # in units of a power of two that keeps rates * residues finite: exact
+        scale = math.ldexp(1.0, -max(0, math.frexp(float(np.abs(residues).max()))[1]))
+        # Python floats: a Newton step past the largest float is inf, not a warning
+        residues, threshold = residues * scale, float(threshold) * scale
+        v_inf, slopes = float(self.final[row]) * scale, rates * residues
+
+        def excess(t: float) -> tuple[float, float]:  # V(t) - threshold, V'(t)
+            decay = np.exp(-rates * t)
+            return float(v_inf - residues @ decay) - threshold, float(slopes @ decay)
+
+        below, above = excess(lo)[0], excess(hi)[0]
+        t = lo + (hi - lo) * (below / (below - above)) if below < 0.0 <= above else lo
+        steps = (hi - lo, hi - lo)  # the last two steps, older first
+        while lo < 0.5 * (lo + hi) < hi:
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+            f, slope = excess(t)
+            lo, hi = (lo, t) if f >= 0.0 else (t, hi)
+            newton = t - f / slope if slope > 0.0 else math.nan
+            past = newton + math.copysign(4.0 * math.ulp(newton), newton - t)
+            newton = past if lo < past < hi else newton
+            if not (lo < newton < hi and abs(newton - t) <= 0.5 * steps[0]):
+                newton = 0.5 * (lo + hi)
+            steps, t = (steps[1], abs(newton - t)), newton
+        return hi
 
 
-def _two_mode_response(line: LineRC, t, w_fast: float, w_slow: float):
+def _lump_response(line: LineRC, w_fast: float, w_slow: float, final=None) -> ModalResponse:
+    """Weight w_fast of v_dd on the R*C mode, w_slow on R*(C + 3*C_c)."""
+    rates = np.array([1.0 / line.tau_ground, 1.0 / line.tau_coupled])
+    return ModalResponse(rates, line.v_dd * np.array([[w_fast, w_slow]]), final)
+
+
+def _victim_response(mode: CrosstalkMode, line: LineRC) -> ModalResponse:
+    w = (1.0 + 2.0 * AGGRESSOR_STEP[mode]) / 3.0
+    return _lump_response(line, w, 1.0 - w)
+
+
+def _at(response: ModalResponse, t):
+    """The one-row response at t >= 0, a scalar (a float back) or an array."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("t must be >= 0")
-    fast, slow = np.exp(-t / line.tau_ground), np.exp(-t / line.tau_coupled)
-    out = line.v_dd * (1.0 - w_fast * fast - w_slow * slow)
-    return out if out.shape else float(out)
+    flat = t.ravel()  # at needs ascending times: sorted here only if they are not
+    order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else slice(None)
+    out = np.empty(flat.shape)
+    out[order] = response.at(flat[order])[:, 0]
+    return out.reshape(t.shape) if t.shape else float(out[0])
 
 
 def step_response_victim(mode: CrosstalkMode, line: LineRC, t):
@@ -208,8 +286,7 @@ def step_response_victim(mode: CrosstalkMode, line: LineRC, t):
     Accepts a scalar or an ndarray of times (seconds, >= 0) and returns
     volts with the same shape. See the module docstring for the form.
     """
-    w = _fast_weight(mode)
-    return _two_mode_response(line, t, w, 1.0 - w)
+    return _at(_victim_response(mode, line), t)
 
 
 def published_out_of_phase_response(line: LineRC, t):
@@ -217,47 +294,10 @@ def published_out_of_phase_response(line: LineRC, t):
     v_dd * (1 + (2/3) exp(-t/(R*C)) - (2/3) exp(-t/(R*(C + 3*C_c)))).
 
     It equals v_dd at t = 0, an artifact of the linearization; the exact
-    response is step_response_victim(CrosstalkMode.OUT_OF_PHASE, ...).
+    response is step_response_victim(CrosstalkMode.OUT_OF_PHASE, ...). Its
+    residues sum to 0, so it holds its final value, v_dd, explicitly.
     """
-    return _two_mode_response(line, t, -2.0 / 3.0, 2.0 / 3.0)
-
-
-def bisect_crossing(
-    rates: np.ndarray, residues: np.ndarray, threshold: float, lo: float, hi: float
-) -> float:
-    """Locate V(t) = residues.sum() - residues @ exp(-rates * t) on [lo, hi],
-    where V(lo) < threshold <= V(hi) and V crosses the threshold once, down
-    to adjacent floats; returns the upper end, the first time V >= threshold.
-    A safeguarded Newton search (Numerical Recipes' rtsafe) from the secant
-    guess: each point narrows the bracket; a Newton step that leaves it, or
-    is not under half the step before last, bisects instead; each Newton
-    point aims four ulps past the root, so both ends close in on it.
-    """
-    # in units of a power of two that keeps rates * residues finite: exact
-    scale = math.ldexp(1.0, -max(0, math.frexp(float(np.abs(residues).max()))[1]))
-    # Python floats: a Newton step past the largest float is inf, not a warning
-    residues, threshold = residues * scale, float(threshold) * scale
-    v_inf, slopes = residues.sum(), rates * residues
-
-    def excess(t: float) -> tuple[float, float]:  # V(t) - threshold, V'(t)
-        decay = np.exp(-rates * t)
-        return float(v_inf - residues @ decay) - threshold, float(slopes @ decay)
-
-    below, above = excess(lo)[0], excess(hi)[0]
-    t = lo + (hi - lo) * (below / (below - above)) if below < 0.0 <= above else lo
-    steps = (hi - lo, hi - lo)  # the last two steps, older first
-    while lo < 0.5 * (lo + hi) < hi:
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        f, slope = excess(t)
-        lo, hi = (lo, t) if f >= 0.0 else (t, hi)
-        newton = t - f / slope if slope > 0.0 else math.nan
-        past = newton + math.copysign(4.0 * math.ulp(newton), newton - t)
-        newton = past if lo < past < hi else newton
-        if not (lo < newton < hi and abs(newton - t) <= 0.5 * steps[0]):
-            newton = 0.5 * (lo + hi)
-        steps, t = (steps[1], abs(newton - t)), newton
-    return hi
+    return _at(_lump_response(line, -2.0 / 3.0, 2.0 / 3.0, np.array([line.v_dd])), t)
 
 
 def threshold_delay(
@@ -272,11 +312,8 @@ def threshold_delay(
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")
-    w = _fast_weight(mode)
-    rates = np.array([1.0 / line.tau_ground, 1.0 / line.tau_coupled])
-    residues = line.v_dd * np.array([w, 1.0 - w])
     hi = line.tau_coupled * math.log(5.0 / (3.0 * (1.0 - threshold_fraction)))
-    return bisect_crossing(rates, residues, threshold_fraction * line.v_dd, 0.0, hi)
+    return _victim_response(mode, line).crossing(threshold_fraction * line.v_dd, 0.0, hi)
 
 
 def first_order_delay(mode: CrosstalkMode, line: LineRC) -> float:

@@ -493,7 +493,7 @@ def waveform_svg(result: SimulationResult, title: str = "") -> str:
     v_min = min(0.0, float(np.min(values)))
     v_max = float(np.max(values))
     if v_max <= v_min:  # a flat trace: the axis spans the drive, the largest final voltage
-        v_max = v_min + float(np.abs(result.residues.sum(axis=1)).max())
+        v_max = v_min + float(np.abs(result.response.final).max())
     span = v_max - v_min
 
     def y(v):

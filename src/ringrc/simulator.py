@@ -16,12 +16,13 @@ modes exact to the last bit, and A^-1 D^-1/2 W sqrt(lambda) are the
 C-normalized mode shapes. Every node voltage is V_inf - sum_k r_k
 exp(-lambda_k t), with residues r_k from the shapes and the projected drive.
 
-SimulationResult, the one result type, holds the rates, the residues (far
-end x mode) and the grid step; on first read it samples the three far ends
-into one read-only (SAMPLES x 3) table, values, at times. It checks the
-span it derives: one whose slowest time constants overflow is NumericError.
-Its crossing samples the victim's row alone, a block of the grid at a time,
-up to the first block that reaches the threshold, bit for bit as the table.
+SimulationResult, the one result type, holds the rates and residues (far
+end x mode) as a ModalResponse, and the grid step; on first read it samples
+the three far ends into one read-only (SAMPLES x 3) table, values, at times.
+It checks the span it derives: one whose slowest time constants overflow is
+NumericError. Its crossing samples the victim's row alone, a block of the
+grid at a time, up to the first block that reaches the threshold, bit for
+bit as the table.
 frequency_response, which no command calls, stays as the oracle's check of
 the paper's Laplace path (lumpmodel.transfer_eval).
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from .capacitance import CrosstalkMode
 from .errors import NoCrossingError, NumericError, ValidationError, _finite_positive
-from .lumpmodel import DrivePattern, LineRC, bisect_crossing
+from .lumpmodel import DrivePattern, LineRC, ModalResponse
 
 #: Default simulation span, in units of the slowest time constant.
 T_END_FACTOR = 30.0
@@ -135,14 +136,12 @@ class NetworkStateSpace:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """The exact step response at the three far ends: line i is
-    residues[i].sum() - residues[i] @ exp(-rates t), on a grid of SAMPLES
-    points spaced dt. values, the read-only (SAMPLES x 3) table of lines
-    A, B (the victim) and C at times, is sampled on first read; the
-    victim's column alone can be sampled block by block (sample, crossing)."""
+    """The exact step response at the three far ends, rows A, B (the
+    victim) and C of response, on a grid of SAMPLES points spaced dt: values,
+    their read-only (SAMPLES x 3) table at times, is sampled on first read,
+    the victim's column alone block by block (sample, crossing)."""
 
-    rates: np.ndarray
-    residues: np.ndarray
+    response: ModalResponse
     dt: float
 
     @classmethod
@@ -178,7 +177,7 @@ class SimulationResult:
                 f"slowest time constants overflows double precision: its slowest decay "
                 f"rate is {float(rates[0])!r} /s"
             )
-        return cls(rates, residues, span / (SAMPLES - 1))
+        return cls(ModalResponse(rates, residues), span / (SAMPLES - 1))
 
     @property
     def times(self) -> np.ndarray:
@@ -187,7 +186,7 @@ class SimulationResult:
     @cached_property
     def values(self) -> np.ndarray:
         _finite_positive(dt=self.dt)  # 0 where a caller's span is under ~8191 * 5e-324 s
-        values = _sample(self.rates, self.residues, self.times)
+        values = self.response.at(self.times)
         values.flags.writeable = False
         return values
 
@@ -197,13 +196,14 @@ class SimulationResult:
 
     def sample(self, first: int = 0, stop: int = SAMPLES) -> np.ndarray:
         """The victim's grid samples first .. stop - 1, equal bit for bit
-        to values[first:stop, 1]."""
-        return _sample(self.rates, self.residues[1:2], np.arange(first, stop) * self.dt)[:, 0]
+        to values[first:stop, 1]; the grid step is checked as values checks it."""
+        _finite_positive(dt=self.dt)
+        return self.response.at(np.arange(first, stop) * self.dt, slice(1, 2))[:, 0]
 
     def crossing(self, threshold: float) -> float:
         """First time the victim reaches the threshold: the first sample at
         or above it, found a block of the grid at a time, brackets the
-        crossing, and bisect_crossing locates it to float precision.
+        crossing, and response.crossing locates it to float precision.
 
         Raises:
             NoCrossingError: if no sample reaches the threshold.
@@ -215,8 +215,7 @@ class SimulationResult:
                 i = first + int(above[0])
                 if i == 0:
                     return 0.0
-                return bisect_crossing(self.rates, self.residues[1], threshold,
-                                       (i - 1) * self.dt, i * self.dt)
+                return self.response.crossing(threshold, (i - 1) * self.dt, i * self.dt, row=1)
         raise NoCrossingError(f"victim never reaches {threshold!r} V")
 
 
@@ -256,19 +255,6 @@ def build_network(line: LineRC, segments: int = 1) -> NetworkStateSpace:
             cap[i, j] -= cc_seg
             cap[j, i] -= cc_seg
     return NetworkStateSpace(capacitance=cap, branches=np.full(n_nodes, 1.0 / r_seg))
-
-
-def _sample(rates: np.ndarray, residues: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Column i holds residues[i].sum() - residues[i] @ exp(-rates t) at
-    the ascending times. Modes are summed one at a time, each only over the
-    samples where it is still live: once rate * t >= 746, exp(-rate * t)
-    has underflowed to exactly 0.0 in IEEE double (it does past about
-    745.13), so the skipped terms are exact zeros."""
-    values = np.tile(residues.sum(axis=1), (len(times), 1))
-    lives = np.searchsorted(times, 746.0 / rates)
-    for rate, residue, live in zip(rates, residues.T, lives):
-        values[:live] -= np.exp(-rate * times[:live])[:, None] * residue
-    return values
 
 
 def simulate_step(

@@ -1,8 +1,10 @@
 """Tests for the one finite-and-positive rule behind every value type and
-formula input (errors._finite_positive)."""
+formula input (errors._finite_positive), and for the drive amplitudes,
+which may take either sign but must be finite."""
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -48,7 +50,8 @@ RECORD = dict(geometry="1W1S", fanout=Fanout.FO1, mode=CrosstalkMode.QUIET,
 
 #: Every site that states the rule: a call taking the checked values by
 #: name (the others at accepted defaults), and the fields it checks, each
-#: with whether zero is allowed (>= 0) or not (> 0). A formula's field is
+#: with whether zero is allowed (>= 0) or not (> 0), or None where any
+#: finite value is (DrivePattern's amplitudes). A formula's field is
 #: left out where no default of the others lets both 5e-324 and 1e-3 pass
 #: its domain check (gate_capacitance's FO2 period must exceed the FO1 one);
 #: test_columns_name_their_first_failing_entry takes one of those.
@@ -82,10 +85,12 @@ SITES = {
     "synthesize_measurements": (
         lambda **v: synthesize_measurements(SynthesisTruth(**TRUTH), CONFIG, **v),
         {"noise_sigma": True}),
+    "DrivePattern": (lambda **v: DrivePattern(**{"v_s1": 0.9, "v_s2": 0.9, "v_s3": 0.9, **v}),
+                     dict.fromkeys(("v_s1", "v_s2", "v_s3"))),
     "SimulationResult.of": (lambda **v: SimulationResult.of(NET, QUIET, **v), {"t_end": False}),
     # the grid step of a caller's span: 0 where the span is under ~8191 * 5e-324 s
     "SimulationResult.values": (
-        lambda **v: SimulationResult(RESULT.rates, RESULT.residues, **v).values, {"dt": False}),
+        lambda **v: SimulationResult(RESULT.response, **v).values, {"dt": False}),
     "switching_resistance": (
         lambda **v: switching_resistance(**{"i_eff": 5e-4, "v_dd": 0.9, **v}),
         {"i_eff": False, "v_dd": False}),
@@ -112,6 +117,13 @@ SITES = {
 CASES = [(site, field, zero_ok) for site, (_, fields) in SITES.items()
          for field, zero_ok in fields.items()]
 TINY = 5e-324  # the smallest positive float
+#: By zero_ok: the rule as the message states it, the values nearest the
+#: bound that it refuses, and the nearest it accepts together with 1e-3.
+RULES = {
+    False: (" and > 0", (0.0, -1.0), (TINY, 1e-3)),
+    True: (" and >= 0", (-TINY, -1.0), (0.0, 1e-3)),
+    None: ("", (), (-sys.float_info.max, 0.0, 1e-3)),
+}
 
 
 @pytest.mark.parametrize("site, field, zero_ok", CASES,
@@ -121,16 +133,17 @@ class TestEverySite:
         """Infinity, NaN and the nearest value below the bound (0 for > 0,
         -5e-324 for >= 0), and -1, each raise the one message naming the field."""
         call, _ = SITES[site]
-        below = (-TINY, -1.0) if zero_ok else (0.0, -1.0)
-        for value in (math.inf, -math.inf, math.nan, *below):
-            message = f"{field} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}"
+        rule, refused, _ = RULES[zero_ok]
+        for value in (math.inf, -math.inf, math.nan, *refused):
+            message = f"{field} must be finite{rule}, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(**{field: value})
 
     def test_nearest_accepted_values_pass(self, site, field, zero_ok):
-        """The bound itself (0 for >= 0, 5e-324 for > 0) and 1e-3 pass."""
+        """The bound itself (0 for >= 0, 5e-324 for > 0, the most negative
+        float for any finite value) and 1e-3 pass."""
         call, _ = SITES[site]
-        for value in (0.0 if zero_ok else TINY, 1e-3):
+        for value in RULES[zero_ok][2]:
             call(**{field: value})
 
 
@@ -170,3 +183,16 @@ def test_derived_span_past_the_float_range_is_a_numeric_error():
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             SimulationResult.of(net, QUIET)
         assert SimulationResult.of(net, QUIET, t_end=1e-9).dt == 1e-9 / (SAMPLES - 1)
+
+
+def test_grid_step_that_rounds_to_zero_is_refused_wherever_the_grid_is_read():
+    """of accepts a span whose grid step rounds to 0 s (the caller's span
+    is the caller's); the table, a block of the victim's samples and a
+    crossing each refuse that step, rather than report a crossing at 0 s
+    or none at all."""
+    result = SimulationResult.of(NET, QUIET, t_end=TINY)
+    assert result.dt == 0.0
+    for read in (lambda: result.values, lambda: result.sample(),
+                 lambda: result.crossing(0.45), lambda: result.crossing(0.0)):
+        with pytest.raises(ValueError, match=r"^dt must be finite and > 0, got 0\.0$"):
+            read()

@@ -25,6 +25,7 @@ from ringrc import (
     read_measurements,
 )
 from ringrc import files
+from ringrc.cli import main
 from ringrc.files import REPORT_FORMAT_TAG, emit_report_json, write_text_atomic
 
 BOM = b"\xef\xbb\xbf"
@@ -291,7 +292,7 @@ class TestParseConfig:
         with raises_exactly(ParseError, "line 4: duplicate key 'n' (first seen on line 1)"):
             parse_config(MINIMAL_CONFIG + "n = 101\n")
 
-    def test_dotted_parts_are_stripped(self):
+    def test_dotted_parts_are_stripped(self, tmp_path, capsys):
         # as measurement labels are: a padded part names the same geometry and field
         text = bundled("config_28nm.cfg").read_text()
         padded = parse_config(text + "line. 1W9S .r_ohm = 100\nline.1W9S. c_ff = 2\n"
@@ -306,6 +307,17 @@ class TestParseConfig:
         with raises_exactly(ParseError, f"line {lineno}: duplicate key 'spec.1W1S.c_total_ff' "
                                         f"(first seen on line {first})"):
             parse_config(text + "spec.1W1S .c_total_ff = 5\n")
+        # a padded key in place of the plain one: the same report bytes and no warning
+        padded_config = tmp_path / "padded.cfg"
+        padded_config.write_text(text.replace("\nspec.1W1S.c_total_ff", "\nspec.1W1S .c_total_ff"))
+        assert "spec.1W1S .c_total_ff = " in padded_config.read_text()
+        reports = []
+        for config in (bundled("config_28nm.cfg"), padded_config):
+            assert main(["report", "--config", str(config), "--measurements",
+                         str(bundled("measurements_28nm.csv")), "--format", "json"]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[1].out == reports[0].out
+        assert reports[0].err == reports[1].err == ""
 
     def test_unknown_key_warns(self):
         # a dotted key with other than three parts, or another first part, is no section's

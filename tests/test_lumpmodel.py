@@ -1,6 +1,7 @@
 """Tests for the closed-form lump model: coefficients, transfer functions,
 step responses and threshold delays."""
 
+import importlib.resources
 import math
 
 import numpy as np
@@ -23,12 +24,37 @@ from ringrc import (
     threshold_delay,
     transfer_eval,
 )
-from ringrc.lumpmodel import bisect_crossing
+from ringrc.files import parse_config
+from ringrc.lumpmodel import ModalResponse
 
 # Hand-checkable reference line: R = 1 kohm, C = 1 fF, C_c = 2 fF.
 REF = LineRC(r=1e3, c=1e-15, c_c=2e-15, v_dd=1.0)
 # Bundled 1W1S line model.
 W1S = LineRC(r=504.0, c=6.6e-15, c_c=8.0e-15, v_dd=0.9)
+BUNDLED_LINES = parse_config(
+    importlib.resources.files("ringrc").joinpath("data", "config_28nm.cfg").read_text()
+).lines
+#: threshold_delay on the bundled lines, (geometry, mode, fraction): float.hex.
+PINNED_DELAYS = {
+    ("1W1S", "quiet", 0.1): "0x1.ab2f81b2ea554p-41",
+    ("1W1S", "quiet", 0.5): "0x1.b09d69ccf614ep-38",
+    ("1W1S", "quiet", 0.9): "0x1.016cf7f1d3194p-35",
+    ("1W1S", "in_phase", 0.1): "0x1.8a98738ca1edbp-42",
+    ("1W1S", "in_phase", 0.5): "0x1.447f0c89e8500p-39",
+    ("1W1S", "in_phase", 0.9): "0x1.0d7d034b626dfp-37",
+    ("1W1S", "out_of_phase", 0.1): "0x1.4e2eea33b362fp-38",
+    ("1W1S", "out_of_phase", 0.5): "0x1.082340ec2fdb6p-36",
+    ("1W1S", "out_of_phase", 0.9): "0x1.5f628055624f0p-35",
+    ("1W2S", "quiet", 0.1): "0x1.53c1a4518fa77p-41",
+    ("1W2S", "quiet", 0.5): "0x1.5faff89745377p-38",
+    ("1W2S", "quiet", 0.9): "0x1.acb594ab1dd8cp-36",
+    ("1W2S", "in_phase", 0.1): "0x1.32b1b04030d5dp-42",
+    ("1W2S", "in_phase", 0.5): "0x1.f86bba5f0df8ep-40",
+    ("1W2S", "in_phase", 0.9): "0x1.a2e9942cafd12p-38",
+    ("1W2S", "out_of_phase", 0.1): "0x1.2180489632895p-38",
+    ("1W2S", "out_of_phase", 0.5): "0x1.b8ded9511edbfp-37",
+    ("1W2S", "out_of_phase", 0.9): "0x1.24a16d7d932d0p-35",
+}
 
 
 def random_line(rng, cc_lo=0.05, cc_hi=2.0):
@@ -222,14 +248,45 @@ class TestStepResponse:
         assert np.max(np.abs(diff - want)) < 1e-12 * line.v_dd
 
     def test_vectorized_matches_scalar(self):
-        t = np.array([0.0, 0.5e-12, 2e-12, 9e-12])
-        vec = step_response_victim(CrosstalkMode.QUIET, REF, t)
-        for i, ti in enumerate(t):
-            assert vec[i] == step_response_victim(CrosstalkMode.QUIET, REF, ti)
+        """Times in any order and shape give, entry by entry, the scalar
+        call's float: here 9 ps, where the R*C mode is live, comes after
+        1 ns and 2 ns, where it has underflowed."""
+        t = np.array([[0.0, 0.5e-12], [2e-12, 1e-9], [2e-9, 9e-12]])
+        for response in (lambda t: step_response_victim(CrosstalkMode.QUIET, REF, t),
+                         lambda t: published_out_of_phase_response(REF, t)):
+            vec = response(t)
+            assert vec.shape == t.shape
+            for i in np.ndindex(t.shape):
+                scalar = response(t[i])
+                assert type(scalar) is float and vec[i] == scalar
+
+    def test_matches_the_two_exponential_form(self):
+        """Against v_dd (1 - w e^(-t/(R C)) - (1 - w) e^(-t/(R (C + 3 C_c))))
+        written out here, for every mode and strong or weak coupling."""
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            line = random_line(rng, cc_lo=0.0, cc_hi=5.0)
+            t = np.linspace(0.0, 30.0 * line.tau_coupled, 500)
+            for mode in CrosstalkMode:
+                w = (1.0 + 2.0 * AGGRESSOR_STEP[mode]) / 3.0
+                want = line.v_dd * (1.0 - w * np.exp(-t / line.tau_ground)
+                                    - (1.0 - w) * np.exp(-t / line.tau_coupled))
+                got = step_response_victim(mode, line, t)
+                assert np.max(np.abs(got - want)) <= 1e-15 * line.v_dd, mode
+
+    def test_published_form_settles_on_the_rail_exactly(self):
+        """Its residues sum to 0, so its final value is held at v_dd: once
+        both exponentials have underflowed it reads v_dd to the last bit."""
+        assert published_out_of_phase_response(REF, 1e3 * REF.tau_coupled) == REF.v_dd
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            step_response_victim(CrosstalkMode.QUIET, REF, -1e-12)
+        """So is NaN, as a scalar or an entry, in both waveforms."""
+        for response in (lambda t: step_response_victim(CrosstalkMode.QUIET, REF, t),
+                         lambda t: published_out_of_phase_response(REF, t)):
+            for t in (-1e-12, -5e-324, math.nan):
+                for times in (t, np.array([1e-12, t])):
+                    with pytest.raises(ValueError, match=r"^t must be >= 0$"):
+                        response(times)
 
 
 class TestThresholdDelay:
@@ -273,11 +330,45 @@ class TestThresholdDelay:
             t_i = threshold_delay(CrosstalkMode.IN_PHASE, line)
             assert t_q > t_i
 
+    def test_bundled_lines_pinned_to_the_last_bit(self):
+        """Every mode at 10, 50 and 90 % of the rail on both bundled lines,
+        as float.hex: the crossing search and the order in which it sums
+        the two modes fix each value's last bit."""
+        for (geometry, mode, fraction), want in PINNED_DELAYS.items():
+            got = threshold_delay(CrosstalkMode(mode), BUNDLED_LINES[geometry], fraction)
+            assert got.hex() == want, (geometry, mode, fraction)
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             threshold_delay(CrosstalkMode.QUIET, W1S, threshold_fraction=0.0)
         with pytest.raises(ValueError):
             threshold_delay(CrosstalkMode.QUIET, W1S, threshold_fraction=1.0)
+
+
+class TestModalResponse:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                 min_size=1, max_size=12),
+        st.lists(st.floats(0.0, 1e4), min_size=1, max_size=64),
+    )
+    # residues that cancel: at t = 745 the rate-1 mode's 5e-324 is all that is left
+    @example([(0.0, 1.0, -1.0), (math.log10(2.0), -1.0, 1.0)], [745.0, 745.13, 745.2, 746.0])
+    def test_skipping_underflowed_modes_is_bit_identical(self, modes, times):
+        """Rates over twelve decades, residues of either sign in two rows and
+        ascending times: the evaluation, which skips each mode where
+        rate * t >= 746, equals bit for bit every mode summed at every time,
+        in the same order."""
+        rates = 10.0 ** np.array([m[0] for m in modes])
+        residues = np.array([[m[1] for m in modes], [m[2] for m in modes]]) + 0.0  # no -0.0
+        times = np.sort(times)
+        want = np.tile(residues.sum(axis=1), (len(times), 1))
+        for rate, residue in zip(rates, residues.T):
+            want -= np.exp(-rate * times)[:, None] * residue
+        response = ModalResponse(rates, residues)
+        got = response.at(times)
+        assert got.tobytes() == want.tobytes()
+        assert got[:, 1].tobytes() == response.at(times, slice(1, 2)).tobytes()
 
 
 class TestCrossingSearch:
@@ -309,7 +400,7 @@ class TestCrossingSearch:
         assume(first > 0)
         lo, hi = times[first - 1], times[first]
         assume(v(lo) < threshold <= v(hi))
-        got = bisect_crossing(rates, residues, threshold, lo, hi)
+        got = ModalResponse(rates, residues[None]).crossing(threshold, lo, hi)
         assert lo < got <= hi
         assert v(got) >= threshold
         assert v(np.nextafter(got, -np.inf)) < threshold
@@ -323,7 +414,7 @@ class TestCrossingSearch:
             residues = W1S.v_dd * np.array([w, 1.0 - w])
             for fraction in (0.1, 0.5, 0.9):
                 threshold, lo, hi = fraction * W1S.v_dd, 0.0, 10.0 * W1S.tau_coupled
-                got = bisect_crossing(rates, residues, threshold, lo, hi)
+                got = ModalResponse(rates, residues[None]).crossing(threshold, lo, hi)
                 while lo < 0.5 * (lo + hi) < hi:
                     mid = 0.5 * (lo + hi)
                     if residues.sum() - residues @ np.exp(-rates * mid) >= threshold:

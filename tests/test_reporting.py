@@ -386,7 +386,7 @@ def reference_svg(result, title=""):
     v_min = min(0.0, float(np.min(result.values)))
     v_max = float(np.max(result.values))
     if v_max <= v_min:  # a flat trace: span the largest final far-end voltage
-        v_max = v_min + float(np.abs(result.residues.sum(axis=1)).max())
+        v_max = v_min + float(np.abs(result.response.residues.sum(axis=1)).max())
     span = v_max - v_min
 
     def x(t):

@@ -25,7 +25,6 @@ from ringrc import (
     victim_delay,
 )
 from ringrc.files import parse_config
-from ringrc.lumpmodel import bisect_crossing
 from ringrc.simulator import (
     SAMPLES,
     NetworkStateSpace,
@@ -275,13 +274,14 @@ class TestSimulateStep:
                 net, DrivePattern.for_mode(mode, W1S.v_dd), t_end=t_end
             )
             times = result.times
-            want = np.tile(result.residues.sum(axis=1), (SAMPLES, 1))
-            for rate, residue in zip(result.rates, result.residues.T):
+            response = result.response
+            want = np.tile(response.residues.sum(axis=1), (SAMPLES, 1))
+            for rate, residue in zip(response.rates, response.residues.T):
                 want -= np.outer(np.exp(-rate * times), residue)
             assert np.array_equal(result.values, want), mode
         # within these spans the fastest mode underflows on segmented
         # networks only, so both the skipping and the full path are covered
-        assert (np.exp(-result.rates[-1] * times[-1]) == 0.0) == (segments > 1)
+        assert (np.exp(-response.rates[-1] * times[-1]) == 0.0) == (segments > 1)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("mode", list(CrosstalkMode))
@@ -343,19 +343,19 @@ class TestSimulateStep:
                 simulate_step(net, DrivePattern(1.0, 1.0, 1.0))
 
     def test_result_samples_waveforms_on_first_read(self):
-        """The constructor stores rates, residues and dt only; the three
+        """The constructor stores the modal response and dt only; the three
         far ends are sampled once, into one table, when it is first read."""
         net = build_network(W1S, 3)
         drive = DrivePattern.for_mode(CrosstalkMode.OUT_OF_PHASE, W1S.v_dd)
         result = SimulationResult.of(net, drive, modes=net.modes())
-        assert vars(result).keys() == {"rates", "residues", "dt"}
+        assert vars(result).keys() == {"response", "dt"}
         assert result.crossing(0.5 * W1S.v_dd) == victim_delay(W1S, CrosstalkMode.OUT_OF_PHASE, 3)
-        assert vars(result).keys() == {"rates", "residues", "dt"}
+        assert vars(result).keys() == {"response", "dt"}
         values = result.values
         assert result.values is values
         want = simulate_step(net, drive)
         assert result.dt == want.dt
-        assert np.array_equal(result.residues, want.residues)
+        assert np.array_equal(result.response.residues, want.response.residues)
         assert np.array_equal(values, want.values)
 
     def test_values_are_read_only_and_the_victim_column_is_sample(self):
@@ -395,11 +395,15 @@ class TestSimulateStep:
 
     @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
     def test_waveform_rejects_non_finite_samples(self, sample):
-        """No result holds a non-finite sample: a drive whose samples
-        would not be finite is refused where its residues are formed."""
+        """No result holds a non-finite sample: a non-finite amplitude is
+        refused where the drive is built, and a finite drive whose samples
+        would not be finite where its residues are formed."""
+        with pytest.raises(ValueError, match=f"^v_s2 must be finite, got {sample!r}$"):
+            DrivePattern(0.0, sample, 0.0)
         net = build_network(W1S, 1)
-        with pytest.raises(NumericError, match="overflows double precision$"):
-            SimulationResult.of(net, DrivePattern(0.0, sample, 0.0))
+        with pytest.raises(NumericError, match=re.escape("response to a 1e+308 V step "
+                                                         "overflows double precision")):
+            SimulationResult.of(net, DrivePattern(0.0, 1e308, 0.0))
 
     @pytest.mark.parametrize("matrix", ["capacitance"])
     @pytest.mark.parametrize("segments", [1, 7, 50])
@@ -491,9 +495,7 @@ def reference_crossing(result, threshold):
     i = int(above[0])
     if i == 0:
         return 0.0
-    return bisect_crossing(
-        result.rates, result.residues[1], threshold, (i - 1) * result.dt, i * result.dt
-    )
+    return result.response.crossing(threshold, (i - 1) * result.dt, i * result.dt, row=1)
 
 
 # r, c and c_c each over several decades
@@ -535,7 +537,7 @@ class TestModes:
         assert np.all(np.abs(1.0 / rates - 1.0 / want) <= 1e-14 / want[0])
         for mode in CrosstalkMode:
             drive = DrivePattern.for_mode(mode, line.v_dd)
-            final = SimulationResult.of(net, drive, modes=(rates, shapes)).residues.sum(axis=1)
+            final = SimulationResult.of(net, drive, modes=(rates, shapes)).response.final
             assert np.all(np.abs(final - [drive.v_s1, drive.v_s2, drive.v_s3]) <= 1e-13 * line.v_dd)
 
 
